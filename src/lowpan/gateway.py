@@ -44,14 +44,7 @@ from .codec import (
     parse_dispatch,
 )
 from .frame import NodeAddress, SecurityMode, Short16, mac_payload_budget
-from .ipv6 import (
-    NEXT_HEADER_UDP,
-    Ipv6Packet,
-    UdpDatagram,
-    decode_udp,
-    encode_udp,
-    udp_checksum,
-)
+from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, FragmentOutcome, accept_fragment, fragment
 
 APL_MAX_OCTETS = 94
@@ -112,6 +105,11 @@ class GatewayMode(Enum):
     DEVID = "devid"
     ZIGBEE = "zigbee"
     BRIDGE = "bridge"
+
+    @property
+    def stack(self) -> str:
+        """Receive stack of the nodes in a PAN behind a gateway of this mode."""
+        return {"border": "lowpan", "devid": "app"}.get(self.value, "nwk")
 
 
 class TrafficClass(Enum):
@@ -191,7 +189,7 @@ class NwkFrame:
 
     def __post_init__(self):
         if (self.frame_control >> 8) & 0xC0:
-            raise ValueError("frame control would collide with 6LoWPAN dispatch space")
+            raise GatewayError("frame control would collide with 6LoWPAN dispatch space")
 
     def encode(self) -> bytes:
         return (
@@ -243,10 +241,7 @@ def bridge_encapsulate(
     port: int = TUNNEL_UDP_PORT,
 ) -> Ipv6Packet:
     """Carry a NWK frame verbatim as UDP payload between bridge endpoints."""
-    src, dst = tunnel
-    udp = UdpDatagram(port, port, 0, nwk.encode())
-    udp = UdpDatagram(port, port, udp_checksum(src, dst, udp), udp.payload)
-    return Ipv6Packet(src=src, dst=dst, next_header=NEXT_HEADER_UDP, payload=encode_udp(udp))
+    return udp_packet(*tunnel, port, port, nwk.encode())
 
 
 def bridge_decapsulate(pkt: Ipv6Packet, port: int = TUNNEL_UDP_PORT) -> NwkFrame:
@@ -360,7 +355,18 @@ def wired_to_lowpan(
 
     Returns the ready-to-transmit MAC payloads, mesh header first.
     """
-    stream = compress_ipv6(pkt, orig, final)
+    return mesh_fragments(compress_ipv6(pkt, orig, final), orig, final, ctx, security, hops)
+
+
+def mesh_fragments(
+    stream: bytes,
+    orig: NodeAddress,
+    final: NodeAddress,
+    ctx: FragmentationContext,
+    security: SecurityMode = SecurityMode.NONE,
+    hops: int = 8,
+) -> list[bytes]:
+    """Fragment a compressed stream to the MAC budget and mesh-wrap each piece."""
     mesh = encode_mesh(MeshHeader(orig, final, hops))
     budget = mac_payload_budget(security) - len(mesh)
     return [mesh + piece for piece in fragment(stream, budget, ctx)]
@@ -375,6 +381,8 @@ def lowpan_to_wired(frames: list[bytes], pan_id: int) -> Ipv6Packet:
     for payload in frames:
         mesh, consumed = decode_mesh(payload, pan_id)
         rest = payload[consumed:]
+        if not rest:
+            raise GatewayError("mesh frame carries no payload")
         kind = parse_dispatch(rest[0])
         if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
             result = accept_fragment(table, mesh.originator, rest, now=0.0)
@@ -438,19 +446,7 @@ class Gateway:
         endpoint = resolve_devid(self.registry, header.dst_devid)
         if not isinstance(endpoint, IPv6Address):
             raise UnknownDevid(f"devid {header.dst_devid} is not an IPv6 endpoint")
-        udp = UdpDatagram(DEVID_UDP_PORT, DEVID_UDP_PORT, 0, app_frame)
-        udp = UdpDatagram(
-            DEVID_UDP_PORT,
-            DEVID_UDP_PORT,
-            udp_checksum(self.wired_addr, endpoint, udp),
-            udp.payload,
-        )
-        return Ipv6Packet(
-            src=self.wired_addr,
-            dst=endpoint,
-            next_header=NEXT_HEADER_UDP,
-            payload=encode_udp(udp),
-        )
+        return udp_packet(self.wired_addr, endpoint, DEVID_UDP_PORT, DEVID_UDP_PORT, app_frame)
 
     def devid_downlink(self, pkt: Ipv6Packet, security: SecurityMode = SecurityMode.NONE):
         """Translate a wired packet into (node address, MAC payload).
@@ -529,40 +525,25 @@ class Gateway:
 
     def relay_broadcast(self, payload: bytes) -> list[Ipv6Packet]:
         """Re-emit a WPAN broadcast payload to every subscribed host."""
-        packets = []
-        for host in self.subscribers:
-            udp = UdpDatagram(BCAST_RELAY_UDP_PORT, BCAST_RELAY_UDP_PORT, 0, payload)
-            udp = UdpDatagram(
-                BCAST_RELAY_UDP_PORT,
-                BCAST_RELAY_UDP_PORT,
-                udp_checksum(self.wired_addr, host, udp),
-                udp.payload,
-            )
-            packets.append(
-                Ipv6Packet(
-                    src=self.wired_addr,
-                    dst=host,
-                    next_header=NEXT_HEADER_UDP,
-                    payload=encode_udp(udp),
-                )
-            )
-        return packets
+        return [
+            udp_packet(self.wired_addr, host, BCAST_RELAY_UDP_PORT, BCAST_RELAY_UDP_PORT, payload)
+            for host in self.subscribers
+        ]
 
     # service discovery (both directions)
 
     def query_to_segment(self, query: ServiceQuery, now: float) -> int:
-        """Admit a wired-side service query; returns the PAN it targets."""
+        """Admit a service query for this PAN; returns the PAN it targets.
+
+        Wired-side and segment-side queries are admitted alike, so
+        `query_to_wired` is the same method.
+        """
         if query.pan_id != self.pan_id:
             raise UnknownPanId(f"gateway serves PAN 0x{self.pan_id:04X}, not 0x{query.pan_id:04X}")
         self.discovery.remember(query.pan_id, query.origin, now)
         return query.pan_id
 
-    def query_to_wired(self, query: ServiceQuery, now: float) -> int:
-        """Admit a segment-side service query headed for the wired domain."""
-        if query.pan_id != self.pan_id:
-            raise UnknownPanId(f"gateway serves PAN 0x{self.pan_id:04X}, not 0x{query.pan_id:04X}")
-        self.discovery.remember(query.pan_id, query.origin, now)
-        return query.pan_id
+    query_to_wired = query_to_segment
 
     def route_response(self, pan_id: int, now: float) -> list[IPv6Address | int]:
         """Return-path endpoints for a discovery response, dropping stale records."""

@@ -148,3 +148,12 @@ def udp_checksum(src: IPv6Address, dst: IPv6Address, udp: UdpDatagram) -> int:
     header = struct.pack("!HHHH", udp.src_port, udp.dst_port, udp.length, 0)
     checksum = ~_ones_complement_sum(pseudo + header + udp.payload) & 0xFFFF
     return checksum or 0xFFFF
+
+
+def udp_packet(
+    src: IPv6Address, dst: IPv6Address, sport: int, dport: int, payload: bytes
+) -> Ipv6Packet:
+    """An IPv6 packet carrying one UDP datagram with its checksum filled in."""
+    udp = UdpDatagram(sport, dport, 0, payload)
+    udp = UdpDatagram(sport, dport, udp_checksum(src, dst, udp), payload)
+    return Ipv6Packet(src=src, dst=dst, next_header=NEXT_HEADER_UDP, payload=encode_udp(udp))

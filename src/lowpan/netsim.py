@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -65,26 +66,19 @@ from .frame import (
     decode_mac_frame,
     encode_mac_frame,
     frame_airtime,
-    mac_payload_budget,
 )
 from .gateway import (
+    DEFAULT_DISCOVERY_TTL,
     AppHeader,
     Gateway,
     GatewayError,
     GatewayMode,
     NwkFrame,
     NWK_BROADCAST_SHORT,
+    mesh_fragments,
 )
-from .ipv6 import (
-    NEXT_HEADER_UDP,
-    Ipv6Packet,
-    PacketError,
-    UdpDatagram,
-    decode_udp,
-    encode_udp,
-    udp_checksum,
-)
-from .reassembly import FragmentOutcome, FragmentationContext, ReassemblyError, accept_fragment, fragment
+from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, PacketError, decode_udp, udp_packet
+from .reassembly import FragmentOutcome, FragmentationContext, ReassemblyError, accept_fragment
 
 BC0_CACHE_ENTRIES = 64
 DEFAULT_WIRED_DELAY = 0.001
@@ -230,6 +224,7 @@ class World:
         self._queue: list = []
         self._event_seq = 0
         self._prepared = False
+        self._receivers = {"lowpan": self._rx_lowpan, "app": self._rx_app, "nwk": self._rx_nwk}
 
     # --- construction ---------------------------------------------------
 
@@ -271,16 +266,10 @@ class World:
         pan_id: int | None = None,
         subscribers: tuple[IPv6Address, ...] = (),
         tunnel_peer: IPv6Address | None = None,
-        discovery_ttl: float | None = None,
+        discovery_ttl: float = DEFAULT_DISCOVERY_TTL,
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
-        stack = {
-            GatewayMode.BORDER: "lowpan",
-            GatewayMode.DEVID: "app",
-            GatewayMode.ZIGBEE: "nwk",
-            GatewayMode.BRIDGE: "nwk",
-        }[mode]
-        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan, stack=stack)
+        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan, stack=mode.stack)
         gw = Gateway(
             mode=mode,
             pan_id=pan,
@@ -289,9 +278,8 @@ class World:
             prefix=prefix,
             subscribers=subscribers,
             tunnel_peer=tunnel_peer,
+            discovery_ttl=discovery_ttl,
         )
-        if discovery_ttl is not None:
-            gw.discovery.ttl = discovery_ttl
         self.gateways[node_id] = gw
         return gw
 
@@ -460,9 +448,7 @@ class World:
             src = src_addr
         if dst_addr is not None:
             dst = dst_addr
-        udp = UdpDatagram(sport, dport, 0, payload)
-        udp = UdpDatagram(sport, dport, udp_checksum(src, dst, udp), payload)
-        pkt = Ipv6Packet(src=src, dst=dst, next_header=NEXT_HEADER_UDP, payload=encode_udp(udp))
+        pkt = udp_packet(src, dst, sport, dport, payload)
         self.bump("sent")
         self.record(src_id, "send", f"kind=udp to={dst}", len(payload))
         if src_id in self.hosts:
@@ -507,35 +493,30 @@ class World:
     def _node_send_ipv6(self, node: SimNode, pkt: Ipv6Packet, hops: int | None = None):
         final_short = self._resolve_final_short(node, pkt.dst)
         if final_short is None:
-            self.record(node.id, "drop", f"reason=no-such-node dst={pkt.dst}")
-            self.bump("drops")
-            self.bump("drops_no-such-node")
+            self._drop(node.id, "no-such-node", f"dst={pkt.dst}")
             return
         orig = node.wpan_address
         final = Short16(node.pan_id, final_short)
         stream = compress_ipv6(pkt, orig, final)
         self._note_compression(pkt, stream)
-        mesh = encode_mesh(MeshHeader(orig, final, hops if hops is not None else self.default_hops))
-        budget = mac_payload_budget(node.security) - len(mesh)
+        hops = hops if hops is not None else self.default_hops
         try:
-            pieces = fragment(stream, budget, node.frag_ctx)
+            frames = mesh_fragments(stream, orig, final, node.frag_ctx, node.security, hops)
         except ReassemblyError as exc:
-            self._drop(node, _reason_token(exc), f"size={len(stream)}")
+            self._drop(node.id, _reason_token(exc), f"size={len(stream)}")
             return
-        if len(pieces) > 1:
+        if len(frames) > 1:
             self.record(
                 node.id, "frag-start",
-                f"size={len(stream)} frames={len(pieces)}", len(stream),
+                f"size={len(stream)} frames={len(frames)}", len(stream),
             )
-            self.bump("fragments_tx", len(pieces))
+            self.bump("fragments_tx", len(frames))
         next_hop = node.routes.get(final_short, node.default_route)
         if next_hop is None:
-            self.record(node.id, "drop", f"reason=no-route final=0x{final_short:04X}")
-            self.bump("drops")
-            self.bump("drops_no-route")
+            self._drop(node.id, "no-route", f"final=0x{final_short:04X}")
             return
-        for piece in pieces:
-            self._transmit(node, next_hop, mesh + piece)
+        for data in frames:
+            self._transmit(node, next_hop, data)
 
     def _note_compression(self, pkt: Ipv6Packet, stream: bytes):
         app_octets = len(pkt.payload)
@@ -568,15 +549,13 @@ class World:
         node.received_broadcasts.append((self.now, payload))
         self.record(src_id, "deliver", f"kind=bc0 seq={seq} from={src_id}", len(payload))
         self.bump("bcast_delivered")
-        for neighbor in sorted(self.neighbors[src_id]):
-            self._transmit(node, self.nodes[neighbor].short, data)
+        self._flood(node, data)
 
     def _do_send_app(self, src_id: str, src_devid: int, dst_devid: int, data: bytes):
         node = self.nodes[src_id]
         entry = self.segment_gateway(node.pan_id)
         if entry is None:
-            self.record(src_id, "drop", "reason=no-route detail=no-translator")
-            self.bump("drops")
+            self._drop(src_id, "no-route", "detail=no-translator")
             return
         payload = AppHeader(src_devid, dst_devid).encode() + data
         self.bump("sent")
@@ -593,8 +572,7 @@ class World:
         self.bump("sent")
         self.record(src_id, "send", f"kind=nwk dst=0x{dst_short:04X}", len(payload))
         if dst_short == NWK_BROADCAST_SHORT:
-            for neighbor in sorted(self.neighbors[src_id]):
-                self._transmit(node, self.nodes[neighbor].short, frame.encode())
+            self._flood(node, frame.encode())
             return
         local = self.by_addr.get((node.pan_id, dst_short))
         if local is not None and (src_id, local.id) in self.links:
@@ -602,8 +580,7 @@ class World:
             return
         entry = self.segment_gateway(node.pan_id)
         if entry is None:
-            self.record(src_id, "drop", f"reason=no-route dst=0x{dst_short:04X}")
-            self.bump("drops")
+            self._drop(src_id, "no-route", f"dst=0x{dst_short:04X}")
             return
         self._transmit(node, entry[1].short, frame.encode())
 
@@ -612,15 +589,11 @@ class World:
     def _transmit(self, node: SimNode, dst_short: int, payload: bytes):
         dst_node = self.by_addr.get((node.pan_id, dst_short))
         if dst_node is None:
-            self.record(node.id, "drop", f"reason=no-such-node dst=0x{dst_short:04X}")
-            self.bump("drops")
-            self.bump("drops_no-such-node")
+            self._drop(node.id, "no-such-node", f"dst=0x{dst_short:04X}")
             return
         link = self.links.get((node.id, dst_node.id))
         if link is None:
-            self.record(node.id, "drop", f"reason=no-link dst={dst_node.id}")
-            self.bump("drops")
-            self.bump("drops_no-link")
+            self._drop(node.id, "no-link", f"dst={dst_node.id}")
             return
         frame = MacFrame(
             FrameType.DATA,
@@ -637,12 +610,15 @@ class World:
         node.tx_free_at = start + airtime
         self.schedule(start, partial(self._tx_event, node, dst_node, link, psdu, airtime))
 
+    def _flood(self, node: SimNode, data: bytes):
+        """Send one copy of `data` to every radio neighbour, in id order."""
+        for neighbor in sorted(self.neighbors[node.id]):
+            self._transmit(node, self.nodes[neighbor].short, data)
+
     def _tx_event(self, node: SimNode, dst_node: SimNode, link: SimLink, psdu: bytes, airtime: float):
         ppdu_octets = PHY_OVERHEAD + len(psdu)
         if not node.is_awake(self.now):
-            self.record(node.id, "drop", "reason=asleep dir=tx", ppdu_octets)
-            self.bump("drops")
-            self.bump("drops_asleep")
+            self._drop(node.id, "asleep", "dir=tx", ppdu_octets)
             return
         self.record(node.id, "tx", f"dst={dst_node.id}", ppdu_octets)
         self.bump("frames_tx")
@@ -652,34 +628,26 @@ class World:
             self.schedule(self.now + airtime, partial(self._rx_event, dst_node, psdu))
 
     def _loss_event(self, dst_node: SimNode, ppdu_octets: int):
-        self.record(dst_node.id, "drop", "reason=loss", ppdu_octets)
-        self.bump("drops")
-        self.bump("drops_loss")
+        self._drop(dst_node.id, "loss", nbytes=ppdu_octets)
 
     def _rx_event(self, node: SimNode, psdu: bytes):
         if not node.is_awake(self.now):
-            self.record(node.id, "drop", "reason=asleep dir=rx", PHY_OVERHEAD + len(psdu))
-            self.bump("drops")
-            self.bump("drops_asleep")
+            self._drop(node.id, "asleep", "dir=rx", PHY_OVERHEAD + len(psdu))
             return
         try:
             frame = decode_mac_frame(psdu)
         except FrameError as exc:
-            self._drop(node, "malformed-frame", str(exc))
+            self._drop(node.id, "malformed-frame", str(exc))
             return
         src = f"0x{frame.src.short:04X}" if isinstance(frame.src, Short16) else "?"
         self.record(node.id, "rx", f"src={src}", PHY_OVERHEAD + len(psdu))
         self.bump("frames_rx")
-        if node.stack == "lowpan":
-            self._rx_lowpan(node, frame)
-        elif node.stack == "app":
-            self._rx_app(node, frame)
-        elif node.stack == "nwk":
-            self._rx_nwk(node, frame)
+        self._receivers[node.stack](node, frame)
 
-    def _drop(self, node: SimNode, reason: str, extra: str = ""):
+    def _drop(self, node_id: str, reason: str, extra: str = "", nbytes: int = 0):
+        """The one drop path: a `drop` trace record and the `drops` counters."""
         detail = f"reason={reason}" + (f" {extra}" if extra else "")
-        self.record(node.id, "drop", detail)
+        self.record(node_id, "drop", detail, nbytes)
         self.bump("drops")
         self.bump(f"drops_{reason}")
 
@@ -688,7 +656,7 @@ class World:
     def _rx_lowpan(self, node: SimNode, frame: MacFrame):
         data = frame.payload
         if not data:
-            self._drop(node, "empty-payload")
+            self._drop(node.id, "empty-payload")
             return
         orig: NodeAddress = frame.src
         final: NodeAddress = frame.dst
@@ -704,7 +672,7 @@ class World:
                     self._forward(node, mesh, rest)
                     return
                 if not rest:
-                    self._drop(node, "empty-payload")
+                    self._drop(node.id, "empty-payload")
                     return
                 orig, final = mesh.originator, mesh.final
                 data = rest
@@ -712,7 +680,7 @@ class World:
             if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
                 result = accept_fragment(node.reassembly, orig, data, self.now)
                 if result.outcome is FragmentOutcome.DROPPED:
-                    self._drop(node, "timeout", "stage=reassembly")
+                    self._drop(node.id, "timeout", "stage=reassembly")
                     return
                 if result.outcome is FragmentOutcome.PENDING:
                     return
@@ -724,24 +692,24 @@ class World:
                 pkt = decompress_ipv6(data, orig, final)
                 self._deliver_packet(node, pkt)
             else:
-                self._drop(node, "unknown-dispatch", f"byte=0x{data[0]:02X}")
+                self._drop(node.id, "unknown-dispatch", f"byte=0x{data[0]:02X}")
         except (CodecError, ReassemblyError) as exc:
-            self._drop(node, "codec-error", f"kind={type(exc).__name__}")
+            self._drop(node.id, "codec-error", f"kind={type(exc).__name__}")
 
     def _forward(self, node: SimNode, mesh: MeshHeader, rest: bytes):
         if not node.role.forwards:
-            self._drop(node, "not-forwarder")
+            self._drop(node.id, "not-forwarder")
             return
         hops = mesh.hops_left - 1
         if hops == 0:
-            self._drop(node, "hops-exhausted")
+            self._drop(node.id, "hops-exhausted")
             return
         if not isinstance(mesh.final, Short16):
-            self._drop(node, "no-route", "detail=eui-final")
+            self._drop(node.id, "no-route", "detail=eui-final")
             return
         next_hop = node.routes.get(mesh.final.short, node.default_route)
         if next_hop is None:
-            self._drop(node, "no-route", f"final=0x{mesh.final.short:04X}")
+            self._drop(node.id, "no-route", f"final=0x{mesh.final.short:04X}")
             return
         self.record(node.id, "forward", f"final=0x{mesh.final.short:04X} hops={hops}")
         self._transmit(node, next_hop, encode_mesh(MeshHeader(mesh.originator, mesh.final, hops)) + rest)
@@ -750,7 +718,7 @@ class World:
         seq, consumed = decode_bc0(rest)
         payload = rest[consumed:]
         if not node.note_broadcast((mesh.originator, seq)):
-            self._drop(node, "duplicate", f"seq={seq}")
+            self._drop(node.id, "duplicate", f"seq={seq}")
             return
         node.received_broadcasts.append((self.now, payload))
         self.record(node.id, "deliver", f"kind=bc0 seq={seq}", len(payload))
@@ -763,18 +731,12 @@ class World:
         if node.role.forwards and mesh.hops_left - 1 > 0:
             fwd = encode_mesh(MeshHeader(mesh.originator, mesh.final, mesh.hops_left - 1))
             self.record(node.id, "forward", f"final=bcast hops={mesh.hops_left - 1}")
-            for neighbor in sorted(self.neighbors[node.id]):
-                self._transmit(node, self.nodes[neighbor].short, fwd + rest)
+            self._flood(node, fwd + rest)
 
     def _deliver_packet(self, node: SimNode, pkt: Ipv6Packet):
         gw = self.gateways.get(node.id)
         if gw is not None:
-            if gw.mode is GatewayMode.BORDER:
-                self.record(node.id, "gw-translate", f"mode=border dir=up dst={pkt.dst}")
-                self.bump("gw_translations")
-                self.wired_send(node.id, pkt)
-            else:
-                self._drop(node, "unsupported-mode", f"mode={gw.mode.value}")
+            self._uplink(node, gw, pkt)  # a border gateway: the packet crosses as is
             return
         node.received_packets.append((self.now, pkt))
         self.record(node.id, "deliver", f"kind=ipv6 from={pkt.src}", pkt.payload_length)
@@ -790,17 +752,15 @@ class World:
         try:
             pkt = gw.devid_uplink(frame.payload)
         except GatewayError as exc:
-            self._drop(node, _reason_token(exc))
+            self._drop(node.id, _reason_token(exc))
             return
-        self.record(node.id, "gw-translate", f"mode=devid dir=up dst={pkt.dst}")
-        self.bump("gw_translations")
-        self.wired_send(node.id, pkt)
+        self._uplink(node, gw, pkt)
 
     def _rx_nwk(self, node: SimNode, frame: MacFrame):
         try:
             nwk = NwkFrame.decode(frame.payload)
         except GatewayError:
-            self._drop(node, "malformed-nwk")
+            self._drop(node.id, "malformed-nwk")
             return
         gw = self.gateways.get(node.id)
         if gw is None:
@@ -809,23 +769,15 @@ class World:
                 self.record(node.id, "deliver", f"kind=nwk src=0x{nwk.src_short:04X}", len(nwk.payload))
                 self.bump("delivered")
             else:
-                self._drop(node, "nwk-not-mine", f"dst=0x{nwk.dst_short:04X}")
+                self._drop(node.id, "nwk-not-mine", f"dst=0x{nwk.dst_short:04X}")
             return
         try:
-            if gw.mode is GatewayMode.ZIGBEE:
-                for pkt in gw.zigbee_uplink(nwk):
-                    self.record(node.id, "gw-translate", f"mode=zigbee dir=up dst={pkt.dst}")
-                    self.bump("gw_translations")
-                    self.wired_send(node.id, pkt)
-            elif gw.mode is GatewayMode.BRIDGE:
-                pkt = gw.bridge_uplink(nwk)
-                self.record(node.id, "gw-translate", f"mode=bridge dir=up dst={pkt.dst}")
-                self.bump("gw_translations")
-                self.wired_send(node.id, pkt)
-            else:
-                self._drop(node, "unsupported-mode", f"mode={gw.mode.value}")
+            pkts = gw.zigbee_uplink(nwk) if gw.mode is GatewayMode.ZIGBEE else [gw.bridge_uplink(nwk)]
         except GatewayError as exc:
-            self._drop(node, _reason_token(exc))
+            self._drop(node.id, _reason_token(exc))
+            return
+        for pkt in pkts:
+            self._uplink(node, gw, pkt)
 
     # --- wired domain ---------------------------------------------------------
 
@@ -848,38 +800,50 @@ class World:
                 self.record(gw_id, "wired-rx", f"src={pkt.src} nh={pkt.next_header}", pkt.payload_length)
                 self._gateway_downlink(gw_id, gw, pkt)
                 return
-        self.record("wired", "drop", f"reason=no-wired-route dst={pkt.dst}")
-        self.bump("drops")
-        self.bump("drops_no-wired-route")
+        self._drop("wired", "no-wired-route", f"dst={pkt.dst}")
 
     def _gateway_downlink(self, gw_id: str, gw: Gateway, pkt: Ipv6Packet):
         node = self.nodes[gw_id]
         try:
             if gw.mode is GatewayMode.BORDER:
-                if not gw.owns_prefix(pkt.dst):
-                    self._drop(node, "no-such-node", f"dst={pkt.dst}")
-                    return
-                self.record(gw_id, "gw-translate", f"mode=border dir=down dst={pkt.dst}")
-                self.bump("gw_translations")
-                self._node_send_ipv6(node, pkt)
+                if gw.owns_prefix(pkt.dst):
+                    self._downlink(node, gw, pkt)
+                else:
+                    self._drop(gw_id, "no-such-node", f"dst={pkt.dst}")
             elif gw.mode is GatewayMode.DEVID:
                 endpoint, payload = gw.devid_downlink(pkt, node.security)
-                self.record(gw_id, "gw-translate", f"mode=devid dir=down dst=0x{endpoint.short:04X}")
-                self.bump("gw_translations")
-                self._transmit(node, endpoint.short, payload)
-            elif gw.mode is GatewayMode.ZIGBEE:
-                nwk = gw.zigbee_downlink(pkt, node.nwk_seq)
-                node.nwk_seq = (node.nwk_seq + 1) & 0xFF
-                self.record(gw_id, "gw-translate", f"mode=zigbee dir=down dst=0x{nwk.dst_short:04X}")
-                self.bump("gw_translations")
-                self._transmit(node, nwk.dst_short, nwk.encode())
-            elif gw.mode is GatewayMode.BRIDGE:
-                nwk = gw.bridge_downlink(pkt)
-                self.record(gw_id, "gw-translate", f"mode=bridge dir=down dst=0x{nwk.dst_short:04X}")
-                self.bump("gw_translations")
-                self._transmit(node, nwk.dst_short, nwk.encode())
+                self._downlink(node, gw, pkt, endpoint.short, payload)
+            else:
+                if gw.mode is GatewayMode.ZIGBEE:
+                    nwk = gw.zigbee_downlink(pkt, node.nwk_seq)
+                    node.nwk_seq = (node.nwk_seq + 1) & 0xFF
+                else:
+                    nwk = gw.bridge_downlink(pkt)
+                self._downlink(node, gw, pkt, nwk.dst_short, nwk.encode())
         except (GatewayError, PacketError) as exc:
-            self._drop(node, _reason_token(exc))
+            self._drop(gw_id, _reason_token(exc))
+
+    def _uplink(self, node: SimNode, gw: Gateway, pkt: Ipv6Packet):
+        """Trace and count one translated packet, then send it on the wire."""
+        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=up dst={pkt.dst}")
+        self.bump("gw_translations")
+        self.wired_send(node.id, pkt)
+
+    def _downlink(
+        self, node: SimNode, gw: Gateway, pkt: Ipv6Packet, dst_short: int | None = None, payload: bytes = b""
+    ):
+        """Trace and count one translation of `pkt`, then send it into the PAN.
+
+        Border mode sends `pkt` itself through the 6LoWPAN stack; the other
+        modes send their translated MAC payload to `dst_short`.
+        """
+        dst = pkt.dst if dst_short is None else f"0x{dst_short:04X}"
+        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=down dst={dst}")
+        self.bump("gw_translations")
+        if dst_short is None:
+            self._node_send_ipv6(node, pkt)
+        else:
+            self._transmit(node, dst_short, payload)
 
     # --- reporting --------------------------------------------------------------
 
@@ -906,12 +870,4 @@ class World:
 
 def _reason_token(exc: Exception) -> str:
     """Stable kebab-case trace token for a gateway/codec error class."""
-    name = type(exc).__name__
-    out = [name[0].lower()]
-    for ch in name[1:]:
-        if ch.isupper():
-            out.append("-")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
+    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv6Address
 
 from .frame import PhyBand, SecurityMode
-from .gateway import GatewayMode, register_devid
+from .gateway import DEFAULT_DISCOVERY_TTL, GatewayMode, register_devid
 from .netsim import NodeRole, SleepSchedule, World
 
 DEFAULT_T_END = 60.0
@@ -225,7 +225,7 @@ def load_scenario(
             pan_id=gw_pan,
             subscribers=subscribers,
             tunnel_peer=_addr(kv["peer"][1], kv["peer"][0]) if "peer" in kv else None,
-            discovery_ttl=_float(kv["ttl"][1], kv["ttl"][0]) if "ttl" in kv else None,
+            discovery_ttl=_float(kv["ttl"][1], kv["ttl"][0]) if "ttl" in kv else DEFAULT_DISCOVERY_TTL,
         )
 
     node_devids: list[tuple[str, int]] = []
@@ -263,12 +263,6 @@ def load_scenario(
             if value not in _SECURITY:
                 raise ScenarioError(f"line {lineno}: unknown security suite {value!r}")
             security = _SECURITY[value]
-        mode = pan_mode.get(node_pan)
-        stack = "lowpan"
-        if mode is GatewayMode.DEVID:
-            stack = "app"
-        elif mode in (GatewayMode.ZIGBEE, GatewayMode.BRIDGE):
-            stack = "nwk"
         world.add_node(
             section.tokens[1],
             role,
@@ -277,7 +271,7 @@ def load_scenario(
             pan_id=node_pan,
             sleep=sleep,
             security=security,
-            stack=stack,
+            stack=pan_mode[node_pan].stack if node_pan in pan_mode else "lowpan",
         )
         if "devid" in kv:
             node_devids.append((section.tokens[1], _int(kv["devid"][1], kv["devid"][0])))

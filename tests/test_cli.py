@@ -64,12 +64,17 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
     assert "line 4" in err
 
 
-def test_mode_override_runs_clean(scenario_dir, tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["border", "devid", "zigbee", "bridge"])
+@pytest.mark.parametrize("scenario", ["demo", "devid", "zigbee"])
+def test_mode_override_runs_clean(scenario_dir, tmp_path, capsys, scenario, mode):
     code, _, _ = run_cli(
-        "run", str(scenario_dir / "demo.scn"), "--out", str(tmp_path),
-        "--mode-override", "devid", capsys=capsys,
+        "run", str(scenario_dir / f"{scenario}.scn"), "--out", str(tmp_path),
+        "--mode-override", mode, capsys=capsys,
     )
     assert code == 0  # traffic mismatches surface as trace drops, not crashes
+    metrics = dict(line.split("=") for line in (tmp_path / "metrics.txt").read_text().splitlines())
+    labelled = sum(int(value) for key, value in metrics.items() if key.startswith("drops_"))
+    assert int(metrics.get("drops", 0)) == labelled
 
 
 def test_devid_scenario(scenario_dir, tmp_path, capsys):

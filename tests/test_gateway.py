@@ -3,7 +3,7 @@ from ipaddress import IPv6Address
 import pytest
 
 from lowpan import addressing
-from lowpan.codec import UnknownDispatch
+from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
 from lowpan.frame import Short16, mac_payload_budget, SecurityMode
 from lowpan.gateway import (
     APL_MAX_OCTETS,
@@ -11,6 +11,7 @@ from lowpan.gateway import (
     AppHeader,
     DuplicateDevid,
     Gateway,
+    GatewayError,
     GatewayMode,
     MappingTable,
     NoFragmentation,
@@ -212,6 +213,12 @@ def test_nwk_frame_classifies_as_not_lowpan():
         NwkFrame(dst_short=1, src_short=2, frame_control=0xC000)
 
 
+def test_nwk_decode_rejects_lowpan_dispatch_space():
+    frame = NwkFrame(dst_short=1, src_short=2).encode()
+    with pytest.raises(GatewayError):
+        NwkFrame.decode(b"\x41" + frame[1:])  # frame control reads as an IPv6 dispatch
+
+
 # --- discovery ----------------------------------------------------------------------
 
 def test_discovery_roundtrip_within_ttl():
@@ -253,6 +260,12 @@ def test_pipeline_inverse():
     frames = wired_to_lowpan(pkt, orig, final, FragmentationContext())
     assert len(frames) > 1
     assert lowpan_to_wired(frames, 0xBEEF) == pkt
+
+
+def test_pipeline_rejects_empty_mesh_frame():
+    mesh = encode_mesh(MeshHeader(Short16(0xBEEF, 0x00FE), Short16(0xBEEF, 0x0010), 8))
+    with pytest.raises(GatewayError):
+        lowpan_to_wired([mesh], 0xBEEF)
 
 
 # --- border gateway end to end ----------------------------------------------------------

@@ -296,6 +296,17 @@ def test_trace_is_pure_function_of_seed():
     assert first.metrics_lines() == second.metrics_lines()
 
 
+def test_drops_without_gateway_have_a_reason():
+    world = make_line()  # one PAN, no gateway
+    world.send_app(0.0, "a", 1, 2, b"app")  # no translator to send to
+    world.send_nwk(0.0, "a", 0x0004, b"nwk")  # d is not a neighbour of a
+    world.run()
+    assert len(drops_of(world, "no-route")) == 2
+    metrics = world.metrics
+    assert metrics["drops_no-route"] == 2
+    assert metrics["drops"] == sum(v for k, v in metrics.items() if k.startswith("drops_"))
+
+
 def test_metrics_lines_shape():
     world = make_line()
     world.send_udp(0.0, "a", "d", 1, 2, b"x", hops=8)
