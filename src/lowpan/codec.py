@@ -401,15 +401,18 @@ def decompress_ipv6(
         payload = encode_udp(udp)
     else:
         payload = data[pos:]
-    return Ipv6Packet(
-        src=src,
-        dst=dst,
-        next_header=next_header,
-        hop_limit=hop_limit,
-        payload=payload,
-        traffic_class=traffic_class,
-        flow_label=flow_label,
-    )
+    try:  # a 24-bit inline flow label or a payload over 0xFFFF octets
+        return Ipv6Packet(
+            src=src,
+            dst=dst,
+            next_header=next_header,
+            hop_limit=hop_limit,
+            payload=payload,
+            traffic_class=traffic_class,
+            flow_label=flow_label,
+        )
+    except ValueError as exc:
+        raise MalformedHeader(str(exc), offset=pos) from exc
 
 
 # --- mesh addressing ----------------------------------------------------

@@ -30,14 +30,16 @@ The MAC frame codec used here packs:
 Short addressing encodes PAN (2) + short (2); EUI-64 addressing encodes
 the broadcast-PAN placeholder 0xFFFF (2) + EUI (8).  Security is
 modelled purely as `overhead` zero filler octets (auxiliary header plus
-MIC stand-in).  The FCS is a CRC-16 (polynomial 0x1021, init 0x0000)
-over everything that precedes it.  The budget arithmetic always uses
-the 25-octet worst case even when short addressing makes the actual
-header smaller.
+MIC stand-in).  The FCS is CRC-16/XMODEM (polynomial 0x1021, init
+0x0000, MSB first, no final XOR) over everything that precedes it; that
+is the stdlib's `binascii.crc_hqx(data, 0)`.  The budget arithmetic
+always uses the 25-octet worst case even when short addressing makes the
+actual header smaller.
 """
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from enum import Enum
 
@@ -207,13 +209,8 @@ def decode_ppdu(data: bytes) -> Ppdu:
 
 
 def crc16(data: bytes) -> int:
-    """CRC-16, polynomial 0x1021, init 0x0000, MSB first."""
-    crc = 0
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
-    return crc
+    """CRC-16/XMODEM: polynomial 0x1021, init 0x0000, MSB first."""
+    return binascii.crc_hqx(data, 0)
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,7 @@ class MacFrame:
             raise ValueError(f"sequence out of range: {self.sequence}")
         if self.frame_type is FrameType.ACK:
             if self.src is not None or self.dst is not None or self.payload:
-                raise ValueError("ACK frames carry no addressing and no payload")
+                raise FrameError("ACK frames carry no addressing and no payload")
         if len(self.payload) > mac_payload_budget(self.security):
             raise PayloadOverBudget(
                 f"payload {len(self.payload)} octets exceeds budget "
@@ -281,8 +278,9 @@ def decode_mac_frame(data: bytes) -> MacFrame:
     if len(data) < ACK_FRAME_OCTETS:
         raise TruncatedFrame(f"frame shorter than {ACK_FRAME_OCTETS} octets")
     body, fcs = data[:-2], int.from_bytes(data[-2:], "big")
-    if crc16(body) != fcs:
-        raise FcsMismatch(f"FCS 0x{fcs:04X} does not match computed 0x{crc16(body):04X}")
+    computed = crc16(body)
+    if computed != fcs:
+        raise FcsMismatch(f"FCS 0x{fcs:04X} does not match computed 0x{computed:04X}")
     fc0, fc1, sequence = body[0], body[1], body[2]
     frame_type = FrameType(fc0 & 0x03)
     security = SecurityMode((fc0 >> 2) & 0x03)

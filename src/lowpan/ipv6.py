@@ -125,16 +125,6 @@ def decode_udp(data: bytes) -> UdpDatagram:
     return UdpDatagram(src_port, dst_port, checksum, data[8:])
 
 
-def _ones_complement_sum(data: bytes) -> int:
-    if len(data) % 2:
-        data += b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return total
-
-
 def udp_checksum(src: IPv6Address, dst: IPv6Address, udp: UdpDatagram) -> int:
     """Checksum over the IPv6 pseudo-header, UDP header and payload.
 
@@ -146,8 +136,12 @@ def udp_checksum(src: IPv6Address, dst: IPv6Address, udp: UdpDatagram) -> int:
         + struct.pack("!I3xB", udp.length, NEXT_HEADER_UDP)
     )
     header = struct.pack("!HHHH", udp.src_port, udp.dst_port, udp.length, 0)
-    checksum = ~_ones_complement_sum(pseudo + header + udp.payload) & 0xFFFF
-    return checksum or 0xFFFF
+    data = pseudo + header + udp.payload
+    # 2**16 == 1 (mod 0xFFFF), so the buffer read as one big-endian integer is
+    # congruent to its ones'-complement word sum; both zero forms (0, 0xFFFF)
+    # end as 0xFFFF through the `or` below.
+    total = int.from_bytes(data + bytes(len(data) % 2), "big") % 0xFFFF
+    return (~total & 0xFFFF) or 0xFFFF
 
 
 def udp_packet(

@@ -30,6 +30,7 @@ byte count, tab separated.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 import re
@@ -141,6 +142,7 @@ class SimNode:
         self.role = role
         self.pan_id = pan_id
         self.short = short
+        self.wpan_address = Short16(pan_id, short)
         self.eui = eui
         self.sleep = sleep
         self.security = security
@@ -158,10 +160,6 @@ class SimNode:
         self.received_broadcasts: list[tuple[float, bytes]] = []
         self.received_app: list[tuple[float, bytes]] = []
         self.received_nwk: list[tuple[float, NwkFrame]] = []
-
-    @property
-    def wpan_address(self) -> Short16:
-        return Short16(self.pan_id, self.short)
 
     @property
     def link_local(self) -> IPv6Address:
@@ -214,6 +212,7 @@ class World:
         self.now = 0.0
         self.nodes: dict[str, SimNode] = {}
         self.by_addr: dict[tuple[int, int], SimNode] = {}
+        self.by_iid: dict[tuple[int, bytes], SimNode] = {}
         self.links: dict[tuple[str, str], SimLink] = {}
         self.neighbors: dict[str, list[str]] = {}
         self.gateways: dict[str, Gateway] = {}
@@ -252,6 +251,10 @@ class World:
         )
         self.nodes[node_id] = node
         self.by_addr[(pan, short)] = node
+        for iid in (addressing.iid_for(node.wpan_address), addressing.iid_from_eui64(node.eui)):
+            held = self.by_iid.get((pan, iid))
+            if held is None or short < held.short:  # a shared IID resolves to the lower short
+                self.by_iid[(pan, iid)] = node
         self.neighbors.setdefault(node_id, [])
         return node
 
@@ -300,10 +303,9 @@ class World:
         link = SimLink(a, b, band, loss)
         self.links[(a, b)] = link
         self.links[(b, a)] = link
-        if b not in self.neighbors[a]:
-            self.neighbors[a].append(b)
-        if a not in self.neighbors[b]:
-            self.neighbors[b].append(a)
+        for end, other in ((a, b), (b, a)):
+            if other not in self.neighbors[end]:
+                bisect.insort(self.neighbors[end], other)  # kept in id order for floods and BFS
         return link
 
     def node(self, node_id: str) -> SimNode:
@@ -339,7 +341,7 @@ class World:
                 for u in frontier:
                     if u != src_id and not self.nodes[u].role.forwards:
                         continue  # targets, never transit
-                    for v in sorted(self.neighbors.get(u, [])):
+                    for v in self.neighbors[u]:
                         if v in seen or self.nodes[v].pan_id != src.pan_id:
                             continue
                         seen.add(v)
@@ -475,19 +477,10 @@ class World:
         gw = entry[1] if entry else None
         local = addressing.is_link_local(dst) or (gw is not None and gw.owns_prefix(dst))
         if local:
-            return self._short_for_iid(node.pan_id, addressing.iid_of(dst))
+            target = self.by_iid.get((node.pan_id, addressing.iid_of(dst)))
+            return target.short if target is not None else None
         if gw is not None:
             return gw.short
-        return None
-
-    def _short_for_iid(self, pan_id: int, iid: bytes) -> int | None:
-        for (pan, short), node in sorted(self.by_addr.items()):
-            if pan != pan_id:
-                continue
-            if addressing.iid_for(node.wpan_address) == iid:
-                return short
-            if addressing.iid_from_eui64(node.eui) == iid:
-                return short
         return None
 
     def _node_send_ipv6(self, node: SimNode, pkt: Ipv6Packet, hops: int | None = None):
@@ -553,13 +546,13 @@ class World:
 
     def _do_send_app(self, src_id: str, src_devid: int, dst_devid: int, data: bytes):
         node = self.nodes[src_id]
+        payload = AppHeader(src_devid, dst_devid).encode() + data
+        self.bump("sent")
+        self.record(src_id, "send", f"kind=app devid={dst_devid}", len(data))
         entry = self.segment_gateway(node.pan_id)
         if entry is None:
             self._drop(src_id, "no-route", "detail=no-translator")
             return
-        payload = AppHeader(src_devid, dst_devid).encode() + data
-        self.bump("sent")
-        self.record(src_id, "send", f"kind=app devid={dst_devid}", len(data))
         self._transmit(node, entry[1].short, payload)
 
     def _do_send_nwk(self, src_id: str, dst_short: int, payload: bytes):
@@ -612,7 +605,7 @@ class World:
 
     def _flood(self, node: SimNode, data: bytes):
         """Send one copy of `data` to every radio neighbour, in id order."""
-        for neighbor in sorted(self.neighbors[node.id]):
+        for neighbor in self.neighbors[node.id]:
             self._transmit(node, self.nodes[neighbor].short, data)
 
     def _tx_event(self, node: SimNode, dst_node: SimNode, link: SimLink, psdu: bytes, airtime: float):
@@ -701,7 +694,7 @@ class World:
             self._drop(node.id, "not-forwarder")
             return
         hops = mesh.hops_left - 1
-        if hops == 0:
+        if hops <= 0:
             self._drop(node.id, "hops-exhausted")
             return
         if not isinstance(mesh.final, Short16):

@@ -27,6 +27,7 @@ pattern; `hex=` gives the payload verbatim.  Routes not pinned by a
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv6Address
 
@@ -35,6 +36,8 @@ from .gateway import DEFAULT_DISCOVERY_TTL, GatewayMode, register_devid
 from .netsim import NodeRole, SleepSchedule, World
 
 DEFAULT_T_END = 60.0
+U16 = 0xFFFF  # pan, short, port, devid and nwk dst values
+MAX_HOPS = 0x0F  # the 4-bit hops-left field of the mesh header
 
 
 class ScenarioError(ValueError):
@@ -90,11 +93,40 @@ def _parse_sections(text: str) -> list[_Section]:
     return sections
 
 
-def _int(value: str, lineno: int) -> int:
+def _int(value: str, lineno: int, top: int | None = None) -> int:
+    """An integer (0x prefix accepted), in 0..top when `top` is given."""
     try:
-        return int(value, 0)
+        number = int(value, 0)
     except ValueError:
         raise ScenarioError(f"line {lineno}: not a number: {value!r}") from None
+    if top is not None and not 0 <= number <= top:
+        raise ScenarioError(f"line {lineno}: {value!r} is outside 0..{top}")
+    return number
+
+
+def _get(kv: dict[str, tuple[int, str]], key: str, parse, default=None, **bounds):
+    """`parse` the value of `key` at its own line; `default` if the key is absent."""
+    if key not in kv:
+        return default
+    lineno, value = kv[key]
+    return parse(value, lineno, **bounds)
+
+
+def _choice(value: str, lineno: int, table: dict, what: str):
+    if value not in table:
+        raise ScenarioError(f"line {lineno}: unknown {what} {value!r}")
+    return table[value]
+
+
+@contextmanager
+def _at(lineno: int):
+    """Report a rejected world-building step (duplicate id, short, devid) at its line."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 def _float(value: str, lineno: int) -> float:
@@ -123,10 +155,7 @@ def _eui(value: str, lineno: int) -> bytes:
 
 
 def _kv(section: _Section) -> dict[str, tuple[int, str]]:
-    out = {}
-    for lineno, key, value in section.entries:
-        out[key] = (lineno, value)
-    return out
+    return {key: (lineno, value) for lineno, key, value in section.entries}
 
 
 def _payload(fields: dict[str, str], lineno: int) -> bytes:
@@ -158,14 +187,14 @@ def load_scenario(
         if section.tokens[0] == "general":
             general.update(_kv(section))
 
-    seed = _int(general["seed"][1], general["seed"][0]) if "seed" in general else 0
+    seed = _get(general, "seed", _int, 0)
     if seed_override is not None:
         seed = seed_override
-    t_end = _float(general["t_end"][1], general["t_end"][0]) if "t_end" in general else DEFAULT_T_END
+    t_end = _get(general, "t_end", _float, DEFAULT_T_END)
     if t_end_override is not None:
         t_end = t_end_override
-    pan = _int(general["pan"][1], general["pan"][0]) if "pan" in general else 0xBEEF
-    hops = _int(general["hops"][1], general["hops"][0]) if "hops" in general else 8
+    pan = _get(general, "pan", _int, 0xBEEF, top=U16)
+    hops = _get(general, "hops", _int, 8, top=MAX_HOPS)
 
     if mode_override is not None and mode_override not in _MODES:
         raise ScenarioError(f"unknown gateway mode override: {mode_override!r}")
@@ -179,14 +208,11 @@ def load_scenario(
         kv = _kv(section)
         if "mode" not in kv:
             raise ScenarioError(f"line {section.lineno}: gateway needs mode =")
-        lineno, value = kv["mode"]
-        mode_name = mode_override if mode_override is not None else value
-        if mode_name not in _MODES:
-            raise ScenarioError(f"line {lineno}: unknown gateway mode {value!r}")
-        gw_pan = _int(kv["pan"][1], kv["pan"][0]) if "pan" in kv else pan
+        mode_name = mode_override if mode_override is not None else kv["mode"][1]
+        gw_pan = _get(kv, "pan", _int, pan, top=U16)
         if gw_pan in pan_mode:
             raise ScenarioError(f"line {section.lineno}: PAN 0x{gw_pan:04X} already has a gateway")
-        pan_mode[gw_pan] = _MODES[mode_name]
+        pan_mode[gw_pan] = _choice(mode_name, kv["mode"][0], _MODES, "gateway mode")
 
     # hosts first: gateways may subscribe to them
     for section in sections:
@@ -197,7 +223,8 @@ def load_scenario(
         kv = _kv(section)
         if "addr" not in kv:
             raise ScenarioError(f"line {section.lineno}: host needs addr =")
-        world.add_host(section.tokens[1], _addr(kv["addr"][1], kv["addr"][0]))
+        with _at(section.lineno):
+            world.add_host(section.tokens[1], _get(kv, "addr", _addr))
 
     for section in gw_sections:
         kv = _kv(section)
@@ -205,7 +232,7 @@ def load_scenario(
             raise ScenarioError(f"line {section.lineno}: gateway section needs one id")
         if "short" not in kv or "wired" not in kv:
             raise ScenarioError(f"line {section.lineno}: gateway needs short = and wired =")
-        gw_pan = _int(kv["pan"][1], kv["pan"][0]) if "pan" in kv else pan
+        gw_pan = _get(kv, "pan", _int, pan, top=U16)
         subscribers = ()
         if "subscribers" in kv:
             lineno, value = kv["subscribers"]
@@ -216,19 +243,14 @@ def load_scenario(
                     raise ScenarioError(f"line {lineno}: unknown host {host_id!r}")
                 hosts.append(world.hosts[host_id].addr)
             subscribers = tuple(hosts)
-        world.add_gateway(
-            section.tokens[1],
-            _int(kv["short"][1], kv["short"][0]),
-            pan_mode[gw_pan],
-            _addr(kv["wired"][1], kv["wired"][0]),
-            prefix=_addr(kv["prefix"][1], kv["prefix"][0]) if "prefix" in kv else None,
-            pan_id=gw_pan,
-            subscribers=subscribers,
-            tunnel_peer=_addr(kv["peer"][1], kv["peer"][0]) if "peer" in kv else None,
-            discovery_ttl=_float(kv["ttl"][1], kv["ttl"][0]) if "ttl" in kv else DEFAULT_DISCOVERY_TTL,
-        )
+        with _at(section.lineno):
+            world.add_gateway(
+                section.tokens[1], _get(kv, "short", _int, top=U16), pan_mode[gw_pan],
+                _get(kv, "wired", _addr), prefix=_get(kv, "prefix", _addr), pan_id=gw_pan,
+                subscribers=subscribers, tunnel_peer=_get(kv, "peer", _addr),
+                discovery_ttl=_get(kv, "ttl", _float, DEFAULT_DISCOVERY_TTL),
+            )
 
-    node_devids: list[tuple[str, int]] = []
     coordinators: dict[int, str] = {}
     for section in sections:
         if section.tokens[0] != "node":
@@ -238,11 +260,8 @@ def load_scenario(
         kv = _kv(section)
         if "short" not in kv:
             raise ScenarioError(f"line {section.lineno}: node needs short =")
-        role_name = kv["role"][1] if "role" in kv else "ffd"
-        if role_name not in _ROLES:
-            raise ScenarioError(f"line {kv['role'][0]}: unknown role {role_name!r}")
-        role = _ROLES[role_name]
-        node_pan = _int(kv["pan"][1], kv["pan"][0]) if "pan" in kv else pan
+        role = _get(kv, "role", _choice, NodeRole.FFD, table=_ROLES, what="role")
+        node_pan = _get(kv, "pan", _int, pan, top=U16)
         if role is NodeRole.COORDINATOR:
             if node_pan in coordinators:
                 raise ScenarioError(
@@ -257,24 +276,24 @@ def load_scenario(
                 raise ScenarioError(f"line {lineno}: sleep needs awake/asleep")
             awake, asleep = value.split("/", 1)
             sleep = SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
-        security = SecurityMode.NONE
-        if "security" in kv:
-            lineno, value = kv["security"]
-            if value not in _SECURITY:
-                raise ScenarioError(f"line {lineno}: unknown security suite {value!r}")
-            security = _SECURITY[value]
-        world.add_node(
-            section.tokens[1],
-            role,
-            _int(kv["short"][1], kv["short"][0]),
-            eui=_eui(kv["eui"][1], kv["eui"][0]) if "eui" in kv else None,
-            pan_id=node_pan,
-            sleep=sleep,
-            security=security,
-            stack=pan_mode[node_pan].stack if node_pan in pan_mode else "lowpan",
-        )
-        if "devid" in kv:
-            node_devids.append((section.tokens[1], _int(kv["devid"][1], kv["devid"][0])))
+            if not sleep.awake + sleep.asleep > 0:
+                raise ScenarioError(f"line {lineno}: sleep period must be positive: {value!r}")
+        security = _get(kv, "security", _choice, SecurityMode.NONE, table=_SECURITY, what="security suite")
+        with _at(section.lineno):
+            node = world.add_node(
+                section.tokens[1], role, _get(kv, "short", _int, top=U16), eui=_get(kv, "eui", _eui),
+                pan_id=node_pan, sleep=sleep, security=security,
+                stack=pan_mode[node_pan].stack if node_pan in pan_mode else "lowpan",
+            )
+        if "devid" in kv:  # registered at the node's segment gateway; hosts register below
+            lineno = kv["devid"][0]
+            entry = world.segment_gateway(node_pan)
+            if entry is None:
+                raise ScenarioError(
+                    f"line {lineno}: node {section.tokens[1]!r} declares a devid but its PAN has no gateway"
+                )
+            with _at(lineno):
+                register_devid(entry[1].registry, _get(kv, "devid", _int, top=U16), node.wpan_address)
 
     for section in sections:
         if section.tokens[0] != "link":
@@ -282,13 +301,8 @@ def load_scenario(
         if len(section.tokens) != 3:
             raise ScenarioError(f"line {section.lineno}: link section needs two node ids")
         kv = _kv(section)
-        band = PhyBand.B2450
-        if "band" in kv:
-            lineno, value = kv["band"]
-            if value not in _BANDS:
-                raise ScenarioError(f"line {lineno}: unknown band {value!r}")
-            band = _BANDS[value]
-        loss = _float(kv["loss"][1], kv["loss"][0]) if "loss" in kv else 0.0
+        band = _get(kv, "band", _choice, PhyBand.B2450, table=_BANDS, what="band")
+        loss = _get(kv, "loss", _float, 0.0)
         a, b = section.tokens[1], section.tokens[2]
         if a not in world.nodes or b not in world.nodes:
             raise ScenarioError(f"line {section.lineno}: link endpoints must be nodes")
@@ -306,24 +320,19 @@ def load_scenario(
             else:
                 node.routes[_int(key, lineno)] = _int(value, lineno)
 
-    # devid registrations: nodes at their segment gateway, hosts everywhere
-    for node_id, devid in node_devids:
-        node = world.nodes[node_id]
-        entry = world.segment_gateway(node.pan_id)
-        if entry is None:
-            raise ScenarioError(f"node {node_id!r} declares a devid but its PAN has no gateway")
-        register_devid(entry[1].registry, devid, node.wpan_address)
+    # host devids register at every devid gateway
     for section in sections:
         if section.tokens[0] != "host":
             continue
         kv = _kv(section)
         if "devid" in kv:
             host = world.hosts[section.tokens[1]]
-            devid = _int(kv["devid"][1], kv["devid"][0])
+            devid = _get(kv, "devid", _int, top=U16)
             for gw_id in sorted(world.gateways):
                 gw = world.gateways[gw_id]
                 if gw.mode is GatewayMode.DEVID:
-                    register_devid(gw.registry, devid, host.addr)
+                    with _at(kv["devid"][0]):
+                        register_devid(gw.registry, devid, host.addr)
 
     for section in sections:
         if section.tokens[0] == "traffic":
@@ -349,22 +358,22 @@ def _schedule_traffic(world: World, line: str, lineno: int):
     if src not in world.nodes and src not in world.hosts:
         raise ScenarioError(f"line {lineno}: unknown sender {src!r}")
     payload = _payload(fields, lineno)
-    hops = _int(fields["hops"], lineno) if "hops" in fields else None
+    hops = _int(fields["hops"], lineno, MAX_HOPS) if "hops" in fields else None
 
     if kind == "udp":
         dst = fields.get("to")
         if dst is None or (dst not in world.nodes and dst not in world.hosts):
             raise ScenarioError(f"line {lineno}: udp traffic needs a known to=")
-        sport = _int(fields.get("sport", "0xF0B0"), lineno)
-        dport = _int(fields.get("dport", "0xF0B1"), lineno)
+        sport = _int(fields.get("sport", "0xF0B0"), lineno, U16)
+        dport = _int(fields.get("dport", "0xF0B1"), lineno, U16)
         world.send_udp(at, src, dst, sport, dport, payload, hops=hops)
     elif kind == "broadcast":
         world.broadcast(at, src, payload, hops=hops)
     elif kind == "app":
         if "todevid" not in fields:
             raise ScenarioError(f"line {lineno}: app traffic needs todevid=")
-        src_devid = _int(fields.get("devid", "0"), lineno)
-        world.send_app(at, src, src_devid, _int(fields["todevid"], lineno), payload)
+        src_devid = _int(fields.get("devid", "0"), lineno, U16)
+        world.send_app(at, src, src_devid, _int(fields["todevid"], lineno, U16), payload)
     elif kind == "apl":
         dst = fields.get("to")
         dst_short = _resolve_apl_destination(world, src, dst, lineno)
@@ -372,7 +381,7 @@ def _schedule_traffic(world: World, line: str, lineno: int):
     elif kind == "nwk":
         if "dst" not in fields:
             raise ScenarioError(f"line {lineno}: nwk traffic needs dst=")
-        world.send_nwk(at, src, _int(fields["dst"], lineno), payload)
+        world.send_nwk(at, src, _int(fields["dst"], lineno, U16), payload)
     else:
         raise ScenarioError(f"line {lineno}: unknown traffic kind {kind!r}")
 

@@ -56,12 +56,38 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert code == 2
 
 
+BAD_SCENARIOS = [  # (scenario text, line the error must name)
+    ("[general]\nseed = 1\n[node n1]\nrole = queen\nshort = 1\n", 4),
+    ("[node n1]\nshort = 1\n[node n1]\nshort = 2\n", 3),  # duplicate node id
+    ("[host h1]\naddr = fd00::1\n[host h1]\naddr = fd00::2\n", 3),  # duplicate host id
+    ("[host n1]\naddr = fd00::1\n[node n1]\nshort = 1\n", 3),  # a node reuses a host id
+    ("[node a]\nshort = 1\n[node b]\nshort = 0x0001\n", 3),  # duplicate short in a PAN
+    ("[node a]\nshort = 0x10000\n", 2),
+    ("[node a]\nshort = -1\n", 2),
+    ("[general]\npan = 0x10000\n[node a]\nshort = 1\n", 2),
+    ("[node a]\nshort = 1\npan = 0x1BEEF\n", 3),
+    ("[general]\nhops = 16\n[node a]\nshort = 1\n", 2),
+    ("[general]\nhops = -1\n", 2),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=1 hops=16\n", 4),
+    ("[node a]\nshort = 1\nsleep = 0/0\n", 3),
+    ("[node a]\nshort = 1\nsleep = 1/-1\n", 3),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=udp from=a to=a sport=0x10000 size=1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=app from=a todevid=-1 size=1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=nwk from=a dst=0x10000 size=1\n", 4),
+    (  # a host reuses a node's devid
+        "[gateway gw]\nmode = devid\nshort = 1\nwired = fd00::a\n[host h1]\naddr = fd00::99\n"
+        "devid = 9\n[node n]\nshort = 2\ndevid = 9\n", 7,
+    ),
+]
+
+
 def test_run_bad_scenario_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    bad.write_text("[general]\nseed = 1\n[node n1]\nrole = queen\nshort = 1\n")
-    code, _, err = run_cli("run", str(bad), "--out", str(tmp_path / "out"), capsys=capsys)
-    assert code == 2
-    assert "line 4" in err
+    for text, line in BAD_SCENARIOS:
+        bad.write_text(text)
+        code, _, err = run_cli("run", str(bad), "--out", str(tmp_path / "out"), capsys=capsys)
+        assert code == 2, (text, err)
+        assert f"line {line}:" in err, (text, err)
 
 
 @pytest.mark.parametrize("mode", ["border", "devid", "zigbee", "bridge"])

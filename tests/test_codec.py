@@ -9,6 +9,7 @@ from lowpan import addressing
 from lowpan.codec import (
     DISPATCH_HC1,
     DISPATCH_IPV6,
+    CodecError,
     DispatchKind,
     FragHeader,
     Hc1Encoding,
@@ -187,6 +188,29 @@ def test_decompress_errors():
     stream = compress_ipv6(_udp_packet(src=IPv6Address("2001:db8::9")), L2_SRC, L2_DST)
     with pytest.raises(MalformedHeader):
         decompress_ipv6(stream[:10], L2_SRC, L2_DST)  # inside the inline address
+
+
+def test_decompress_rejects_fields_ipv6_cannot_hold():
+    # HC1 with all fields inline except next header (UDP, no HC2): tc 0, flow label 0x100000
+    stream = bytes([DISPATCH_HC1, 0x02, 64]) + bytes(32) + b"\x00\x10\x00\x00"
+    with pytest.raises(MalformedHeader, match="flow label"):
+        decompress_ipv6(stream, L2_SRC, L2_DST)
+    # fully elided header (UDP, no HC2) followed by more octets than the payload length field holds
+    with pytest.raises(MalformedHeader, match="payload too large"):
+        decompress_ipv6(bytes([DISPATCH_HC1, 0xFA, 64]) + bytes(0x10000), L2_SRC, L2_DST)
+
+
+@settings(max_examples=300)
+@given(
+    dispatch=st.sampled_from([DISPATCH_HC1, DISPATCH_IPV6]),
+    rest=st.binary(max_size=80),
+    l2=st.sampled_from([(L2_SRC, L2_DST), (None, None), (Eui64(bytes(8)), L2_DST)]),
+)
+def test_decompress_raises_only_codec_errors(dispatch, rest, l2):
+    try:
+        decompress_ipv6(bytes([dispatch]) + rest, *l2)
+    except CodecError:
+        pass
 
 
 def test_eui64_link_context():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lowpan.frame import (
@@ -11,6 +11,7 @@ from lowpan.frame import (
     BadSfd,
     Eui64,
     FcsMismatch,
+    FrameError,
     FrameType,
     MacFrame,
     MalformedPpdu,
@@ -170,9 +171,21 @@ def _crc16_table_oracle(data: bytes) -> int:
     return crc
 
 
-@given(st.binary(max_size=64))
+@given(st.binary(max_size=PSDU_MAX))
 def test_crc16_matches_table_oracle(data):
     assert crc16(data) == _crc16_table_oracle(data)
+
+
+@settings(max_examples=300)
+@example(bytes.fromhex("020107beef0001"))  # an ACK with a short destination address
+@given(st.binary(min_size=ACK_FRAME_OCTETS - 2, max_size=PSDU_MAX - 2))
+def test_decode_raises_only_frame_errors(body):
+    # a valid FCS gets random octets past the checksum and into the field parsers
+    data = body + _crc16_table_oracle(body).to_bytes(2, "big")
+    try:
+        decode_mac_frame(data)
+    except FrameError:
+        pass
 
 
 # --- airtime ---------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_checksum_matches_oracle(src, dst, sport, dport, payload):
     assert udp_checksum(src, dst, udp) == _checksum_oracle(src, dst, udp)
 
 
+def test_checksum_of_word_sum_congruent_to_zero():
+    # pseudo-header and UDP header words sum to 37; 0xFFDA brings the total to 0xFFFF
+    zero = IPv6Address("::")
+    udp = UdpDatagram(0, 0, 0, b"\xff\xda")
+    assert udp.length == 10
+    assert udp_checksum(zero, zero, udp) == 0xFFFF
+    assert _checksum_oracle(zero, zero, udp) == 0xFFFF
+    # the same congruence after several end-around carries: header words now sum to 49
+    wrapped = UdpDatagram(0, 0, 0, b"\xff\xff" * 3 + b"\xff\xce")
+    assert udp_checksum(zero, zero, wrapped) == _checksum_oracle(zero, zero, wrapped) == 0xFFFF
+
+
 def test_bit_flip_changes_checksum():
     udp = UdpDatagram(7, 9, 0, b"\x00\x10\x20\x30")
     flipped = UdpDatagram(7, 9, 0, b"\x00\x10\x20\x31")

@@ -2,6 +2,7 @@ from ipaddress import IPv6Address
 
 import pytest
 
+from lowpan import addressing
 from lowpan.frame import PhyBand, SecurityMode
 from lowpan.gateway import GatewayMode
 from lowpan.ipv6 import decode_udp
@@ -57,6 +58,44 @@ def test_line_drop_with_hops_2():
     assert forwards_of(world, "c") == []
     exhausted = drops_of(world, "hops-exhausted")
     assert len(exhausted) == 1 and exhausted[0].node == "c"
+
+
+def test_zero_hop_budget_is_exhausted_at_the_first_forwarder():
+    world = make_line()
+    world.send_udp(0.0, "a", "c", 0xF0B3, 0xF0B4, b"hello", hops=0)
+    world.run()
+    assert world.node("c").received_packets == []
+    exhausted = drops_of(world, "hops-exhausted")
+    assert len(exhausted) == 1 and exhausted[0].node == "b"
+
+
+def test_shared_iid_resolves_to_the_lower_short():
+    world = World(seed=0)
+    eui = bytes.fromhex("00124b00000000aa")  # pinned on two nodes of one PAN
+    world.add_node("a", NodeRole.COORDINATOR, 0x0001)
+    world.add_node("hi", NodeRole.FFD, 0x0009, eui=eui)  # the higher short is added first
+    world.add_node("lo", NodeRole.FFD, 0x0005, eui=eui)
+    world.add_link("a", "hi")
+    world.add_link("a", "lo")
+    dst = addressing.link_local(addressing.iid_from_eui64(eui))
+    world.send_udp(0.0, "a", "hi", 1, 2, b"shared", dst_addr=dst)
+    world.run()
+    assert len(world.node("lo").received_packets) == 1
+    assert world.node("hi").received_packets == []
+
+
+def test_neighbour_order_ignores_link_insertion_order():
+    world = World(seed=0)
+    for short, node_id in enumerate(["s", "d", "x", "m", "b"], 1):
+        world.add_node(node_id, NodeRole.FFD, short)
+    # d is two hops from s through m or through b; links arrive in no id order
+    for a, b in [("s", "x"), ("s", "m"), ("m", "d"), ("s", "b"), ("b", "d")]:
+        world.add_link(a, b)
+    world.prepare()
+    assert world.node("s").routes[world.node("d").short] == world.node("b").short  # the lower id wins
+    world.broadcast(0.0, "s", b"flood")
+    world.run()
+    assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
 
 
 def test_delivery_to_self_address_forms():
@@ -303,6 +342,7 @@ def test_drops_without_gateway_have_a_reason():
     world.run()
     assert len(drops_of(world, "no-route")) == 2
     metrics = world.metrics
+    assert metrics["sent"] == 2
     assert metrics["drops_no-route"] == 2
     assert metrics["drops"] == sum(v for k, v in metrics.items() if k.startswith("drops_"))
 
