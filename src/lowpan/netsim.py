@@ -147,7 +147,7 @@ class SimNode:
         self.sleep = sleep
         self.security = security
         self.stack = stack
-        self.routes: dict[int, int] = {}
+        self.routes: dict[int, int] = {}  # scenario pins only (World.next_hop)
         self.default_route: int | None = None
         self.mac_seq = 0
         self.nwk_seq = 0
@@ -223,6 +223,11 @@ class World:
         self._queue: list = []
         self._event_seq = 0
         self._prepared = False
+        self._pan_neighbors: dict[str, list[str]] = {}  # routing's radio graph, built by prepare
+        self._relays: set[str] = set()  # the nodes routing may use as transit
+        # routing state, grown on lookup: destination id -> (hop counts by
+        # node id, the nodes whose neighbours are still to walk)
+        self.hop_trees: dict[str, tuple[dict[str, int], list[str]]] = {}
         self._receivers = {"lowpan": self._rx_lowpan, "app": self._rx_app, "nwk": self._rx_nwk}
 
     # --- construction ---------------------------------------------------
@@ -317,7 +322,7 @@ class World:
     def gateway(self, node_id: str) -> Gateway:
         return self.gateways[node_id]
 
-    # --- static routing ---------------------------------------------------
+    # --- routing ----------------------------------------------------------
 
     def segment_gateway(self, pan_id: int) -> tuple[str, Gateway] | None:
         for gw_id in sorted(self.gateways):
@@ -325,49 +330,75 @@ class World:
                 return gw_id, self.gateways[gw_id]
         return None
 
-    def compute_routes(self):
-        """Hop-count shortest paths, forwarding only through FFDs.
-
-        Fills in any route not already pinned by the scenario; the
-        default route points toward the segment gateway when one exists.
-        """
-        for src_id in sorted(self.nodes):
-            src = self.nodes[src_id]
-            first_hop: dict[str, str] = {}
-            frontier = [src_id]
-            seen = {src_id}
-            while frontier:
-                next_frontier = []
-                for u in frontier:
-                    if u != src_id and not self.nodes[u].role.forwards:
-                        continue  # targets, never transit
-                    for v in self.neighbors[u]:
-                        if v in seen or self.nodes[v].pan_id != src.pan_id:
-                            continue
-                        seen.add(v)
-                        first_hop[v] = v if u == src_id else first_hop[u]
-                        next_frontier.append(v)
-                frontier = next_frontier
-            for dst_id, hop_id in first_hop.items():
-                src.routes.setdefault(self.nodes[dst_id].short, self.nodes[hop_id].short)
-            entry = self.segment_gateway(src.pan_id)
-            if entry is not None and src.default_route is None:
-                gw_id, gw = entry
-                if gw_id != src_id:
-                    src.default_route = src.routes.get(gw.short)
-
     def prepare(self):
-        """Finalize routing and gateway registrations before the first event."""
+        """Index the radio graph for routing and register gateway mappings."""
         if self._prepared:
             return
         self._prepared = True
-        self.compute_routes()
+        self._pan_neighbors = {
+            node_id: [v for v in self.neighbors[node_id] if self.nodes[v].pan_id == node.pan_id]
+            for node_id, node in self.nodes.items()
+        }
+        self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
         for gw_id in sorted(self.gateways):
             gw = self.gateways[gw_id]
             if gw.mode in (GatewayMode.ZIGBEE, GatewayMode.BRIDGE):
                 for (pan, short), node in sorted(self.by_addr.items()):
                     if pan == gw.pan_id and node.id != gw_id:
                         gw.mapping.register_node(node.eui, short)
+
+    def next_hop(self, node: SimNode, final_short: int) -> int | None:
+        """Short of the radio neighbour that `node` hands a frame for `final_short` to.
+
+        A route pinned by the scenario wins, then the shortest-path hop; a
+        destination with neither goes by the pinned default route or,
+        failing that, toward the segment gateway.  Valid after `prepare`.
+        """
+        hop = self._route(node, final_short)
+        if hop is None:
+            hop = node.default_route
+        if hop is None:
+            entry = self.segment_gateway(node.pan_id)
+            if entry is not None and entry[0] != node.id:
+                hop = self._route(node, entry[1].short)
+        return hop
+
+    def _route(self, node: SimNode, final_short: int) -> int | None:
+        """The pinned route, else the lowest-id same-PAN neighbour one hop closer.
+
+        Hop counts come from a breadth-first search out of the destination,
+        kept per destination and shared by every node routing toward it.  It
+        grows one level at a time, only until `node` has a count.  Only the
+        destination and forwarders are expanded, so an RFD is never transit.
+        """
+        pinned = node.routes.get(final_short)
+        if pinned is not None:
+            return pinned
+        target = self.by_addr.get((node.pan_id, final_short))
+        if target is None:
+            return None
+        tree = self.hop_trees.get(target.id)
+        if tree is None:
+            tree = self.hop_trees[target.id] = ({target.id: 0}, [target.id])
+        hops, frontier = tree
+        neighbors, relays = self._pan_neighbors, self._relays
+        while node.id not in hops and frontier:
+            level = hops[frontier[0]] + 1
+            grown = []
+            for u in frontier:
+                for v in neighbors[u]:
+                    if v not in hops:
+                        hops[v] = level
+                        if v in relays:
+                            grown.append(v)
+            frontier[:] = grown
+        distance = hops.get(node.id)
+        if not distance:  # unreachable, or `node` is the destination
+            return None
+        for v in neighbors[node.id]:
+            if hops.get(v) == distance - 1 and (v == target.id or v in relays):
+                return self.nodes[v].short
+        return None
 
     def node_global(self, node_id: str) -> IPv6Address:
         """Delegated-prefix global address of a node (short-derived IID)."""
@@ -504,7 +535,7 @@ class World:
                 f"size={len(stream)} frames={len(frames)}", len(stream),
             )
             self.bump("fragments_tx", len(frames))
-        next_hop = node.routes.get(final_short, node.default_route)
+        next_hop = self.next_hop(node, final_short)
         if next_hop is None:
             self._drop(node.id, "no-route", f"final=0x{final_short:04X}")
             return
@@ -700,7 +731,7 @@ class World:
         if not isinstance(mesh.final, Short16):
             self._drop(node.id, "no-route", "detail=eui-final")
             return
-        next_hop = node.routes.get(mesh.final.short, node.default_route)
+        next_hop = self.next_hop(node, mesh.final.short)
         if next_hop is None:
             self._drop(node.id, "no-route", f"final=0x{mesh.final.short:04X}")
             return
@@ -738,6 +769,10 @@ class World:
     def _rx_app(self, node: SimNode, frame: MacFrame):
         gw = self.gateways.get(node.id)
         if gw is None:
+            entry = self.segment_gateway(node.pan_id)
+            if entry is None or frame.src != self.nodes[entry[0]].wpan_address:
+                self._drop(node.id, "stack-mismatch")  # app frames come only from the translator
+                return
             node.received_app.append((self.now, frame.payload))
             self.record(node.id, "deliver", "kind=app", len(frame.payload))
             self.bump("delivered")

@@ -22,7 +22,7 @@ Traffic kinds:
 
 Numbers accept 0x prefixes.  `size=N` generates a deterministic payload
 pattern; `hex=` gives the payload verbatim.  Routes not pinned by a
-[route] section are filled in as hop-count shortest paths.
+[route] section are hop-count shortest paths, computed on first use.
 """
 
 from __future__ import annotations

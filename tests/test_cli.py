@@ -101,6 +101,7 @@ def test_mode_override_runs_clean(scenario_dir, tmp_path, capsys, scenario, mode
     metrics = dict(line.split("=") for line in (tmp_path / "metrics.txt").read_text().splitlines())
     labelled = sum(int(value) for key, value in metrics.items() if key.startswith("drops_"))
     assert int(metrics.get("drops", 0)) == labelled
+    assert float(metrics["delivery_ratio"]) <= 1  # no frame is delivered to a node it was not for
 
 
 def test_devid_scenario(scenario_dir, tmp_path, capsys):

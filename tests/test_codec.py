@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lowpan import addressing
 from lowpan.codec import (
+    DISPATCH_BC0,
     DISPATCH_HC1,
     DISPATCH_IPV6,
     CodecError,
@@ -209,6 +210,49 @@ def test_decompress_rejects_fields_ipv6_cannot_hold():
 def test_decompress_raises_only_codec_errors(dispatch, rest, l2):
     try:
         decompress_ipv6(bytes([dispatch]) + rest, *l2)
+    except CodecError:
+        pass
+
+
+# Each header decoder, on any octets after its own dispatch byte or any other
+# leading octet, raises only CodecError.
+ANY_OCTET = st.integers(0, 0xFF)
+
+
+@settings(max_examples=300)
+@given(first=st.one_of(st.integers(0x80, 0xBF), ANY_OCTET), rest=st.binary(max_size=20),
+       pan=st.integers(0, 0xFFFF))
+def test_decode_mesh_raises_only_codec_errors(first, rest, pan):
+    try:
+        decode_mesh(bytes([first]) + rest, pan)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=300)
+@given(bc0=st.booleans(), rest=st.binary(max_size=4))
+def test_decode_bc0_raises_only_codec_errors(bc0, rest):
+    try:
+        decode_bc0((bytes([DISPATCH_BC0]) if bc0 else b"") + rest)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=300)
+@given(first=st.one_of(st.integers(0xC0, 0xC7), st.integers(0xE0, 0xE7), ANY_OCTET),
+       rest=st.binary(max_size=8))
+def test_decode_frag_raises_only_codec_errors(first, rest):
+    try:
+        decode_frag(bytes([first]) + rest)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=40))
+def test_hc2_decompress_raises_only_codec_errors(data):
+    try:
+        decompress_udp(data)
     except CodecError:
         pass
 

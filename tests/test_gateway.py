@@ -1,6 +1,8 @@
 from ipaddress import IPv6Address
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowpan import addressing
 from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
@@ -472,3 +474,21 @@ def test_devid_downlink_over_budget_drops():
     world.run()
     assert world.node("n1").received_app == []
     assert any("no-fragmentation" in r.detail for r in world.trace if r.kind == "drop")
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=24))
+def test_nwk_decode_raises_only_gateway_errors(data):
+    try:
+        NwkFrame.decode(data)
+    except GatewayError:
+        pass
+
+
+@settings(max_examples=300)
+@given(st.binary(max_size=8))
+def test_app_header_decode_raises_only_gateway_errors(data):
+    try:
+        AppHeader.decode(data)
+    except GatewayError:
+        pass

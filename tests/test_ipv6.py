@@ -2,7 +2,7 @@ import struct
 from ipaddress import IPv6Address
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowpan.ipv6 import (
@@ -158,3 +158,27 @@ def test_roundtrip_preserves_checksum():
     pkt = _packet(payload=encode_udp(udp))
     back = decode_udp(decode_ipv6(encode_ipv6(pkt)).payload)
     assert back.checksum == udp.checksum
+
+
+@settings(max_examples=300)
+@given(first=st.integers(0, 0xFF), rest=st.binary(max_size=80), fix_length=st.booleans())
+def test_decode_ipv6_raises_only_packet_errors(first, rest, fix_length):
+    data = bytearray([first]) + rest
+    if fix_length and len(data) >= IPV6_HEADER_OCTETS:
+        struct.pack_into("!H", data, 4, len(data) - IPV6_HEADER_OCTETS)
+    try:
+        decode_ipv6(bytes(data))
+    except PacketError:
+        pass
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=40), fix_length=st.booleans())
+def test_decode_udp_raises_only_packet_errors(data, fix_length):
+    data = bytearray(data)
+    if fix_length and len(data) >= UDP_HEADER_OCTETS:
+        struct.pack_into("!H", data, 4, len(data))
+    try:
+        decode_udp(bytes(data))
+    except PacketError:
+        pass

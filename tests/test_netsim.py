@@ -92,7 +92,7 @@ def test_neighbour_order_ignores_link_insertion_order():
     for a, b in [("s", "x"), ("s", "m"), ("m", "d"), ("s", "b"), ("b", "d")]:
         world.add_link(a, b)
     world.prepare()
-    assert world.node("s").routes[world.node("d").short] == world.node("b").short  # the lower id wins
+    assert world.next_hop(world.node("s"), world.node("d").short) == world.node("b").short  # the lower id wins
     world.broadcast(0.0, "s", b"flood")
     world.run()
     assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
@@ -133,7 +133,7 @@ def test_bfs_routes_avoid_rfd_transit():
     world.add_link("a", "f")
     world.add_link("f", "b")
     world.prepare()
-    assert world.node("a").routes[0x0004] == 0x0003  # via the FFD
+    assert world.next_hop(world.node("a"), 0x0004) == 0x0003  # via the FFD
 
 
 # --- broadcast ----------------------------------------------------------------

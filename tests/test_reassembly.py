@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lowpan.codec import decode_frag
+from lowpan.codec import CodecError, decode_frag
 from lowpan.frame import Short16
 from lowpan.reassembly import (
     REASSEMBLY_TIMEOUT,
@@ -12,6 +14,7 @@ from lowpan.reassembly import (
     FragmentationContext,
     InconsistentSize,
     OverlapMismatch,
+    ReassemblyError,
     accept_fragment,
     fragment,
     purge_stale,
@@ -177,3 +180,26 @@ def test_purge_stale():
     accept_fragment(table, Short16(0xBEEF, 9), frames[0], 30.0)
     assert purge_stale(table, 61.0) == [(SRC, 0)]
     assert all(61.0 - b.started_at <= REASSEMBLY_TIMEOUT for b in table.values())
+
+
+_FRAG_FRAMES = st.tuples(
+    st.sampled_from([SRC, Short16(0xBEEF, 0x0002)]),
+    st.one_of(st.integers(0xC0, 0xC7), st.integers(0xE0, 0xE7), st.integers(0, 0xFF)),
+    st.integers(0, 0xFF),  # low octet of the datagram size
+    st.sampled_from([b"\x00\x01", b"\x00\x02"]),  # two tags, so buffers collide
+    st.binary(max_size=40),  # offset octet (subsequent fragments) and payload
+    st.floats(0, 2 * REASSEMBLY_TIMEOUT),  # time since the previous frame
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_FRAG_FRAMES, max_size=12))
+def test_accept_fragment_raises_only_its_error_families(frames):
+    table = {}
+    now = 0.0
+    for src, first, size_low, tag, rest, gap in frames:
+        now += gap
+        try:
+            accept_fragment(table, src, bytes([first, size_low]) + tag + rest, now)
+        except (CodecError, ReassemblyError):
+            pass  # the simulator's receive path catches exactly these two
