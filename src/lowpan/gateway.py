@@ -48,7 +48,7 @@ from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, FragmentOutcome, accept_fragment, fragment
 
 APL_MAX_OCTETS = 94
-DEFAULT_APL_BLOCK = 1240  # 1280-octet minimum MTU minus the 40-octet IPv6 header
+APL_BLOCK = 1240  # 1280-octet minimum MTU minus the 40-octet IPv6 header
 APL_NEXT_HEADER = 253  # experimentation value carrying padded APL blocks
 
 TUNNEL_UDP_PORT = 55840
@@ -214,13 +214,11 @@ class NwkFrame:
 
 # --- payload transforms ----------------------------------------------------
 
-def pad_transform(apl_data: bytes, block_size: int = DEFAULT_APL_BLOCK) -> bytes:
-    """One-octet length prefix, the APL data, zero fill to the block size."""
+def pad_transform(apl_data: bytes) -> bytes:
+    """One-octet length prefix, the APL data, zero fill to `APL_BLOCK` octets."""
     if len(apl_data) > APL_MAX_OCTETS:
         raise AplTooLarge(f"APL data {len(apl_data)} octets exceeds {APL_MAX_OCTETS}")
-    if block_size < 1 + APL_MAX_OCTETS:
-        raise ValueError(f"block size {block_size} cannot hold the largest APL payload")
-    return bytes([len(apl_data)]) + apl_data + bytes(block_size - 1 - len(apl_data))
+    return bytes([len(apl_data)]) + apl_data + bytes(APL_BLOCK - 1 - len(apl_data))
 
 
 def strip_transform(wired_payload: bytes) -> bytes:
@@ -235,21 +233,17 @@ def strip_transform(wired_payload: bytes) -> bytes:
 
 # --- bridge tunnelling ------------------------------------------------------
 
-def bridge_encapsulate(
-    nwk: NwkFrame,
-    tunnel: tuple[IPv6Address, IPv6Address],
-    port: int = TUNNEL_UDP_PORT,
-) -> Ipv6Packet:
+def bridge_encapsulate(nwk: NwkFrame, tunnel: tuple[IPv6Address, IPv6Address]) -> Ipv6Packet:
     """Carry a NWK frame verbatim as UDP payload between bridge endpoints."""
-    return udp_packet(*tunnel, port, port, nwk.encode())
+    return udp_packet(*tunnel, TUNNEL_UDP_PORT, TUNNEL_UDP_PORT, nwk.encode())
 
 
-def bridge_decapsulate(pkt: Ipv6Packet, port: int = TUNNEL_UDP_PORT) -> NwkFrame:
+def bridge_decapsulate(pkt: Ipv6Packet) -> NwkFrame:
     if pkt.next_header != NEXT_HEADER_UDP:
         raise NotTunnelTraffic(f"next header {pkt.next_header} is not UDP")
     udp = decode_udp(pkt.payload)
-    if udp.dst_port != port:
-        raise NotTunnelTraffic(f"UDP port {udp.dst_port} is not the tunnel port {port}")
+    if udp.dst_port != TUNNEL_UDP_PORT:
+        raise NotTunnelTraffic(f"UDP port {udp.dst_port} is not the tunnel port {TUNNEL_UDP_PORT}")
     return NwkFrame.decode(udp.payload)
 
 
@@ -414,8 +408,6 @@ class Gateway:
     prefix: IPv6Address | None = None
     subscribers: tuple[IPv6Address, ...] = ()
     tunnel_peer: IPv6Address | None = None
-    tunnel_port: int = TUNNEL_UDP_PORT
-    apl_block: int = DEFAULT_APL_BLOCK
     discovery_ttl: float = DEFAULT_DISCOVERY_TTL
 
     registry: DevidRegistry = field(default_factory=dict)
@@ -480,7 +472,7 @@ class Gateway:
         if ext is None:
             raise NoSuchNode(f"source short 0x{nwk.src_short:04X} is not registered")
         src = self.mapping.assign_pseudo(ext)
-        block = pad_transform(nwk.payload, self.apl_block)
+        block = pad_transform(nwk.payload)
         if nwk.dst_short == NWK_BROADCAST_SHORT:
             destinations = list(self.subscribers)
         else:
@@ -516,10 +508,10 @@ class Gateway:
     def bridge_uplink(self, nwk: NwkFrame) -> Ipv6Packet:
         if self.tunnel_peer is None:
             raise GatewayError("bridge gateway has no tunnel peer")
-        return bridge_encapsulate(nwk, (self.wired_addr, self.tunnel_peer), self.tunnel_port)
+        return bridge_encapsulate(nwk, (self.wired_addr, self.tunnel_peer))
 
     def bridge_downlink(self, pkt: Ipv6Packet) -> NwkFrame:
-        return bridge_decapsulate(pkt, self.tunnel_port)
+        return bridge_decapsulate(pkt)
 
     # broadcast relay (any mode with subscribers)
 

@@ -67,6 +67,7 @@ from .frame import (
     decode_mac_frame,
     encode_mac_frame,
     frame_airtime,
+    mac_payload_budget,
 )
 from .gateway import (
     DEFAULT_DISCOVERY_TTL,
@@ -82,7 +83,7 @@ from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, PacketError, decode_udp, udp_pack
 from .reassembly import FragmentOutcome, FragmentationContext, ReassemblyError, accept_fragment
 
 BC0_CACHE_ENTRIES = 64
-DEFAULT_WIRED_DELAY = 0.001
+WIRED_DELAY = 0.001  # one-way latency of the wired IPv6 domain, in seconds
 
 
 class NodeRole(Enum):
@@ -198,17 +199,10 @@ def synth_eui(pan_id: int, short: int) -> bytes:
 
 
 class World:
-    def __init__(
-        self,
-        seed: int = 0,
-        pan_id: int = 0xBEEF,
-        default_hops: int = 8,
-        wired_delay: float = DEFAULT_WIRED_DELAY,
-    ):
+    def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
         self.rng = random.Random(seed)
         self.pan_id = pan_id
         self.default_hops = default_hops
-        self.wired_delay = wired_delay
         self.now = 0.0
         self.nodes: dict[str, SimNode] = {}
         self.by_addr: dict[tuple[int, int], SimNode] = {}
@@ -476,13 +470,17 @@ class World:
         return src, dst
 
     def _do_send_udp(self, src_id, dst_id, sport, dport, payload, hops, src_addr, dst_addr):
-        src, dst = self._pick_addresses(src_id, dst_id)
+        self.bump("sent")
+        try:
+            src, dst = self._pick_addresses(src_id, dst_id)
+        except ValueError:  # node_global: a segment without a delegated prefix
+            self._drop(src_id, "no-prefix", f"to={dst_id}")
+            return
         if src_addr is not None:
             src = src_addr
         if dst_addr is not None:
             dst = dst_addr
         pkt = udp_packet(src, dst, sport, dport, payload)
-        self.bump("sent")
         self.record(src_id, "send", f"kind=udp to={dst}", len(payload))
         if src_id in self.hosts:
             self.wired_send(src_id, pkt)
@@ -618,6 +616,9 @@ class World:
         link = self.links.get((node.id, dst_node.id))
         if link is None:
             self._drop(node.id, "no-link", f"dst={dst_node.id}")
+            return
+        if len(payload) > mac_payload_budget(node.security):
+            self._drop(node.id, "payload-over-budget", f"size={len(payload)}")
             return
         frame = MacFrame(
             FrameType.DATA,
@@ -812,7 +813,7 @@ class World:
     def wired_send(self, origin_id: str, pkt: Ipv6Packet):
         self.record(origin_id, "wired-tx", f"dst={pkt.dst} nh={pkt.next_header}", pkt.payload_length)
         self.bump("wired_tx")
-        self.schedule(self.now + self.wired_delay, partial(self._wired_rx, pkt))
+        self.schedule(self.now + WIRED_DELAY, partial(self._wired_rx, pkt))
 
     def _wired_rx(self, pkt: Ipv6Packet):
         host = self.host_by_addr.get(pkt.dst)

@@ -2,31 +2,37 @@
 
 A scenario is a sequence of sections.  Every non-blank, non-comment
 line is either a `[section ...]` header or a `key = value` pair
-(`key=value` tokens on one line inside `[traffic]`):
+(`key=value` tokens on one line inside `[traffic]`).  Keys before a `;`
+are required, and bracketed traffic tokens are optional:
 
     [general]            seed, t_end, pan, hops
-    [node ID]            role, short, eui, sleep, security, devid, pan
-    [gateway ID]         mode, short, wired, prefix, pan, subscribers, peer, ttl
-    [host ID]            addr, devid
+    [node ID]            short; role, eui, sleep, security, devid, pan
+    [gateway ID]         mode, short, wired; prefix, pan, subscribers, peer, ttl
+    [host ID]            addr; devid
     [link A B]           band, loss
     [route ID]           <final-short> = <next-hop-short>, default = <short>
-    [traffic]            one traffic event per line
+    [traffic]            one traffic event per line; only udp may start at a host
 
-Traffic kinds:
-
-    at=T kind=udp from=ID to=ID sport=P dport=P size=N|hex=HH [hops=N]
+    at=T kind=udp from=ID to=ID [sport=P] [dport=P] size=N|hex=HH [hops=N]
     at=T kind=broadcast from=ID size=N|hex=HH [hops=N]
-    at=T kind=app from=ID devid=N todevid=N size=N|hex=HH
+    at=T kind=app from=ID todevid=N [devid=N] size=N|hex=HH
     at=T kind=apl from=ID to=ID size=N|hex=HH
     at=T kind=nwk from=ID dst=SHORT size=N|hex=HH
 
-Numbers accept 0x prefixes.  `size=N` generates a deterministic payload
-pattern; `hex=` gives the payload verbatim.  Routes not pinned by a
-[route] section are hop-count shortest paths, computed on first use.
+Numbers accept 0x prefixes.  Times (`at`, `t_end`, `ttl`, both parts of
+`sleep = awake/asleep`) are finite and >= 0, `loss` is in 0..1, shorts,
+PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
+generates a deterministic payload pattern and `hex=` gives it verbatim;
+either is at most 65,527 octets, what one UDP datagram carries.  Unknown
+sections, keys and tokens, a wrong number of ids, a key given twice in a
+section and out-of-range values are a `ScenarioError` naming their line.
+Routes not pinned by a [route] section are hop-count shortest paths,
+computed on first use.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv6Address
@@ -38,37 +44,63 @@ from .netsim import NodeRole, SleepSchedule, World
 DEFAULT_T_END = 60.0
 U16 = 0xFFFF  # pan, short, port, devid and nwk dst values
 MAX_HOPS = 0x0F  # the 4-bit hops-left field of the mesh header
+MAX_PAYLOAD = U16 - 8  # the 16-bit UDP length field counts its 8-octet header
 
 
 class ScenarioError(ValueError):
     pass
 
 
+# section kind -> (number of ids, required keys, optional keys); any key of
+# a route section is a final short, and a traffic section holds events
+_SECTIONS = {
+    "general": (0, (), ("seed", "t_end", "pan", "hops")),
+    "node": (1, ("short",), ("role", "eui", "sleep", "security", "devid", "pan")),
+    "gateway": (1, ("mode", "short", "wired"), ("prefix", "pan", "subscribers", "peer", "ttl")),
+    "host": (1, ("addr",), ("devid",)),
+    "link": (2, (), ("band", "loss")),
+    "route": (1, (), None),
+    "traffic": (0, (), None),
+}
+_KEYS = {kind: {*required, *optional} for kind, (_, required, optional) in _SECTIONS.items() if optional}
+# traffic kind -> (required tokens, optional tokens) besides at=, kind=, from=
+# and one of size=/hex=; only udp may start at a wired host
+_TRAFFIC = {
+    "udp": (("to",), ("sport", "dport", "hops")),
+    "broadcast": ((), ("hops",)),
+    "app": (("todevid",), ("devid",)),
+    "apl": (("to",), ()),
+    "nwk": (("dst",), ()),
+}
+_TOKENS = {kind: {"at", "kind", "from", "size", "hex", *required, *optional}
+           for kind, (required, optional) in _TRAFFIC.items()}
 _ROLES = {role.value: role for role in NodeRole}
 _MODES = {mode.value: mode for mode in GatewayMode}
-_BANDS = {"868": PhyBand.B868, "915": PhyBand.B915, "2450": PhyBand.B2450}
-_SECURITY = {
-    "none": SecurityMode.NONE,
-    "aes-ccm-32": SecurityMode.AES_CCM_32,
-    "aes-ccm-64": SecurityMode.AES_CCM_64,
-    "aes-ccm-128": SecurityMode.AES_CCM_128,
-}
+_BANDS = {band.name[1:]: band for band in PhyBand}  # "868", "915", "2450"
+_SECURITY = {suite.name.lower().replace("_", "-"): suite for suite in SecurityMode}  # "aes-ccm-32", ...
+
+
+_PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(256))  # pattern payloads repeat every 256 octets
 
 
 def pattern_payload(size: int) -> bytes:
     """Deterministic filler bytes for size= traffic specs."""
-    return bytes((i * 37 + 11) & 0xFF for i in range(size))
+    return (_PATTERN * (size // 256 + 1))[:size]
 
 
 @dataclass
 class _Section:
     lineno: int
-    tokens: list[str]
-    entries: list[tuple[int, str, str]] = field(default_factory=list)
+    kind: str
+    ids: list[str]
+    keys: dict[str, tuple[int, str]] = field(default_factory=dict)  # key -> (line, value)
+    events: list[tuple[int, str]] = field(default_factory=list)  # a traffic section's lines
 
 
-def _parse_sections(text: str) -> list[_Section]:
-    sections: list[_Section] = []
+def _parse_sections(text: str) -> dict[str, list[_Section]]:
+    """The sections of each kind in file order, checked against `_SECTIONS`."""
+    sections: dict[str, list[_Section]] = {kind: [] for kind in _SECTIONS}
+    section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,20 +108,32 @@ def _parse_sections(text: str) -> list[_Section]:
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ScenarioError(f"line {lineno}: unterminated section header")
-            tokens = line[1:-1].split()
-            if not tokens:
-                raise ScenarioError(f"line {lineno}: empty section header")
-            sections.append(_Section(lineno, tokens))
-            continue
-        if not sections:
+            kind, *ids = line[1:-1].split() or [""]
+            if kind not in _SECTIONS:
+                raise ScenarioError(f"line {lineno}: unknown section {line}")
+            if len(ids) != _SECTIONS[kind][0]:
+                raise ScenarioError(f"line {lineno}: a {kind} section takes {_SECTIONS[kind][0]} id(s)")
+            section = _Section(lineno, kind, ids)
+            sections[kind].append(section)
+        elif section is None:
             raise ScenarioError(f"line {lineno}: entry before any section header")
-        if sections[-1].tokens[0] == "traffic":
-            sections[-1].entries.append((lineno, "", line))
-            continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        sections[-1].entries.append((lineno, key.strip(), value.strip()))
+        elif section.kind == "traffic":
+            section.events.append((lineno, line))
+        else:
+            key, equals, value = line.partition("=")
+            key = key.strip()
+            if not equals:
+                raise ScenarioError(f"line {lineno}: expected key = value")
+            if section.kind in _KEYS and key not in _KEYS[section.kind]:
+                raise ScenarioError(f"line {lineno}: unknown {section.kind} key {key!r}")
+            if key in section.keys:
+                raise ScenarioError(f"line {lineno}: {key!r} is already set at line {section.keys[key][0]}")
+            section.keys[key] = (lineno, value.strip())
+    for kind, (_, required, _) in _SECTIONS.items():
+        for section in sections[kind]:
+            for key in required:
+                if key not in section.keys:
+                    raise ScenarioError(f"line {section.lineno}: {kind} needs {key} =")
     return sections
 
 
@@ -101,6 +145,17 @@ def _int(value: str, lineno: int, top: int | None = None) -> int:
         raise ScenarioError(f"line {lineno}: not a number: {value!r}") from None
     if top is not None and not 0 <= number <= top:
         raise ScenarioError(f"line {lineno}: {value!r} is outside 0..{top}")
+    return number
+
+
+def _float(value: str, lineno: int, top: float = math.inf) -> float:
+    """A finite number in 0..top."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: not a number: {value!r}") from None
+    if not (0 <= number <= top and math.isfinite(number)):
+        raise ScenarioError(f"line {lineno}: {value!r} is not a finite number in 0..{top:g}")
     return number
 
 
@@ -129,13 +184,6 @@ def _at(lineno: int):
         raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
-def _float(value: str, lineno: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: not a number: {value!r}") from None
-
-
 def _addr(value: str, lineno: int) -> IPv6Address:
     try:
         return IPv6Address(value)
@@ -154,19 +202,28 @@ def _eui(value: str, lineno: int) -> bytes:
     return eui
 
 
-def _kv(section: _Section) -> dict[str, tuple[int, str]]:
-    return {key: (lineno, value) for lineno, key, value in section.entries}
+def _sleep(value: str, lineno: int) -> SleepSchedule:
+    awake, slash, asleep = value.partition("/")
+    if not slash:
+        raise ScenarioError(f"line {lineno}: sleep needs awake/asleep")
+    sleep = SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
+    if not sleep.awake + sleep.asleep > 0:
+        raise ScenarioError(f"line {lineno}: sleep period must be positive: {value!r}")
+    return sleep
 
 
 def _payload(fields: dict[str, str], lineno: int) -> bytes:
-    if "hex" in fields:
-        try:
-            return bytes.fromhex(fields["hex"])
-        except ValueError:
-            raise ScenarioError(f"line {lineno}: bad hex payload") from None
+    if ("size" in fields) == ("hex" in fields):
+        raise ScenarioError(f"line {lineno}: traffic needs one of size= or hex=")
     if "size" in fields:
-        return pattern_payload(_int(fields["size"], lineno))
-    raise ScenarioError(f"line {lineno}: traffic needs size= or hex=")
+        return pattern_payload(_int(fields["size"], lineno, MAX_PAYLOAD))
+    try:
+        payload = bytes.fromhex(fields["hex"])
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: bad hex payload") from None
+    if len(payload) > MAX_PAYLOAD:
+        raise ScenarioError(f"line {lineno}: hex payload of {len(payload)} octets is over {MAX_PAYLOAD}")
+    return payload
 
 
 def load_scenario(
@@ -181,11 +238,9 @@ def load_scenario(
     Returns the world and the end time; traffic is already scheduled.
     """
     sections = _parse_sections(text)
-
-    general: dict[str, tuple[int, str]] = {}
-    for section in sections:
-        if section.tokens[0] == "general":
-            general.update(_kv(section))
+    if len(sections["general"]) > 1:
+        raise ScenarioError(f"line {sections['general'][1].lineno}: a second general section")
+    general = sections["general"][0].keys if sections["general"] else {}
 
     seed = _get(general, "seed", _int, 0)
     if seed_override is not None:
@@ -201,203 +256,145 @@ def load_scenario(
 
     world = World(seed=seed, pan_id=pan, default_hops=hops)
 
-    # pan -> gateway mode, for assigning node stacks
-    gw_sections = [s for s in sections if s.tokens[0] == "gateway"]
-    pan_mode: dict[int, GatewayMode] = {}
-    for section in gw_sections:
-        kv = _kv(section)
-        if "mode" not in kv:
-            raise ScenarioError(f"line {section.lineno}: gateway needs mode =")
-        mode_name = mode_override if mode_override is not None else kv["mode"][1]
-        gw_pan = _get(kv, "pan", _int, pan, top=U16)
-        if gw_pan in pan_mode:
-            raise ScenarioError(f"line {section.lineno}: PAN 0x{gw_pan:04X} already has a gateway")
-        pan_mode[gw_pan] = _choice(mode_name, kv["mode"][0], _MODES, "gateway mode")
-
     # hosts first: gateways may subscribe to them
-    for section in sections:
-        if section.tokens[0] != "host":
-            continue
-        if len(section.tokens) != 2:
-            raise ScenarioError(f"line {section.lineno}: host section needs one id")
-        kv = _kv(section)
-        if "addr" not in kv:
-            raise ScenarioError(f"line {section.lineno}: host needs addr =")
+    for section in sections["host"]:
         with _at(section.lineno):
-            world.add_host(section.tokens[1], _get(kv, "addr", _addr))
+            world.add_host(section.ids[0], _get(section.keys, "addr", _addr))
 
-    for section in gw_sections:
-        kv = _kv(section)
-        if len(section.tokens) != 2:
-            raise ScenarioError(f"line {section.lineno}: gateway section needs one id")
-        if "short" not in kv or "wired" not in kv:
-            raise ScenarioError(f"line {section.lineno}: gateway needs short = and wired =")
+    for section in sections["gateway"]:
+        kv = section.keys
         gw_pan = _get(kv, "pan", _int, pan, top=U16)
-        subscribers = ()
+        if world.segment_gateway(gw_pan) is not None:
+            raise ScenarioError(f"line {section.lineno}: PAN 0x{gw_pan:04X} already has a gateway")
+        mode = _get(kv, "mode", _choice, table=_MODES, what="gateway mode")
+        subscribers = []
         if "subscribers" in kv:
             lineno, value = kv["subscribers"]
-            hosts = []
             for host_id in value.split(","):
-                host_id = host_id.strip()
-                if host_id not in world.hosts:
-                    raise ScenarioError(f"line {lineno}: unknown host {host_id!r}")
-                hosts.append(world.hosts[host_id].addr)
-            subscribers = tuple(hosts)
+                host = world.hosts.get(host_id.strip())
+                if host is None:
+                    raise ScenarioError(f"line {lineno}: unknown host {host_id.strip()!r}")
+                subscribers.append(host.addr)
         with _at(section.lineno):
             world.add_gateway(
-                section.tokens[1], _get(kv, "short", _int, top=U16), pan_mode[gw_pan],
+                section.ids[0], _get(kv, "short", _int, top=U16),
+                _MODES[mode_override] if mode_override is not None else mode,
                 _get(kv, "wired", _addr), prefix=_get(kv, "prefix", _addr), pan_id=gw_pan,
-                subscribers=subscribers, tunnel_peer=_get(kv, "peer", _addr),
+                subscribers=tuple(subscribers), tunnel_peer=_get(kv, "peer", _addr),
                 discovery_ttl=_get(kv, "ttl", _float, DEFAULT_DISCOVERY_TTL),
             )
 
     coordinators: dict[int, str] = {}
-    for section in sections:
-        if section.tokens[0] != "node":
-            continue
-        if len(section.tokens) != 2:
-            raise ScenarioError(f"line {section.lineno}: node section needs one id")
-        kv = _kv(section)
-        if "short" not in kv:
-            raise ScenarioError(f"line {section.lineno}: node needs short =")
+    for section in sections["node"]:
+        kv, node_id = section.keys, section.ids[0]
         role = _get(kv, "role", _choice, NodeRole.FFD, table=_ROLES, what="role")
         node_pan = _get(kv, "pan", _int, pan, top=U16)
         if role is NodeRole.COORDINATOR:
-            if node_pan in coordinators:
-                raise ScenarioError(
-                    f"line {section.lineno}: PAN 0x{node_pan:04X} already has coordinator "
-                    f"{coordinators[node_pan]!r}"
-                )
-            coordinators[node_pan] = section.tokens[1]
-        sleep = None
-        if "sleep" in kv:
-            lineno, value = kv["sleep"]
-            if "/" not in value:
-                raise ScenarioError(f"line {lineno}: sleep needs awake/asleep")
-            awake, asleep = value.split("/", 1)
-            sleep = SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
-            if not sleep.awake + sleep.asleep > 0:
-                raise ScenarioError(f"line {lineno}: sleep period must be positive: {value!r}")
+            held = coordinators.setdefault(node_pan, node_id)
+            if held != node_id:
+                raise ScenarioError(f"line {section.lineno}: PAN 0x{node_pan:04X} has coordinator {held!r}")
+        sleep = _get(kv, "sleep", _sleep)
         security = _get(kv, "security", _choice, SecurityMode.NONE, table=_SECURITY, what="security suite")
+        entry = world.segment_gateway(node_pan)  # the node's stack follows its gateway's mode
         with _at(section.lineno):
             node = world.add_node(
-                section.tokens[1], role, _get(kv, "short", _int, top=U16), eui=_get(kv, "eui", _eui),
+                node_id, role, _get(kv, "short", _int, top=U16), eui=_get(kv, "eui", _eui),
                 pan_id=node_pan, sleep=sleep, security=security,
-                stack=pan_mode[node_pan].stack if node_pan in pan_mode else "lowpan",
+                stack=entry[1].mode.stack if entry is not None else "lowpan",
             )
         if "devid" in kv:  # registered at the node's segment gateway; hosts register below
             lineno = kv["devid"][0]
-            entry = world.segment_gateway(node_pan)
             if entry is None:
-                raise ScenarioError(
-                    f"line {lineno}: node {section.tokens[1]!r} declares a devid but its PAN has no gateway"
-                )
+                raise ScenarioError(f"line {lineno}: node {node_id!r} has a devid but its PAN has no gateway")
             with _at(lineno):
                 register_devid(entry[1].registry, _get(kv, "devid", _int, top=U16), node.wpan_address)
 
-    for section in sections:
-        if section.tokens[0] != "link":
-            continue
-        if len(section.tokens) != 3:
-            raise ScenarioError(f"line {section.lineno}: link section needs two node ids")
-        kv = _kv(section)
-        band = _get(kv, "band", _choice, PhyBand.B2450, table=_BANDS, what="band")
-        loss = _get(kv, "loss", _float, 0.0)
-        a, b = section.tokens[1], section.tokens[2]
-        if a not in world.nodes or b not in world.nodes:
-            raise ScenarioError(f"line {section.lineno}: link endpoints must be nodes")
+    for section in sections["link"]:
+        band = _get(section.keys, "band", _choice, PhyBand.B2450, table=_BANDS, what="band")
+        loss = _get(section.keys, "loss", _float, 0.0, top=1.0)
+        a, b = section.ids
+        if a == b or a not in world.nodes or b not in world.nodes:
+            raise ScenarioError(f"line {section.lineno}: a link joins two different nodes")
         world.add_link(a, b, band, loss)
 
-    for section in sections:
-        if section.tokens[0] != "route":
-            continue
-        if len(section.tokens) != 2 or section.tokens[1] not in world.nodes:
+    for section in sections["route"]:
+        node = world.nodes.get(section.ids[0])
+        if node is None:
             raise ScenarioError(f"line {section.lineno}: route section needs a node id")
-        node = world.nodes[section.tokens[1]]
-        for lineno, key, value in section.entries:
+        for key, (lineno, value) in section.keys.items():
             if key == "default":
-                node.default_route = _int(value, lineno)
+                node.default_route = _int(value, lineno, U16)
             else:
-                node.routes[_int(key, lineno)] = _int(value, lineno)
+                node.routes[_int(key, lineno, U16)] = _int(value, lineno, U16)
 
     # host devids register at every devid gateway
-    for section in sections:
-        if section.tokens[0] != "host":
-            continue
-        kv = _kv(section)
-        if "devid" in kv:
-            host = world.hosts[section.tokens[1]]
-            devid = _get(kv, "devid", _int, top=U16)
-            for gw_id in sorted(world.gateways):
-                gw = world.gateways[gw_id]
-                if gw.mode is GatewayMode.DEVID:
-                    with _at(kv["devid"][0]):
-                        register_devid(gw.registry, devid, host.addr)
+    devid_gateways = [gw for _, gw in sorted(world.gateways.items()) if gw.mode is GatewayMode.DEVID]
+    for section in sections["host"]:
+        if "devid" in section.keys:
+            devid = _get(section.keys, "devid", _int, top=U16)
+            for gw in devid_gateways:
+                with _at(section.keys["devid"][0]):
+                    register_devid(gw.registry, devid, world.hosts[section.ids[0]].addr)
 
-    for section in sections:
-        if section.tokens[0] == "traffic":
-            for lineno, _, line in section.entries:
-                _schedule_traffic(world, line, lineno)
+    for section in sections["traffic"]:
+        for lineno, line in section.events:
+            _schedule_traffic(world, line, lineno)
 
     return world, t_end
 
 
 def _schedule_traffic(world: World, line: str, lineno: int):
-    fields: dict[str, str] = {}
-    for token in line.split():
-        if "=" not in token:
-            raise ScenarioError(f"line {lineno}: traffic tokens must be key=value")
-        key, value = token.split("=", 1)
-        fields[key] = value
-    for required in ("at", "kind", "from"):
-        if required not in fields:
-            raise ScenarioError(f"line {lineno}: traffic needs {required}=")
+    tokens = line.split()
+    try:
+        fields = dict(token.split("=", 1) for token in tokens)
+    except ValueError:
+        raise ScenarioError(f"line {lineno}: traffic tokens must be key=value") from None
+    if len(fields) < len(tokens):
+        raise ScenarioError(f"line {lineno}: a traffic token is given twice")
+    kind = fields.get("kind")
+    if kind not in _TRAFFIC:
+        raise ScenarioError(f"line {lineno}: unknown traffic kind {kind!r}")
+    for key in ("at", "from", *_TRAFFIC[kind][0]):
+        if key not in fields:
+            raise ScenarioError(f"line {lineno}: {kind} traffic needs {key}=")
+    if not fields.keys() <= _TOKENS[kind]:
+        unknown = fields.keys() - _TOKENS[kind]
+        raise ScenarioError(f"line {lineno}: unknown {kind} traffic token {min(unknown)}=")
     at = _float(fields["at"], lineno)
-    kind = fields["kind"]
     src = fields["from"]
     if src not in world.nodes and src not in world.hosts:
         raise ScenarioError(f"line {lineno}: unknown sender {src!r}")
+    if src in world.hosts and kind != "udp":
+        raise ScenarioError(f"line {lineno}: {kind} traffic must start at a node, not host {src!r}")
     payload = _payload(fields, lineno)
     hops = _int(fields["hops"], lineno, MAX_HOPS) if "hops" in fields else None
 
     if kind == "udp":
-        dst = fields.get("to")
-        if dst is None or (dst not in world.nodes and dst not in world.hosts):
-            raise ScenarioError(f"line {lineno}: udp traffic needs a known to=")
+        dst = fields["to"]
+        if dst not in world.nodes and dst not in world.hosts:
+            raise ScenarioError(f"line {lineno}: unknown udp destination {dst!r}")
         sport = _int(fields.get("sport", "0xF0B0"), lineno, U16)
         dport = _int(fields.get("dport", "0xF0B1"), lineno, U16)
         world.send_udp(at, src, dst, sport, dport, payload, hops=hops)
     elif kind == "broadcast":
         world.broadcast(at, src, payload, hops=hops)
     elif kind == "app":
-        if "todevid" not in fields:
-            raise ScenarioError(f"line {lineno}: app traffic needs todevid=")
         src_devid = _int(fields.get("devid", "0"), lineno, U16)
         world.send_app(at, src, src_devid, _int(fields["todevid"], lineno, U16), payload)
     elif kind == "apl":
-        dst = fields.get("to")
-        dst_short = _resolve_apl_destination(world, src, dst, lineno)
-        world.send_apl(at, src, dst_short, payload)
-    elif kind == "nwk":
-        if "dst" not in fields:
-            raise ScenarioError(f"line {lineno}: nwk traffic needs dst=")
-        world.send_nwk(at, src, _int(fields["dst"], lineno, U16), payload)
+        world.send_apl(at, src, _resolve_apl_destination(world, src, fields["to"], lineno), payload)
     else:
-        raise ScenarioError(f"line {lineno}: unknown traffic kind {kind!r}")
+        world.send_nwk(at, src, _int(fields["dst"], lineno, U16), payload)
 
 
-def _resolve_apl_destination(world: World, src: str, dst: str | None, lineno: int) -> int:
+def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> int:
     """Short address the sender should put in the NWK frame.
 
     Wired hosts and remote-segment nodes are represented by shorts from
     the local gateway's pool; the mapping is established here, before
     the run, exactly as a completed discovery exchange would leave it.
     """
-    if dst is None:
-        raise ScenarioError(f"line {lineno}: apl traffic needs to=")
-    node = world.nodes.get(src)
-    if node is None:
-        raise ScenarioError(f"line {lineno}: apl traffic must originate at a node")
+    node = world.nodes[src]
     entry = world.segment_gateway(node.pan_id)
     if entry is None:
         raise ScenarioError(f"line {lineno}: segment of {src!r} has no gateway")

@@ -78,6 +78,34 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
         "[gateway gw]\nmode = devid\nshort = 1\nwired = fd00::a\n[host h1]\naddr = fd00::99\n"
         "devid = 9\n[node n]\nshort = 2\ndevid = 9\n", 7,
     ),
+    ("[nodes a]\nshort = 1\n", 1),  # unknown section
+    ("[node a]\nshort = 1\nsleeep = 1/1\n", 3),  # unknown key
+    ("[general x]\nseed = 1\n", 1),  # wrong id counts
+    ("[node a]\nshort = 1\n[traffic x]\nat=0 kind=broadcast from=a size=1\n", 3),
+    ("[link a]\n", 1),
+    ("[node a]\nshort = 1\nshort = 2\n", 3),  # a key given twice
+    ("[general]\nseed = 1\n[general]\nseed = 2\n", 3),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=1 hop=0\n", 4),  # unknown token
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=nwk from=a dst=1 size=1 hops=2\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 at=1 kind=broadcast from=a size=1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=1 hex=00\n", 4),
+    ("[host h]\naddr = fd00::1\n[traffic]\nat=0 kind=broadcast from=h size=1\n", 4),  # non-udp from a host
+    ("[host h]\naddr = fd00::1\n[traffic]\nat=0 kind=app from=h todevid=1 size=1\n", 4),
+    ("[host h]\naddr = fd00::1\n[traffic]\nat=0 kind=nwk from=h dst=1 size=1\n", 4),
+    ("[host h]\naddr = fd00::1\n[traffic]\nat=0 kind=apl from=h to=h size=1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=nan kind=broadcast from=a size=1\n", 4),  # numeric bounds
+    ("[node a]\nshort = 1\n[traffic]\nat=-1 kind=broadcast from=a size=1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=99999999999\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=udp from=a to=a size=70000\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=-1\n", 4),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=udp from=a to=a hex=" + "00" * 65528 + "\n", 4),
+    ("[general]\nt_end = inf\n", 2),
+    ("[node a]\nshort = 1\nsleep = nan/1\n", 3),
+    ("[node a]\nshort = 1\n[node b]\nshort = 2\n[link a b]\nloss = 1.5\n", 6),
+    ("[gateway g]\nmode = border\nshort = 1\nwired = fd00::a\nttl = -1\n", 5),
+    ("[node a]\nshort = 1\n[route a]\n0x10000 = 1\n", 4),
+    ("[node a]\nshort = 1\n[route a]\ndefault = -1\n", 4),
+    ("[node a]\nshort = 1\n[link a a]\n", 3),  # a node linked to itself
 ]
 
 

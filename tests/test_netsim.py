@@ -347,6 +347,50 @@ def test_drops_without_gateway_have_a_reason():
     assert metrics["drops"] == sum(v for k, v in metrics.items() if k.startswith("drops_"))
 
 
+def test_oversized_mac_payloads_drop_at_the_radio():
+    world = make_line()
+    world.add_gateway("gw", 0x00FE, GatewayMode.DEVID, IPv6Address("fd00::a"))
+    world.add_link("a", "gw")
+    world.broadcast(0.0, "a", bytes(200))  # one copy for each neighbour, b and gw
+    world.send_nwk(0.0, "a", 0x0002, bytes(200))
+    world.send_app(0.0, "a", 1, 2, bytes(200))
+    world.run()
+    over = drops_of(world, "payload-over-budget")
+    assert [r.node for r in over] == ["a"] * 4
+    assert not [r for r in world.trace if r.kind == "tx"]
+    assert world.metrics["drops"] == world.metrics["drops_payload-over-budget"] == 4
+
+
+def _gateway_without_prefix(world):
+    world.add_gateway("gw", 0x00FE, GatewayMode.DEVID, IPv6Address("fd00::a"))
+    world.add_link("a", "gw")
+    return "a", "gw"
+
+
+def _host_and_no_gateway(world):
+    world.add_host("h", IPv6Address("fd00::99"))
+    return "h", "d"
+
+
+def _two_pans_and_no_gateway(world):
+    world.add_node("x", NodeRole.FFD, 0x0001, pan_id=0x1234)
+    return "a", "x"
+
+
+@pytest.mark.parametrize(
+    "build", [_gateway_without_prefix, _host_and_no_gateway, _two_pans_and_no_gateway],
+    ids=["node-to-gateway", "host-to-node", "cross-pan"],
+)
+def test_udp_needing_a_missing_prefix_is_dropped(build):
+    world = make_line()  # one PAN, no gateway, until `build` adds to it
+    src, dst = build(world)
+    world.send_udp(0.0, src, dst, 1, 2, b"x")
+    world.run()
+    assert [(r.node, r.detail) for r in drops_of(world)] == [(src, f"reason=no-prefix to={dst}")]
+    assert world.metrics["sent"] == 1
+    assert world.metrics["drops_no-prefix"] == 1
+
+
 def test_metrics_lines_shape():
     world = make_line()
     world.send_udp(0.0, "a", "d", 1, 2, b"x", hops=8)

@@ -1,0 +1,167 @@
+"""The scenario loader: generated input loads or is rejected, and the docs list its grammar."""
+
+import random
+import re
+from pathlib import Path
+
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
+
+from lowpan import scenario
+from lowpan.scenario import ScenarioError, load_scenario
+
+NODES = ["n0", "n1", "n2", "n3", "n4"]
+GATEWAYS = ["g0", "g1"]
+HOSTS = ["h0", "h1"]
+IDS = NODES + GATEWAYS + HOSTS
+SHORTS = {"n0": "0x0001", "n1": "0x0002", "n2": "0x0003", "n3": "4", "n4": "0x0005", "g0": "0x00FE",
+          "g1": "0x00FE"}
+# MAC payload budgets are 102, 93, 89 and 81 octets, less the mesh, BC0, NWK
+# or application header; 65,527 octets is the most a UDP datagram carries
+SIZES = ["0", "1", "8", "20", "73", "74", "77", "78", "81", "82", "85", "86", "88", "89", "90", "93",
+         "94", "95", "96", "98", "99", "102", "103", "200", "1232", "1233", "2048", "65527"]
+DEVIDS = [str(n) for n in range(1, 12)] + ["0", "0xFFFF"]
+VALUES = {  # legal values of each key and traffic token
+    "seed": ["0", "1", "7", "0x20261017", "-3"],
+    "t_end": ["0", "0.5", "2", "5", "60", "1e308"],
+    "pan": ["0xBEEF", "0x1000", "0"],
+    "hops": ["0", "1", "2", "8", "15"],
+    "role": ["coordinator", "ffd", "ffd", "ffd", "rfd", "rfd"],
+    "short": list(SHORTS.values()) + ["0xFFFF", "0"],
+    "eui": ["00:12:4b:00:00:00:00:01", "00124b0000000002"],
+    "sleep": ["1/1", "0.5/0.5", "0/1", "1/0", "0.25/1e-9"],
+    "security": ["none", "aes-ccm-32", "aes-ccm-64", "aes-ccm-128"],
+    "devid": DEVIDS,
+    "mode": ["border", "devid", "zigbee", "bridge"],
+    "wired": ["fd00::a", "fd00::b", "fd00::99"],
+    "prefix": ["2001:db8:a::", "2001:db8:b::"],
+    "subscribers": ["h0", "h0,h1", "h1"],
+    "peer": ["fd00::a", "fd00::b"],
+    "ttl": ["0", "1", "30"],
+    "addr": ["fd00::99", "fd00::98", "fd00::a"],
+    "band": ["868", "915", "2450"],
+    "loss": ["0", "0", "0.2", "1"],
+    "at": ["0", "0.1", "0.5", "1", "4.9", "6"],
+    "to": IDS,
+    "sport": ["0xF0B0", "1", "0xFFFF"],
+    "dport": ["0xF0B1", "0xF0BF", "0"],
+    "todevid": DEVIDS,
+    "dst": list(SHORTS.values()) + ["0xFFFF", "0x0009"],
+    "size": SIZES,
+    "hex": ["", "00", "0000a5a5", "0009000aa5a5", "a5" * 90, "a5" * 98, "a5" * 103],
+}
+BAD = ["nan", "inf", "-inf", "-1", "0x10000", "", "zz", "1e308", "99999999999", "65528", "16", "1.5",
+       "0/0", "1", "queen", "ghost", "0011"]
+SECTION_FAULTS = ["[nodes n9]", "[general x]", "[traffic x]", "[link n0]", "[route]", "[gateway]"]
+
+
+def scenario_text(rnd: random.Random) -> str:
+    """A scenario over a few nodes, gateways and hosts with every section kind and traffic kind.
+
+    Values are legal but for an occasional out-of-range, unknown or repeated one.
+    """
+    hosts = rnd.sample(HOSTS, rnd.randint(0, 2))
+    gateways = rnd.sample(GATEWAYS, rnd.randint(0, 2))
+    nodes = rnd.sample(NODES, rnd.randint(1, 5))
+    pans = {"g0": "0xBEEF", "g1": "0x1000"}
+
+    def value(key, usual=None):
+        if rnd.random() < 0.01:
+            return rnd.choice(BAD)
+        return usual if usual is not None and rnd.random() < 0.95 else rnd.choice(VALUES.get(key, ["1"]))
+
+    def section(kind, ids, **usual):
+        """Required keys, keys with a usual value and a random share of the others."""
+        required, optional = scenario._SECTIONS[kind][1:]
+        keys = [key for key in optional if key in usual or rnd.random() < 0.4]
+        keys = list(required) + [key for key in keys if usual.get(key, "") is not None]
+        if rnd.random() < 0.01:
+            keys.append(rnd.choice(["sleeep", "hops", "addr"]))  # unknown or given twice
+        return [f"[{' '.join([kind, *ids])}]"] + [f"{key} = {value(key, usual.get(key))}" for key in keys]
+
+    def traffic():
+        kind = rnd.choice(list(scenario._TRAFFIC) + ["udp", "udp"] + ["multicast"] * (rnd.random() < 0.02))
+        required, optional = scenario._TRAFFIC.get(kind, ((), ()))
+        tokens = ["at", *required, *rnd.sample(optional, rnd.randint(0, len(optional)))]
+        tokens.append("hex" if rnd.random() < 0.2 else "size")
+        if rnd.random() < 0.01:
+            tokens.append(rnd.choice(["hop", "at", "size"]))
+        fields = [f"{token}={value(token, rnd.choice(nodes + hosts) if token == 'to' else None)}"
+                  for token in tokens]
+        senders = hosts if kind == "udp" and rnd.random() < 0.3 or rnd.random() < 0.02 else nodes + gateways
+        sender = rnd.choice(senders or nodes) if rnd.random() > 0.01 else "ghost"
+        fields.append(f"kind={kind} from={sender}")
+        rnd.shuffle(fields)
+        return " ".join(fields)
+
+    lines = section("general", [], pan="0xBEEF") if rnd.random() < 0.7 else []
+    for host in hosts:
+        lines += section("host", [host])
+    for gateway in gateways:
+        subscribers = ",".join(rnd.sample(hosts, rnd.randint(1, len(hosts)))) if hosts else None
+        subscribers = subscribers if rnd.random() < 0.5 else None
+        lines += section("gateway", [gateway], short=SHORTS[gateway], pan=pans[gateway],
+                         subscribers=subscribers)
+    for node in nodes:
+        pan = rnd.choice([pans[gateway] for gateway in gateways] or [None])
+        devid = rnd.choice(DEVIDS) if pan and rnd.random() < 0.3 else None
+        lines += section("node", [node], short=SHORTS[node], pan=pan, devid=devid)
+    radios = nodes + gateways
+    for _ in range(rnd.randint(0, 8) if len(radios) > 1 else 0):
+        lines += section("link", rnd.sample(radios, 2))
+    for node in rnd.sample(nodes, rnd.randint(0, min(2, len(nodes)))):
+        lines.append(f"[route {node}]")
+        for final in rnd.sample(["default", *SHORTS.values()], rnd.randint(0, 2)):
+            lines.append(f"{final} = {value('short')}")
+    lines += ["[traffic]"] + [traffic() for _ in range(rnd.randint(1, 8))]
+    if rnd.random() < 0.02:
+        lines.insert(rnd.randint(0, len(lines)), rnd.choice(SECTION_FAULTS))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rnd=st.randoms(use_true_random=True),
+       mode=st.sampled_from([None, "border", "devid", "zigbee", "bridge"]))
+def test_loader_rejects_or_runs_generated_scenarios(rnd, mode):
+    text = scenario_text(rnd)
+    note(text)
+    try:
+        world, t_end = load_scenario(text, mode_override=mode)
+    except ScenarioError:
+        return  # rejected at a line; any other exception fails the test
+    world.run_until(min(t_end, 5.0))
+    drops = sum(value for key, value in world.metrics.items() if key.startswith("drops_"))
+    assert world.metrics.get("drops", 0) == drops
+
+
+def _documented(block: str):
+    """{section: (id count, required keys, optional keys)} and {traffic kind: (required, optional)}."""
+    sections, traffic = {}, {}
+    for line in block.splitlines():
+        header = re.match(r"\s*\[(\w+)([^\]]*)\]\s+#?\s*(.*)", line)
+        if header:
+            kind, ids, keys = header.groups()
+            required, _, optional = keys.rpartition(";")
+            names = [[item.split("=")[0].strip() for item in part.split(",") if item.strip()]
+                     for part in (required, optional)]
+            sections[kind] = (len(ids.split()), *map(tuple, names))
+        event = re.match(r"\s*at=T kind=(\w+) (.*)", line)
+        if event:
+            tokens = event.group(2).split()
+            required = tuple(t.split("=")[0] for t in tokens if not t.startswith(("[", "from=", "size=")))
+            optional = tuple(t.strip("[]").split("=")[0] for t in tokens if t.startswith("["))
+            traffic[event.group(1)] = (required, optional)
+    return sections, traffic
+
+
+def test_readme_and_docstring_list_the_grammar_the_loader_accepts():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    for text in (block, scenario.__doc__):
+        sections, traffic = _documented(text)
+        assert traffic == scenario._TRAFFIC
+        assert sections.keys() == scenario._SECTIONS.keys()
+        for kind, (count, required, optional) in scenario._SECTIONS.items():
+            assert sections[kind][0] == count, kind
+            if optional is not None:  # route keys are shorts; traffic lines are events
+                assert sections[kind][1:] == (required, optional), kind
