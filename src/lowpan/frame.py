@@ -27,19 +27,24 @@ The MAC frame codec used here packs:
     fc1 bits 0-1: dst addressing mode; bits 2-3: src mode
                   (0 = absent, 1 = short16, 2 = EUI-64)
 
-Short addressing encodes PAN (2) + short (2); EUI-64 addressing encodes
-the broadcast-PAN placeholder 0xFFFF (2) + EUI (8).  Security is
-modelled purely as `overhead` zero filler octets (auxiliary header plus
-MIC stand-in).  The FCS is CRC-16/XMODEM (polynomial 0x1021, init
-0x0000, MSB first, no final XOR) over everything that precedes it; that
-is the stdlib's `binascii.crc_hqx(data, 0)`.  The budget arithmetic
-always uses the 25-octet worst case even when short addressing makes the
-actual header smaller.
+Short addressing encodes PAN (2) + short (2), packed and unpacked with
+one `struct.Struct(">HH")`; EUI-64 addressing encodes the broadcast-PAN
+placeholder 0xFFFF (2) + EUI (8).  Security is modelled purely as
+`overhead` zero filler octets (auxiliary header plus MIC stand-in);
+`overhead` is a plain member attribute that each `SecurityMode` sets in
+its `__init__`.  Decoding maps the two-bit frame-type and suite codes to
+their members by indexing a tuple of the members.  The FCS is
+CRC-16/XMODEM (polynomial 0x1021, init 0x0000, MSB first, no final XOR)
+over everything that precedes it; that is the stdlib's
+`binascii.crc_hqx(data, 0)`.  The budget arithmetic always uses the
+25-octet worst case even when short addressing makes the actual header
+smaller.
 """
 
 from __future__ import annotations
 
 import binascii
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,17 +114,9 @@ class SecurityMode(Enum):
     AES_CCM_64 = 2
     AES_CCM_128 = 3
 
-    @property
-    def overhead(self) -> int:
-        return _SECURITY_OVERHEAD[self]
-
-
-_SECURITY_OVERHEAD = {
-    SecurityMode.NONE: 0,
-    SecurityMode.AES_CCM_32: 9,
-    SecurityMode.AES_CCM_64: 13,
-    SecurityMode.AES_CCM_128: 21,
-}
+    def __init__(self, code: int):
+        # octets of auxiliary security header plus MIC, by suite code
+        self.overhead: int = (0, 9, 13, 21)[code]
 
 
 class FrameType(Enum):
@@ -127,6 +124,12 @@ class FrameType(Enum):
     DATA = 1
     ACK = 2
     COMMAND = 3
+
+
+# members by their two-bit wire code, for decoding
+_FRAME_TYPES = tuple(FrameType)
+_SECURITY_MODES = tuple(SecurityMode)
+_SHORT_ADDRESS = struct.Struct(">HH")  # PAN id, short address
 
 
 @dataclass(frozen=True)
@@ -180,10 +183,6 @@ class Ppdu:
     @property
     def frame_length(self) -> int:
         return len(self.psdu)
-
-    @property
-    def encoded_size(self) -> int:
-        return PHY_OVERHEAD + len(self.psdu)
 
 
 def encode_ppdu(psdu: bytes) -> bytes:
@@ -239,7 +238,7 @@ def _encode_address(addr: NodeAddress | None) -> tuple[int, bytes]:
     if addr is None:
         return 0, b""
     if isinstance(addr, Short16):
-        return 1, addr.pan_id.to_bytes(2, "big") + addr.short.to_bytes(2, "big")
+        return 1, _SHORT_ADDRESS.pack(addr.pan_id, addr.short)
     return 2, b"\xff\xff" + addr.eui
 
 
@@ -264,9 +263,7 @@ def _decode_address(mode: int, data: bytes, pos: int) -> tuple[NodeAddress | Non
     if mode == 1:
         if pos + 4 > len(data):
             raise TruncatedFrame("short address truncated")
-        pan = int.from_bytes(data[pos : pos + 2], "big")
-        short = int.from_bytes(data[pos + 2 : pos + 4], "big")
-        return Short16(pan, short), pos + 4
+        return Short16(*_SHORT_ADDRESS.unpack_from(data, pos)), pos + 4
     if mode == 2:
         if pos + 10 > len(data):
             raise TruncatedFrame("EUI-64 address truncated")
@@ -282,8 +279,8 @@ def decode_mac_frame(data: bytes) -> MacFrame:
     if computed != fcs:
         raise FcsMismatch(f"FCS 0x{fcs:04X} does not match computed 0x{computed:04X}")
     fc0, fc1, sequence = body[0], body[1], body[2]
-    frame_type = FrameType(fc0 & 0x03)
-    security = SecurityMode((fc0 >> 2) & 0x03)
+    frame_type = _FRAME_TYPES[fc0 & 0x03]
+    security = _SECURITY_MODES[(fc0 >> 2) & 0x03]
     dst, pos = _decode_address(fc1 & 0x03, body, 3)
     src, pos = _decode_address((fc1 >> 2) & 0x03, body, pos)
     if len(body) - pos < security.overhead:

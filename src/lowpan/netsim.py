@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from ipaddress import IPv6Address
+from typing import NamedTuple
 
 from . import addressing
 from .codec import (
@@ -115,8 +116,7 @@ class SimLink:
     loss_probability: float = 0.0
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time: float
     node: str
     kind: str
@@ -125,6 +125,19 @@ class TraceRecord:
 
     def line(self) -> str:
         return f"{self.time:.6f}\t{self.node}\t{self.kind}\t{self.detail}\t{self.nbytes}"
+
+
+class _AddressText(dict):
+    """`IPv6Address` -> its text, each address formatted once.
+
+    Trace details name the same few addresses over and over, and
+    `str(IPv6Address)` is pure Python.  A world keeps one of these, so it
+    holds only the addresses that world's packets carry.
+    """
+
+    def __missing__(self, addr: IPv6Address) -> str:
+        text = self[addr] = str(addr)
+        return text
 
 
 class SimNode:
@@ -213,6 +226,7 @@ class World:
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace: list[TraceRecord] = []
+        self._addr_text = _AddressText()
         self.metrics: dict[str, float] = {}
         self._queue: list = []
         self._event_seq = 0
@@ -481,7 +495,7 @@ class World:
         if dst_addr is not None:
             dst = dst_addr
         pkt = udp_packet(src, dst, sport, dport, payload)
-        self.record(src_id, "send", f"kind=udp to={dst}", len(payload))
+        self.record(src_id, "send", f"kind=udp to={self._addr_text[dst]}", len(payload))
         if src_id in self.hosts:
             self.wired_send(src_id, pkt)
         else:
@@ -515,7 +529,7 @@ class World:
     def _node_send_ipv6(self, node: SimNode, pkt: Ipv6Packet, hops: int | None = None):
         final_short = self._resolve_final_short(node, pkt.dst)
         if final_short is None:
-            self._drop(node.id, "no-such-node", f"dst={pkt.dst}")
+            self._drop(node.id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
             return
         orig = node.wpan_address
         final = Short16(node.pan_id, final_short)
@@ -624,7 +638,7 @@ class World:
             FrameType.DATA,
             node.mac_seq,
             src=node.wpan_address,
-            dst=Short16(node.pan_id, dst_short),
+            dst=dst_node.wpan_address,
             security=node.security,
             payload=payload,
         )
@@ -751,7 +765,8 @@ class World:
         gw = self.gateways.get(node.id)
         if gw is not None and gw.subscribers:
             for pkt in gw.relay_broadcast(payload):
-                self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=bcast dst={pkt.dst}")
+                dst = self._addr_text[pkt.dst]
+                self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=bcast dst={dst}")
                 self.wired_send(node.id, pkt)
         if node.role.forwards and mesh.hops_left - 1 > 0:
             fwd = encode_mesh(MeshHeader(mesh.originator, mesh.final, mesh.hops_left - 1))
@@ -764,7 +779,7 @@ class World:
             self._uplink(node, gw, pkt)  # a border gateway: the packet crosses as is
             return
         node.received_packets.append((self.now, pkt))
-        self.record(node.id, "deliver", f"kind=ipv6 from={pkt.src}", pkt.payload_length)
+        self.record(node.id, "deliver", f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length)
         self.bump("delivered")
 
     def _rx_app(self, node: SimNode, frame: MacFrame):
@@ -811,25 +826,27 @@ class World:
     # --- wired domain ---------------------------------------------------------
 
     def wired_send(self, origin_id: str, pkt: Ipv6Packet):
-        self.record(origin_id, "wired-tx", f"dst={pkt.dst} nh={pkt.next_header}", pkt.payload_length)
+        dst = self._addr_text[pkt.dst]
+        self.record(origin_id, "wired-tx", f"dst={dst} nh={pkt.next_header}", pkt.payload_length)
         self.bump("wired_tx")
         self.schedule(self.now + WIRED_DELAY, partial(self._wired_rx, pkt))
 
     def _wired_rx(self, pkt: Ipv6Packet):
         host = self.host_by_addr.get(pkt.dst)
+        src = self._addr_text[pkt.src]
         if host is not None:
             host.delivered.append((self.now, pkt))
-            self.record(host.id, "wired-rx", f"src={pkt.src} nh={pkt.next_header}", pkt.payload_length)
-            self.record(host.id, "deliver", f"kind=ipv6 from={pkt.src}", pkt.payload_length)
+            self.record(host.id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
+            self.record(host.id, "deliver", f"kind=ipv6 from={src}", pkt.payload_length)
             self.bump("delivered")
             return
         for gw_id in sorted(self.gateways):
             gw = self.gateways[gw_id]
             if pkt.dst == gw.wired_addr or gw.owns_prefix(pkt.dst):
-                self.record(gw_id, "wired-rx", f"src={pkt.src} nh={pkt.next_header}", pkt.payload_length)
+                self.record(gw_id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
                 self._gateway_downlink(gw_id, gw, pkt)
                 return
-        self._drop("wired", "no-wired-route", f"dst={pkt.dst}")
+        self._drop("wired", "no-wired-route", f"dst={self._addr_text[pkt.dst]}")
 
     def _gateway_downlink(self, gw_id: str, gw: Gateway, pkt: Ipv6Packet):
         node = self.nodes[gw_id]
@@ -838,7 +855,7 @@ class World:
                 if gw.owns_prefix(pkt.dst):
                     self._downlink(node, gw, pkt)
                 else:
-                    self._drop(gw_id, "no-such-node", f"dst={pkt.dst}")
+                    self._drop(gw_id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
             elif gw.mode is GatewayMode.DEVID:
                 endpoint, payload = gw.devid_downlink(pkt, node.security)
                 self._downlink(node, gw, pkt, endpoint.short, payload)
@@ -854,7 +871,8 @@ class World:
 
     def _uplink(self, node: SimNode, gw: Gateway, pkt: Ipv6Packet):
         """Trace and count one translated packet, then send it on the wire."""
-        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=up dst={pkt.dst}")
+        dst = self._addr_text[pkt.dst]
+        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=up dst={dst}")
         self.bump("gw_translations")
         self.wired_send(node.id, pkt)
 
@@ -866,7 +884,7 @@ class World:
         Border mode sends `pkt` itself through the 6LoWPAN stack; the other
         modes send their translated MAC payload to `dst_short`.
         """
-        dst = pkt.dst if dst_short is None else f"0x{dst_short:04X}"
+        dst = self._addr_text[pkt.dst] if dst_short is None else f"0x{dst_short:04X}"
         self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=down dst={dst}")
         self.bump("gw_translations")
         if dst_short is None:

@@ -247,6 +247,8 @@ def load_scenario(
         seed = seed_override
     t_end = _get(general, "t_end", _float, DEFAULT_T_END)
     if t_end_override is not None:
+        if not (0 <= t_end_override and math.isfinite(t_end_override)):  # the rule `_float` applies
+            raise ScenarioError(f"t_end override {t_end_override!r} is not a finite number >= 0")
         t_end = t_end_override
     pan = _get(general, "pan", _int, 0xBEEF, top=U16)
     hops = _get(general, "hops", _int, 8, top=MAX_HOPS)

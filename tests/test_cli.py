@@ -118,6 +118,16 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
         assert f"line {line}:" in err, (text, err)
 
 
+@pytest.mark.parametrize("t_end", ["nan", "-1", "inf"])
+def test_run_rejects_bad_t_end_override(scenario_dir, tmp_path, capsys, t_end):
+    code, _, err = run_cli(
+        "run", str(scenario_dir / "demo.scn"), "--out", str(tmp_path), "--t-end", t_end, capsys=capsys
+    )
+    assert code == 2, err  # the rule `t_end =` follows in a scenario
+    assert "t_end" in err
+    assert not (tmp_path / "trace.tsv").exists()
+
+
 @pytest.mark.parametrize("mode", ["border", "devid", "zigbee", "bridge"])
 @pytest.mark.parametrize("scenario", ["demo", "devid", "zigbee"])
 def test_mode_override_runs_clean(scenario_dir, tmp_path, capsys, scenario, mode):

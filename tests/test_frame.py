@@ -122,11 +122,46 @@ def test_other_frames_at_least_ack_size():
         assert len(encode_mac_frame(frame)) >= ACK_FRAME_OCTETS
 
 
+# the short/short frame of test_mac_roundtrip on the wire, by security suite:
+# fc0 (type | suite << 2), fc1 (dst mode | src mode << 2), sequence, dst PAN +
+# short, src PAN + short, payload, suite filler, FCS
+SHORT_SHORT_WIRE = {
+    SecurityMode.NONE: "01052abeef0002beef00017061796c6f6164" "bbfe",
+    SecurityMode.AES_CCM_32: "05052abeef0002beef00017061796c6f6164" + "00" * 9 + "c90f",
+    SecurityMode.AES_CCM_64: "09052abeef0002beef00017061796c6f6164" + "00" * 13 + "45c8",
+    SecurityMode.AES_CCM_128: "0d052abeef0002beef00017061796c6f6164" + "00" * 21 + "c17e",
+}
+
+
+def _same_mode(addr):
+    """Addresses drawn over the whole range of `addr`'s addressing mode."""
+    if isinstance(addr, Short16):
+        return st.builds(Short16, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+    if isinstance(addr, Eui64):
+        return st.builds(Eui64, st.binary(min_size=8, max_size=8))
+    return st.none()
+
+
 @pytest.mark.parametrize("src", [None, Short16(0xBEEF, 1), EUI_A])
 @pytest.mark.parametrize("dst", [None, Short16(0xBEEF, 2), EUI_B])
 @pytest.mark.parametrize("security", SecurityMode)
-def test_mac_roundtrip(src, dst, security):
+@settings(max_examples=20)  # per addressing-mode and suite case: 540 drawn frames
+@given(data=st.data())
+def test_mac_roundtrip(src, dst, security, data):
     frame = MacFrame(FrameType.DATA, 42, src=src, dst=dst, security=security, payload=b"payload")
+    wire = encode_mac_frame(frame)
+    assert decode_mac_frame(wire) == frame
+    if isinstance(src, Short16) and isinstance(dst, Short16):
+        assert wire.hex() == SHORT_SHORT_WIRE[security]
+    # the same addressing modes and suite, every other field drawn
+    frame = MacFrame(
+        data.draw(st.sampled_from([t for t in FrameType if t is not FrameType.ACK])),
+        data.draw(st.integers(0, 0xFF)),
+        src=data.draw(_same_mode(src)),
+        dst=data.draw(_same_mode(dst)),
+        security=security,
+        payload=data.draw(st.binary(max_size=mac_payload_budget(security))),
+    )
     assert decode_mac_frame(encode_mac_frame(frame)) == frame
 
 
