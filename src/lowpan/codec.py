@@ -41,16 +41,28 @@ in the low nibble of its own octet otherwise.  The checksum is always
 carried in full, the length always recovered from the IPv6 payload
 length, so the fully compressed UDP header is 4 octets: HC2 octet,
 ports octet, checksum.
+
+The mesh addressing header's first octet is 10 V F HHHH: V and F are set
+for a short (2-octet) rather than EUI-64 (8-octet) originator and final
+address, which follow in that order, and HHHH is the hops-left budget.
+`MeshHeader` is an immutable value type like `frame.Short16` (a
+`frame.CheckedTuple` whose constructor runs the hops-left range check).
+`decode_mesh` reads both address widths from the first octet and parses
+the header straight through.  Because every bit of that octet is a
+header field, `encode_mesh(decode_mesh(h))` equals `h`, so a forwarder
+passes a frame on with `decrement_hops`, which rewrites the first octet,
+instead of rebuilding and re-encoding the header.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv6Address
 
 from . import addressing
-from .frame import Eui64, NodeAddress, Short16
+from .frame import CheckedTuple, Eui64, NodeAddress, Short16
 from .ipv6 import (
     NEXT_HEADER_ICMPV6,
     NEXT_HEADER_TCP,
@@ -417,17 +429,15 @@ def decompress_ipv6(
 
 # --- mesh addressing ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MeshHeader:
+class MeshHeader(CheckedTuple, namedtuple("MeshHeader", "originator final hops_left")):
     """Originator and final addresses plus the hops-left budget."""
 
-    originator: NodeAddress
-    final: NodeAddress
-    hops_left: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.hops_left <= 0x0F:
-            raise ValueError(f"hops_left out of range: {self.hops_left}")
+    def __new__(cls, originator: NodeAddress, final: NodeAddress, hops_left: int):
+        if not 0 <= hops_left <= 0x0F:
+            raise ValueError(f"hops_left out of range: {hops_left}")
+        return tuple.__new__(cls, (originator, final, hops_left))
 
 
 def encode_mesh(header: MeshHeader) -> bytes:
@@ -446,21 +456,32 @@ def encode_mesh(header: MeshHeader) -> bytes:
 def decode_mesh(data: bytes, pan_id: int = 0) -> tuple[MeshHeader, int]:
     """Parse a mesh header; short addresses adopt the caller's PAN ID.
 
-    Returns the header and the number of octets consumed.
+    Returns the header and the number of octets consumed.  The first
+    octet is 10 V F HHHH: V and F set for a short originator and final,
+    HHHH the hops left.
     """
-    if not data or parse_dispatch(data[0]) is not DispatchKind.MESH:
+    if not data or data[0] & 0xC0 != 0x80:
         raise MalformedMesh("not a mesh header", offset=0)
-    hops_left = data[0] & 0x0F
-    pos = 1
-    addrs: list[NodeAddress] = []
-    for is_short in (bool(data[0] & 0x20), bool(data[0] & 0x10)):
-        width = 2 if is_short else 8
-        if pos + width > len(data):
-            raise MalformedMesh("mesh address truncated", offset=pos)
-        raw = data[pos : pos + width]
-        addrs.append(Short16(pan_id, int.from_bytes(raw, "big")) if is_short else Eui64(raw))
-        pos += width
-    return MeshHeader(addrs[0], addrs[1], hops_left), pos
+    first = data[0]
+    mid = 3 if first & 0x20 else 9  # where the final address starts
+    end = mid + (2 if first & 0x10 else 8)
+    if end > len(data):
+        raise MalformedMesh("mesh address truncated", offset=1 if mid > len(data) else mid)
+    originator = Short16(pan_id, (data[1] << 8) | data[2]) if first & 0x20 else Eui64(data[1:9])
+    final = Short16(pan_id, (data[mid] << 8) | data[mid + 1]) if first & 0x10 else Eui64(data[mid:end])
+    return MeshHeader(originator, final, first & 0x0F), end
+
+
+def decrement_hops(data: bytes) -> bytes:
+    """`data`, a mesh header and what follows it, with hops-left one lower.
+
+    Hops-left is the low nibble of the first octet, so this equals
+    `encode_mesh` of the decoded header with `hops_left - 1`, followed by
+    the rest of `data`, without building or re-encoding the header.
+    """
+    if not data[0] & 0x0F:
+        raise ValueError("hops_left out of range: -1")
+    return bytes((data[0] - 1,)) + data[1:]
 
 
 # --- broadcast ----------------------------------------------------------

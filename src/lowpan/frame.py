@@ -27,24 +27,35 @@ The MAC frame codec used here packs:
     fc1 bits 0-1: dst addressing mode; bits 2-3: src mode
                   (0 = absent, 1 = short16, 2 = EUI-64)
 
-Short addressing encodes PAN (2) + short (2), packed and unpacked with
-one `struct.Struct(">HH")`; EUI-64 addressing encodes the broadcast-PAN
-placeholder 0xFFFF (2) + EUI (8).  Security is modelled purely as
-`overhead` zero filler octets (auxiliary header plus MIC stand-in);
-`overhead` is a plain member attribute that each `SecurityMode` sets in
-its `__init__`.  Decoding maps the two-bit frame-type and suite codes to
-their members by indexing a tuple of the members.  The FCS is
-CRC-16/XMODEM (polynomial 0x1021, init 0x0000, MSB first, no final XOR)
-over everything that precedes it; that is the stdlib's
-`binascii.crc_hqx(data, 0)`.  The budget arithmetic always uses the
-25-octet worst case even when short addressing makes the actual header
-smaller.
+Short addressing encodes PAN (2) + short (2); EUI-64 addressing encodes
+the broadcast-PAN placeholder 0xFFFF (2) + EUI (8).  A frame with short
+source and destination addresses, as every data frame the simulator sends
+is, has its 11-octet header packed and unpacked with one
+`struct.Struct(">BBBHHHH")`; the other address modes take the general
+per-address path.  Security is modelled
+purely as `overhead` zero filler octets (auxiliary header plus MIC
+stand-in).  Each enum carries what the codec reads from it as a plain
+member attribute set in its `__init__`: `FrameType.code` and
+`SecurityMode.code` (the two-bit wire codes), `SecurityMode.overhead`
+and `PhyBand.bit_rate`.  Decoding maps the codes to their members by
+indexing a tuple of the members.  The FCS is CRC-16/XMODEM (polynomial
+0x1021, init 0x0000, MSB first, no final XOR) over everything that
+precedes it; that is the stdlib's `binascii.crc_hqx(data, 0)`.  The
+budget arithmetic always uses the 25-octet worst case even when short
+addressing makes the actual header smaller.
+
+`Short16` and `MacFrame` (and `codec.MeshHeader`) are immutable value
+types: `CheckedTuple` subclasses of a `namedtuple` whose `__new__` runs
+every range check once.  They compare equal only to an instance of the
+same class with equal fields, hash by value, and `_make` / `_replace`
+go through the same checks.
 """
 
 from __future__ import annotations
 
 import binascii
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -97,13 +108,9 @@ class PhyBand(Enum):
     B915 = (40_000, 1, 10)
     B2450 = (250_000, 11, 26)
 
-    @property
-    def bit_rate(self) -> int:
-        return self.value[0]
-
-    @property
-    def channel_range(self) -> tuple[int, int]:
-        return (self.value[1], self.value[2])
+    def __init__(self, bit_rate: int, first_channel: int, last_channel: int):
+        self.bit_rate: int = bit_rate
+        self.channel_range: tuple[int, int] = (first_channel, last_channel)
 
 
 class SecurityMode(Enum):
@@ -115,6 +122,7 @@ class SecurityMode(Enum):
     AES_CCM_128 = 3
 
     def __init__(self, code: int):
+        self.code: int = code
         # octets of auxiliary security header plus MIC, by suite code
         self.overhead: int = (0, 9, 13, 21)[code]
 
@@ -125,25 +133,55 @@ class FrameType(Enum):
     ACK = 2
     COMMAND = 3
 
+    def __init__(self, code: int):
+        self.code: int = code
+
 
 # members by their two-bit wire code, for decoding
 _FRAME_TYPES = tuple(FrameType)
 _SECURITY_MODES = tuple(SecurityMode)
 _SHORT_ADDRESS = struct.Struct(">HH")  # PAN id, short address
+# fc0, fc1, sequence, dst PAN + short, src PAN + short
+_SHORT_SHORT_HEADER = struct.Struct(">BBBHHHH")
+_SHORT_SHORT_FC1 = 0x05  # dst mode 1 | src mode 1 << 2
 
 
-@dataclass(frozen=True)
-class Short16:
+class CheckedTuple(tuple):
+    """Base of the immutable value types built on a `namedtuple`.
+
+    A subclass lists this class first, then its `namedtuple`, and defines a
+    `__new__` that checks its fields and returns `tuple.__new__(cls, fields)`.
+    Equality holds only between instances of the same class, as for a
+    dataclass, and `_make` (which `_replace` calls) builds through the
+    checking `__new__` rather than around it.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return self.__class__ is other.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Short16(CheckedTuple, namedtuple("Short16", "pan_id short")):
     """16-bit short address scoped to a PAN."""
 
-    pan_id: int
-    short: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.pan_id <= 0xFFFF:
-            raise ValueError(f"pan_id out of range: {self.pan_id}")
-        if not 0 <= self.short <= 0xFFFF:
-            raise ValueError(f"short address out of range: {self.short}")
+    def __new__(cls, pan_id: int, short: int):
+        if not 0 <= pan_id <= 0xFFFF:
+            raise ValueError(f"pan_id out of range: {pan_id}")
+        if not 0 <= short <= 0xFFFF:
+            raise ValueError(f"short address out of range: {short}")
+        return tuple.__new__(cls, (pan_id, short))
 
 
 @dataclass(frozen=True)
@@ -212,26 +250,33 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0)
 
 
-@dataclass(frozen=True)
-class MacFrame:
-    frame_type: FrameType
-    sequence: int
-    src: NodeAddress | None = None
-    dst: NodeAddress | None = None
-    security: SecurityMode = SecurityMode.NONE
-    payload: bytes = b""
+class MacFrame(
+    CheckedTuple, namedtuple("MacFrame", "frame_type sequence src dst security payload")
+):
+    """One MAC frame: type, sequence number, addressing, suite and payload."""
 
-    def __post_init__(self):
-        if not 0 <= self.sequence <= 0xFF:
-            raise ValueError(f"sequence out of range: {self.sequence}")
-        if self.frame_type is FrameType.ACK:
-            if self.src is not None or self.dst is not None or self.payload:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        frame_type: FrameType,
+        sequence: int,
+        src: NodeAddress | None = None,
+        dst: NodeAddress | None = None,
+        security: SecurityMode = SecurityMode.NONE,
+        payload: bytes = b"",
+    ):
+        if not 0 <= sequence <= 0xFF:
+            raise ValueError(f"sequence out of range: {sequence}")
+        if frame_type is FrameType.ACK:
+            if src is not None or dst is not None or payload:
                 raise FrameError("ACK frames carry no addressing and no payload")
-        if len(self.payload) > mac_payload_budget(self.security):
+        budget = mac_payload_budget(security)
+        if len(payload) > budget:
             raise PayloadOverBudget(
-                f"payload {len(self.payload)} octets exceeds budget "
-                f"{mac_payload_budget(self.security)} for {self.security.name}"
+                f"payload {len(payload)} octets exceeds budget {budget} for {security.name}"
             )
+        return tuple.__new__(cls, (frame_type, sequence, src, dst, security, payload))
 
 
 def _encode_address(addr: NodeAddress | None) -> tuple[int, bytes]:
@@ -243,17 +288,17 @@ def _encode_address(addr: NodeAddress | None) -> tuple[int, bytes]:
 
 
 def encode_mac_frame(frame: MacFrame) -> bytes:
-    dst_mode, dst_bytes = _encode_address(frame.dst)
-    src_mode, src_bytes = _encode_address(frame.src)
-    fc0 = frame.frame_type.value | (frame.security.value << 2)
-    fc1 = dst_mode | (src_mode << 2)
-    body = (
-        bytes([fc0, fc1, frame.sequence])
-        + dst_bytes
-        + src_bytes
-        + frame.payload
-        + bytes(frame.security.overhead)
-    )
+    frame_type, sequence, src, dst, security, payload = frame
+    fc0 = frame_type.code | (security.code << 2)
+    if isinstance(src, Short16) and isinstance(dst, Short16):
+        header = _SHORT_SHORT_HEADER.pack(
+            fc0, _SHORT_SHORT_FC1, sequence, dst.pan_id, dst.short, src.pan_id, src.short
+        )
+    else:
+        dst_mode, dst_bytes = _encode_address(dst)
+        src_mode, src_bytes = _encode_address(src)
+        header = bytes((fc0, dst_mode | (src_mode << 2), sequence)) + dst_bytes + src_bytes
+    body = header + payload + bytes(security.overhead)
     return body + crc16(body).to_bytes(2, "big")
 
 
@@ -281,9 +326,15 @@ def decode_mac_frame(data: bytes) -> MacFrame:
     fc0, fc1, sequence = body[0], body[1], body[2]
     frame_type = _FRAME_TYPES[fc0 & 0x03]
     security = _SECURITY_MODES[(fc0 >> 2) & 0x03]
-    dst, pos = _decode_address(fc1 & 0x03, body, 3)
-    src, pos = _decode_address((fc1 >> 2) & 0x03, body, pos)
-    if len(body) - pos < security.overhead:
+    if fc1 == _SHORT_SHORT_FC1 and len(body) >= _SHORT_SHORT_HEADER.size:
+        _, _, _, dst_pan, dst_short, src_pan, src_short = _SHORT_SHORT_HEADER.unpack_from(body)
+        dst = Short16(dst_pan, dst_short)
+        src = Short16(src_pan, src_short)
+        pos = _SHORT_SHORT_HEADER.size
+    else:
+        dst, pos = _decode_address(fc1 & 0x03, body, 3)
+        src, pos = _decode_address((fc1 >> 2) & 0x03, body, pos)
+    end = len(body) - security.overhead
+    if end < pos:
         raise TruncatedFrame("security filler truncated")
-    payload = body[pos : len(body) - security.overhead]
-    return MacFrame(frame_type, sequence, src, dst, security, payload)
+    return MacFrame(frame_type, sequence, src, dst, security, body[pos:end])

@@ -50,6 +50,7 @@ from .codec import (
     decode_bc0,
     decode_mesh,
     decompress_ipv6,
+    decrement_hops,
     encode_bc0,
     encode_mesh,
     parse_dispatch,
@@ -62,13 +63,13 @@ from .frame import (
     FrameType,
     MacFrame,
     NodeAddress,
+    PayloadOverBudget,
     PhyBand,
     SecurityMode,
     Short16,
     decode_mac_frame,
     encode_mac_frame,
     frame_airtime,
-    mac_payload_budget,
 )
 from .gateway import (
     DEFAULT_DISCOVERY_TTL,
@@ -92,9 +93,8 @@ class NodeRole(Enum):
     FFD = "ffd"
     RFD = "rfd"
 
-    @property
-    def forwards(self) -> bool:
-        return self is not NodeRole.RFD
+    def __init__(self, value: str):
+        self.forwards: bool = value != "rfd"
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,8 @@ class World:
         self.links: dict[tuple[str, str], SimLink] = {}
         self.neighbors: dict[str, list[str]] = {}
         self.gateways: dict[str, Gateway] = {}
+        self._gateway_ids: list[str] = []  # the gateways' ids, in id order
+        self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace: list[TraceRecord] = []
@@ -297,6 +299,8 @@ class World:
             discovery_ttl=discovery_ttl,
         )
         self.gateways[node_id] = gw
+        bisect.insort(self._gateway_ids, node_id)
+        self._pan_gateway[pan] = min(node_id, self._pan_gateway.get(pan, node_id))
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
@@ -333,10 +337,9 @@ class World:
     # --- routing ----------------------------------------------------------
 
     def segment_gateway(self, pan_id: int) -> tuple[str, Gateway] | None:
-        for gw_id in sorted(self.gateways):
-            if self.gateways[gw_id].pan_id == pan_id:
-                return gw_id, self.gateways[gw_id]
-        return None
+        """The lowest-id gateway on PAN `pan_id` with its id, or None."""
+        gw_id = self._pan_gateway.get(pan_id)
+        return None if gw_id is None else (gw_id, self.gateways[gw_id])
 
     def prepare(self):
         """Index the radio graph for routing and register gateway mappings."""
@@ -348,7 +351,7 @@ class World:
             for node_id, node in self.nodes.items()
         }
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
-        for gw_id in sorted(self.gateways):
+        for gw_id in self._gateway_ids:
             gw = self.gateways[gw_id]
             if gw.mode in (GatewayMode.ZIGBEE, GatewayMode.BRIDGE):
                 for (pan, short), node in sorted(self.by_addr.items()):
@@ -442,7 +445,8 @@ class World:
             pass
 
     def record(self, node: str, kind: str, detail: str = "", nbytes: int = 0):
-        self.trace.append(TraceRecord(self.now, node, kind, detail, nbytes))
+        # tuple.__new__ skips the NamedTuple's generated __new__; every field is given
+        self.trace.append(tuple.__new__(TraceRecord, (self.now, node, kind, detail, nbytes)))
 
     def bump(self, key: str, amount: float = 1):
         self.metrics[key] = self.metrics.get(key, 0) + amount
@@ -631,17 +635,18 @@ class World:
         if link is None:
             self._drop(node.id, "no-link", f"dst={dst_node.id}")
             return
-        if len(payload) > mac_payload_budget(node.security):
+        try:
+            frame = MacFrame(
+                FrameType.DATA,
+                node.mac_seq,
+                src=node.wpan_address,
+                dst=dst_node.wpan_address,
+                security=node.security,
+                payload=payload,
+            )
+        except PayloadOverBudget:
             self._drop(node.id, "payload-over-budget", f"size={len(payload)}")
             return
-        frame = MacFrame(
-            FrameType.DATA,
-            node.mac_seq,
-            src=node.wpan_address,
-            dst=dst_node.wpan_address,
-            security=node.security,
-            payload=payload,
-        )
         node.mac_seq = (node.mac_seq + 1) & 0xFF
         psdu = encode_mac_frame(frame)
         airtime = frame_airtime(link.band, PHY_OVERHEAD + len(psdu))
@@ -705,10 +710,10 @@ class World:
                 mesh, consumed = decode_mesh(data, node.pan_id)
                 rest = data[consumed:]
                 if isinstance(mesh.final, Short16) and mesh.final.short == BROADCAST_SHORT:
-                    self._rx_flood(node, mesh, rest)
+                    self._rx_flood(node, mesh, data, rest)
                     return
                 if not node.matches(mesh.final):
-                    self._forward(node, mesh, rest)
+                    self._forward(node, mesh, data)
                     return
                 if not rest:
                     self._drop(node.id, "empty-payload")
@@ -735,7 +740,8 @@ class World:
         except (CodecError, ReassemblyError) as exc:
             self._drop(node.id, "codec-error", f"kind={type(exc).__name__}")
 
-    def _forward(self, node: SimNode, mesh: MeshHeader, rest: bytes):
+    def _forward(self, node: SimNode, mesh: MeshHeader, data: bytes):
+        """Pass on `data`, a frame's mesh header and what follows, one hop fewer."""
         if not node.role.forwards:
             self._drop(node.id, "not-forwarder")
             return
@@ -751,9 +757,9 @@ class World:
             self._drop(node.id, "no-route", f"final=0x{mesh.final.short:04X}")
             return
         self.record(node.id, "forward", f"final=0x{mesh.final.short:04X} hops={hops}")
-        self._transmit(node, next_hop, encode_mesh(MeshHeader(mesh.originator, mesh.final, hops)) + rest)
+        self._transmit(node, next_hop, decrement_hops(data))
 
-    def _rx_flood(self, node: SimNode, mesh: MeshHeader, rest: bytes):
+    def _rx_flood(self, node: SimNode, mesh: MeshHeader, data: bytes, rest: bytes):
         seq, consumed = decode_bc0(rest)
         payload = rest[consumed:]
         if not node.note_broadcast((mesh.originator, seq)):
@@ -769,9 +775,8 @@ class World:
                 self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=bcast dst={dst}")
                 self.wired_send(node.id, pkt)
         if node.role.forwards and mesh.hops_left - 1 > 0:
-            fwd = encode_mesh(MeshHeader(mesh.originator, mesh.final, mesh.hops_left - 1))
             self.record(node.id, "forward", f"final=bcast hops={mesh.hops_left - 1}")
-            self._flood(node, fwd + rest)
+            self._flood(node, decrement_hops(data))
 
     def _deliver_packet(self, node: SimNode, pkt: Ipv6Packet):
         gw = self.gateways.get(node.id)
@@ -840,7 +845,7 @@ class World:
             self.record(host.id, "deliver", f"kind=ipv6 from={src}", pkt.payload_length)
             self.bump("delivered")
             return
-        for gw_id in sorted(self.gateways):
+        for gw_id in self._gateway_ids:
             gw = self.gateways[gw_id]
             if pkt.dst == gw.wired_addr or gw.owns_prefix(pkt.dst):
                 self.record(gw_id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)

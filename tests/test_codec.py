@@ -30,6 +30,7 @@ from lowpan.codec import (
     decode_mesh,
     decompress_ipv6,
     decompress_udp,
+    decrement_hops,
     encode_bc0,
     encode_frag_first,
     encode_frag_subsequent,
@@ -412,6 +413,8 @@ def test_mesh_sizes():
 def test_mesh_hops_range():
     with pytest.raises(ValueError):
         MeshHeader(Short16(1, 2), Short16(1, 3), 16)
+    with pytest.raises(ValueError, match="hops_left out of range: -1"):
+        decrement_hops(encode_mesh(MeshHeader(Short16(1, 2), Short16(1, 3), 0)))
 
 
 def test_mesh_roundtrip_mixed_widths():
@@ -425,10 +428,29 @@ def test_mesh_roundtrip_mixed_widths():
 
 def test_mesh_truncation():
     header = MeshHeader(Short16(1, 2), Eui64(bytes(8)), 3)
-    with pytest.raises(MalformedMesh):
+    with pytest.raises(MalformedMesh) as caught:
         decode_mesh(encode_mesh(header)[:6], pan_id=1)
+    assert caught.value.offset == 3  # the final address starts after the short originator
+    with pytest.raises(MalformedMesh) as caught:
+        decode_mesh(encode_mesh(MeshHeader(Eui64(bytes(8)), Short16(1, 2), 3))[:6], pan_id=1)
+    assert caught.value.offset == 1
     with pytest.raises(MalformedMesh):
         decode_mesh(b"\x42", pan_id=1)
+
+
+MESH_ADDRESS = st.one_of(
+    st.builds(Short16, st.just(0xBEEF), st.integers(0, 0xFFFF)),
+    st.builds(Eui64, st.binary(min_size=8, max_size=8)),
+)
+
+
+@given(orig=MESH_ADDRESS, final=MESH_ADDRESS, hops=st.integers(1, 0x0F), rest=st.binary(max_size=40))
+def test_decrement_hops_matches_the_encoder(orig, final, hops, rest):
+    received = encode_mesh(MeshHeader(orig, final, hops)) + rest
+    assert decrement_hops(received) == encode_mesh(MeshHeader(orig, final, hops - 1)) + rest
+    # the rewrite relies on encode_mesh(decode_mesh(h)) == h for every valid header
+    decoded, consumed = decode_mesh(received, pan_id=0xBEEF)
+    assert encode_mesh(decoded) + received[consumed:] == received
 
 
 # --- bc0 -----------------------------------------------------------------------

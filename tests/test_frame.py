@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lowpan.codec import MeshHeader
 from lowpan.frame import (
     ACK_FRAME_OCTETS,
     MAC_OVERHEAD,
@@ -190,6 +193,78 @@ def test_fcs_detects_corruption():
 def test_truncated_frame():
     with pytest.raises(TruncatedFrame):
         decode_mac_frame(b"\x01\x00")
+    # short/short addressing modes, but the source address is cut short
+    body = bytes.fromhex("01052abeef0002beef")
+    with pytest.raises(TruncatedFrame, match="short address truncated"):
+        decode_mac_frame(body + crc16(body).to_bytes(2, "big"))
+
+
+# --- value types ------------------------------------------------------------
+
+def _raises_exactly(error, message, build):
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        build()
+    assert caught.type is error
+
+
+def test_value_types_keep_their_checks():
+    addr = Short16(0xBEEF, 1)
+    frame = MacFrame(FrameType.DATA, 7, src=addr, dst=EUI_B, payload=b"hi")
+    mesh = MeshHeader(addr, EUI_B, 5)
+
+    # every range check, with its error class and message
+    _raises_exactly(ValueError, "pan_id out of range: -1", lambda: Short16(-1, 0))
+    _raises_exactly(ValueError, "pan_id out of range: 65536", lambda: Short16(0x10000, 0))
+    _raises_exactly(ValueError, "short address out of range: 65536", lambda: Short16(0, 0x10000))
+    _raises_exactly(ValueError, "sequence out of range: 256", lambda: MacFrame(FrameType.DATA, 256))
+    _raises_exactly(ValueError, "sequence out of range: -1", lambda: MacFrame(FrameType.DATA, -1))
+    _raises_exactly(ValueError, "hops_left out of range: 16", lambda: MeshHeader(addr, addr, 16))
+    _raises_exactly(ValueError, "hops_left out of range: -1", lambda: MeshHeader(addr, addr, -1))
+    ack_error = "ACK frames carry no addressing and no payload"
+    _raises_exactly(FrameError, ack_error, lambda: MacFrame(FrameType.ACK, 0, src=addr))
+    _raises_exactly(FrameError, ack_error, lambda: MacFrame(FrameType.ACK, 0, dst=addr))
+    _raises_exactly(FrameError, ack_error, lambda: MacFrame(FrameType.ACK, 0, payload=b"x"))
+    for mode in SecurityMode:
+        budget = mac_payload_budget(mode)
+        MacFrame(FrameType.DATA, 0, security=mode, payload=bytes(budget))
+        _raises_exactly(
+            PayloadOverBudget,
+            f"payload {budget + 1} octets exceeds budget {budget} for {mode.name}",
+            lambda: MacFrame(FrameType.DATA, 0, security=mode, payload=bytes(budget + 1)),
+        )
+    # no other way to build one skips them
+    _raises_exactly(ValueError, "short address out of range: 65536", lambda: Short16._make((1, 0x10000)))
+    _raises_exactly(ValueError, "sequence out of range: 256", lambda: frame._replace(sequence=256))
+    _raises_exactly(ValueError, "hops_left out of range: 16", lambda: mesh._replace(hops_left=16))
+    assert frame._replace(sequence=8) == MacFrame(FrameType.DATA, 8, src=addr, dst=EUI_B, payload=b"hi")
+
+    # immutable
+    for value, field in ((addr, "short"), (frame, "sequence"), (mesh, "hops_left")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2)
+        with pytest.raises(AttributeError):
+            value.extra = 2
+
+    # hashed and compared by value, and only within one class
+    assert addr == Short16(0xBEEF, 1) and hash(addr) == hash(Short16(0xBEEF, 1))
+    assert addr != Short16(0xBEEF, 2) and not addr == Short16(0xBEEF, 2)
+    assert frame == MacFrame(FrameType.DATA, 7, src=Short16(0xBEEF, 1), dst=EUI_B, payload=b"hi")
+    assert hash(frame) == hash(MacFrame(FrameType.DATA, 7, src=addr, dst=EUI_B, payload=b"hi"))
+    assert mesh == MeshHeader(Short16(0xBEEF, 1), EUI_B, 5) and mesh != MeshHeader(addr, EUI_B, 4)
+    assert len({addr, Short16(0xBEEF, 1), mesh, MeshHeader(addr, EUI_B, 5)}) == 2
+    assert Short16(0, 0) != Eui64(bytes(8)) and Eui64(bytes(8)) != Short16(0, 0)
+    assert addr != (0xBEEF, 1) and (0xBEEF, 1) != addr
+
+    assert repr(addr) == "Short16(pan_id=48879, short=1)"
+    assert repr(frame) == (
+        "MacFrame(frame_type=<FrameType.DATA: 1>, sequence=7, src=Short16(pan_id=48879, short=1), "
+        "dst=Eui64(eui=b'\\x00\\x12K\\x00\\x00\\x00\\x00\\x02'), security=<SecurityMode.NONE: 0>, "
+        "payload=b'hi')"
+    )
+    assert repr(mesh) == (
+        "MeshHeader(originator=Short16(pan_id=48879, short=1), "
+        "final=Eui64(eui=b'\\x00\\x12K\\x00\\x00\\x00\\x00\\x02'), hops_left=5)"
+    )
 
 
 def _crc16_table_oracle(data: bytes) -> int:

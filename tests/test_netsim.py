@@ -2,11 +2,12 @@ from ipaddress import IPv6Address
 
 import pytest
 
-from lowpan import addressing
+from lowpan import addressing, netsim
 from lowpan.frame import PhyBand, SecurityMode
 from lowpan.gateway import GatewayMode
 from lowpan.ipv6 import decode_udp
 from lowpan.netsim import NodeRole, SleepSchedule, World
+from lowpan.scenario import load_scenario
 
 
 def make_line(seed=0, hops=None):
@@ -389,6 +390,47 @@ def test_udp_needing_a_missing_prefix_is_dropped(build):
     assert [(r.node, r.detail) for r in drops_of(world)] == [(src, f"reason=no-prefix to={dst}")]
     assert world.metrics["sent"] == 1
     assert world.metrics["drops_no-prefix"] == 1
+
+
+@pytest.mark.parametrize("order", [("gz", "gy", "gx"), ("gy", "gx", "gz")], ids=["reverse", "mixed"])
+def test_gateway_lookups_pick_the_lowest_id_whatever_the_insertion_order(order):
+    world = make_line()
+    prefix = IPv6Address("2001:db8:a::")
+    gateways = {  # gz and gx share the default PAN and its prefix
+        "gz": dict(short=0x00FD, wired_addr=IPv6Address("fd00::c"), prefix=prefix),
+        "gy": dict(short=0x00FE, wired_addr=IPv6Address("fd00::b"), pan_id=0x1234),
+        "gx": dict(short=0x00FC, wired_addr=IPv6Address("fd00::a"), prefix=prefix),
+    }
+    for gw_id in order:
+        world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
+    world.add_host("h", IPv6Address("fd00::99"))
+    assert world.segment_gateway(world.pan_id)[0] == "gx"
+    assert world.segment_gateway(0x1234)[0] == "gy"
+    assert world.segment_gateway(0x4321) is None
+    world.send_udp(0.0, "h", "a", 1, 2, b"x")  # to a's global address, in both gz's and gx's prefix
+    world.run()
+    assert [r.node for r in world.trace if r.kind == "wired-rx"] == ["gx"]
+
+
+@pytest.mark.parametrize("scenario", ["demo", "devid", "zigbee"])
+def test_every_received_frame_is_decoded(scenario_dir, scenario, monkeypatch):
+    calls = 0
+    decode = netsim.decode_mac_frame
+
+    def counting_decode(data):
+        nonlocal calls
+        calls += 1
+        return decode(data)
+
+    monkeypatch.setattr(netsim, "decode_mac_frame", counting_decode)
+    text = (scenario_dir / f"{scenario}.scn").read_text()
+    for mode in (None, "border", "devid", "zigbee", "bridge"):
+        calls = 0
+        world, t_end = load_scenario(text, mode_override=mode)
+        world.run_until(t_end)
+        received = [r for r in world.trace if r.kind == "rx"]
+        malformed = drops_of(world, "malformed-frame")
+        assert received and calls == len(received) + len(malformed), mode
 
 
 def test_metrics_lines_shape():
