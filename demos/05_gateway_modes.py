@@ -53,7 +53,7 @@ print()
 
 print("devid: registered identifiers, gateway-terminated IP, no fragmentation")
 world = World(seed=0, pan_id=0xAAAA)
-world.add_node("n1", NodeRole.RFD, 0x0010, stack="app")
+world.add_node("n1", NodeRole.RFD, 0x0010)
 world.add_gateway("gw", 0x00FE, GatewayMode.DEVID, IPv6Address("fd00::a"))
 world.add_host("h1", HOST)
 world.add_link("n1", "gw")

@@ -34,8 +34,8 @@ from .codec import (
     encode_mesh,
     parse_dispatch,
 )
-from .reassembly import FragmentationContext, FragmentOutcome, accept_fragment, fragment, purge_stale
-from .gateway import Gateway, GatewayMode, demux, lowpan_to_wired, wired_to_lowpan
+from .reassembly import FragmentationContext, FragmentOutcome, accept_fragment, fragment
+from .gateway import Gateway, GatewayMode, demux, wired_to_lowpan
 from .netsim import NodeRole, SimLink, SleepSchedule, TraceRecord, World
 
 __version__ = "0.1.0"

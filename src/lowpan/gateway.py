@@ -33,19 +33,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address
 
-from .codec import (
-    DispatchKind,
-    MeshHeader,
-    UnknownDispatch,
-    compress_ipv6,
-    decode_mesh,
-    decompress_ipv6,
-    encode_mesh,
-    parse_dispatch,
-)
-from .frame import NodeAddress, SecurityMode, Short16, mac_payload_budget
+from .codec import DispatchKind, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh, parse_dispatch
+from .frame import NodeAddress, SecurityMode, mac_payload_budget
 from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
-from .reassembly import FragmentationContext, FragmentOutcome, accept_fragment, fragment
+from .reassembly import FragmentationContext, fragment
 
 APL_MAX_OCTETS = 94
 APL_BLOCK = 1240  # 1280-octet minimum MTU minus the 40-octet IPv6 header
@@ -366,31 +357,6 @@ def mesh_fragments(
     return [mesh + piece for piece in fragment(stream, budget, ctx)]
 
 
-def lowpan_to_wired(frames: list[bytes], pan_id: int) -> Ipv6Packet:
-    """Unwrap, reassemble and decompress mesh-wrapped frames into a packet.
-
-    The inverse of wired_to_lowpan for a complete burst of frames.
-    """
-    table = {}
-    for payload in frames:
-        mesh, consumed = decode_mesh(payload, pan_id)
-        rest = payload[consumed:]
-        if not rest:
-            raise GatewayError("mesh frame carries no payload")
-        kind = parse_dispatch(rest[0])
-        if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
-            result = accept_fragment(table, mesh.originator, rest, now=0.0)
-            if result.outcome is FragmentOutcome.COMPLETE:
-                return decompress_ipv6(result.datagram, mesh.originator, mesh.final)
-        else:
-            return decompress_ipv6(rest, mesh.originator, mesh.final)
-    raise ReassemblyIncomplete("frames do not assemble a complete datagram")
-
-
-class ReassemblyIncomplete(GatewayError):
-    pass
-
-
 # --- the gateway ---------------------------------------------------------------
 
 @dataclass
@@ -418,10 +384,6 @@ class Gateway:
         prefix = self.prefix if self.prefix is not None else IPv6Address("2001:db8::")
         self.mapping = MappingTable(prefix=prefix)
         self.discovery = DiscoveryCache(ttl=self.discovery_ttl)
-
-    @property
-    def wpan_address(self) -> Short16:
-        return Short16(self.pan_id, self.short)
 
     def owns_prefix(self, address: IPv6Address) -> bool:
         return self.prefix is not None and address.packed[:8] == self.prefix.packed[:8]

@@ -22,7 +22,8 @@ Node behaviour:
     during a sleep period are lost.
   * Datagrams larger than the security-adjusted MAC payload budget are
     fragmented after compression and reassembled only at the mesh
-    final destination, under the 60-second window.
+    final destination, under the 60-second window; a datagram still
+    incomplete 60 s after its first fragment is discarded then.
 
 Trace records are one line each: time, node, event kind, detail and a
 byte count, tab separated.
@@ -82,7 +83,13 @@ from .gateway import (
     mesh_fragments,
 )
 from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, PacketError, decode_udp, udp_packet
-from .reassembly import FragmentOutcome, FragmentationContext, ReassemblyError, accept_fragment
+from .reassembly import (
+    REASSEMBLY_TIMEOUT,
+    FragmentOutcome,
+    FragmentationContext,
+    ReassemblyError,
+    accept_fragment,
+)
 
 BC0_CACHE_ENTRIES = 64
 WIRED_DELAY = 0.001  # one-way latency of the wired IPv6 domain, in seconds
@@ -150,7 +157,6 @@ class SimNode:
         eui: bytes,
         sleep: SleepSchedule | None = None,
         security: SecurityMode = SecurityMode.NONE,
-        stack: str = "lowpan",
     ):
         self.id = node_id
         self.role = role
@@ -160,7 +166,7 @@ class SimNode:
         self.eui = eui
         self.sleep = sleep
         self.security = security
-        self.stack = stack
+        self.stack = "lowpan"  # the receive stack; World.prepare sets it from the gateway mode
         self.routes: dict[int, int] = {}  # scenario pins only (World.next_hop)
         self.default_route: int | None = None
         self.mac_seq = 0
@@ -252,7 +258,6 @@ class World:
         pan_id: int | None = None,
         sleep: SleepSchedule | None = None,
         security: SecurityMode = SecurityMode.NONE,
-        stack: str = "lowpan",
     ) -> SimNode:
         pan = self.pan_id if pan_id is None else pan_id
         if node_id in self.nodes or node_id in self.hosts:
@@ -262,7 +267,7 @@ class World:
         node = SimNode(
             node_id, role, pan, short,
             eui if eui is not None else synth_eui(pan, short),
-            sleep, security, stack,
+            sleep, security,
         )
         self.nodes[node_id] = node
         self.by_addr[(pan, short)] = node
@@ -287,7 +292,7 @@ class World:
         discovery_ttl: float = DEFAULT_DISCOVERY_TTL,
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
-        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan, stack=mode.stack)
+        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)
         gw = Gateway(
             mode=mode,
             pan_id=pan,
@@ -342,10 +347,19 @@ class World:
         return None if gw_id is None else (gw_id, self.gateways[gw_id])
 
     def prepare(self):
-        """Index the radio graph for routing and register gateway mappings."""
+        """Give each node its receive stack, index the radio graph for routing
+        and register gateway mappings.
+
+        A gateway runs the stack of its own mode, any other node that of its
+        PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
+        """
         if self._prepared:
             return
         self._prepared = True
+        for node_id, node in self.nodes.items():
+            gw_id = node_id if node_id in self.gateways else self._pan_gateway.get(node.pan_id)
+            if gw_id is not None:
+                node.stack = self.gateways[gw_id].mode.stack
         self._pan_neighbors = {
             node_id: [v for v in self.neighbors[node_id] if self.nodes[v].pan_id == node.pan_id]
             for node_id, node in self.nodes.items()
@@ -723,6 +737,10 @@ class World:
                 kind = parse_dispatch(data[0])
             if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
                 result = accept_fragment(node.reassembly, orig, data, self.now)
+                if result.opened is not None:
+                    buffer = node.reassembly[result.opened]
+                    deadline = partial(self._reassembly_deadline, node, result.opened, buffer)
+                    self.schedule(self.now + REASSEMBLY_TIMEOUT, deadline)
                 if result.outcome is FragmentOutcome.DROPPED:
                     self._drop(node.id, "timeout", "stage=reassembly")
                     return
@@ -739,6 +757,12 @@ class World:
                 self._drop(node.id, "unknown-dispatch", f"byte=0x{data[0]:02X}")
         except (CodecError, ReassemblyError) as exc:
             self._drop(node.id, "codec-error", f"kind={type(exc).__name__}")
+
+    def _reassembly_deadline(self, node: SimNode, key, buffer):
+        """Discard `buffer` if it is still incomplete at its deadline (RFC 4944 §5.3)."""
+        if node.reassembly.get(key) is buffer:
+            del node.reassembly[key]
+            self._drop(node.id, "timeout", "stage=reassembly")
 
     def _forward(self, node: SimNode, mesh: MeshHeader, data: bytes):
         """Pass on `data`, a frame's mesh header and what follows, one hop fewer."""

@@ -11,7 +11,9 @@ to a multiple of 8.
 Reassembly buffers are keyed by (source address, tag) and live on
 simulated time supplied by the caller: the whole datagram must arrive
 within 60 seconds of the first fragment, otherwise the stale buffer is
-discarded and the late fragment starts a fresh one.
+discarded and the late fragment starts a fresh one.  The caller may
+also discard a buffer at its deadline: each fragment that opens one
+reports its key.
 """
 
 from __future__ import annotations
@@ -120,6 +122,7 @@ class FragmentResult:
     outcome: FragmentOutcome
     datagram: bytes | None = None
     reason: str | None = None
+    opened: tuple[NodeAddress, int] | None = None  # key of a buffer this fragment started
 
 
 _PENDING = FragmentResult(FragmentOutcome.PENDING)
@@ -132,8 +135,10 @@ def accept_fragment(
 
     Complete carries the reassembled datagram.  A fragment arriving
     after the timeout window reports the old buffer as dropped while
-    still seeding a fresh buffer with itself.  Duplicates of an
-    already-received fragment are ignored.
+    still seeding a fresh buffer with itself.  A result that leaves a
+    fresh buffer behind names its key in `opened`, so the caller can
+    discard it at its deadline.  Duplicates of an already-received
+    fragment are ignored.
     """
     header, consumed = decode_frag(frame)
     payload = frame[consumed:]
@@ -145,18 +150,20 @@ def accept_fragment(
         del table[key]
         buffer = None
         timed_out = True
-    if buffer is None:
+    opened = buffer is None
+    if opened:  # entered in the table only once the fragment fits it
         buffer = ReassemblyBuffer(datagram_size=header.datagram_size, started_at=now)
-        table[key] = buffer
 
     _insert(buffer, header, payload)
 
     if buffer.covered():
-        del table[key]
+        table.pop(key, None)
         return FragmentResult(FragmentOutcome.COMPLETE, datagram=buffer.assemble())
+    if opened:
+        table[key] = buffer
     if timed_out:
-        return FragmentResult(FragmentOutcome.DROPPED, reason="timeout")
-    return _PENDING
+        return FragmentResult(FragmentOutcome.DROPPED, reason="timeout", opened=key)
+    return FragmentResult(FragmentOutcome.PENDING, opened=key) if opened else _PENDING
 
 
 def _insert(buffer: ReassemblyBuffer, header: FragHeader, payload: bytes):
@@ -179,11 +186,3 @@ def _insert(buffer: ReassemblyBuffer, header: FragHeader, payload: bytes):
                 f"fragment [{start}, {end}) overlaps received [{off}, {off + len(chunk)})"
             )
     buffer.received[start] = payload
-
-
-def purge_stale(table: ReassemblyTable, now: float) -> list[tuple[NodeAddress, int]]:
-    """Drop every buffer older than the reassembly window; returns the keys."""
-    stale = [k for k, b in table.items() if now - b.started_at > REASSEMBLY_TIMEOUT]
-    for key in stale:
-        del table[key]
-    return stale

@@ -297,15 +297,14 @@ def load_scenario(
                 raise ScenarioError(f"line {section.lineno}: PAN 0x{node_pan:04X} has coordinator {held!r}")
         sleep = _get(kv, "sleep", _sleep)
         security = _get(kv, "security", _choice, SecurityMode.NONE, table=_SECURITY, what="security suite")
-        entry = world.segment_gateway(node_pan)  # the node's stack follows its gateway's mode
         with _at(section.lineno):
             node = world.add_node(
                 node_id, role, _get(kv, "short", _int, top=U16), eui=_get(kv, "eui", _eui),
                 pan_id=node_pan, sleep=sleep, security=security,
-                stack=entry[1].mode.stack if entry is not None else "lowpan",
             )
         if "devid" in kv:  # registered at the node's segment gateway; hosts register below
             lineno = kv["devid"][0]
+            entry = world.segment_gateway(node_pan)
             if entry is None:
                 raise ScenarioError(f"line {lineno}: node {node_id!r} has a devid but its PAN has no gateway")
             with _at(lineno):

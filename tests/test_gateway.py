@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowpan import addressing
 from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
 from lowpan.frame import Short16, mac_payload_budget, SecurityMode
 from lowpan.gateway import (
@@ -29,14 +28,13 @@ from lowpan.gateway import (
     bridge_decapsulate,
     bridge_encapsulate,
     demux,
-    lowpan_to_wired,
     pad_transform,
     register_devid,
     resolve_devid,
     strip_transform,
     wired_to_lowpan,
 )
-from lowpan.ipv6 import NEXT_HEADER_UDP, Ipv6Packet, UdpDatagram, decode_udp, encode_udp
+from lowpan.ipv6 import Ipv6Packet, UdpDatagram, decode_udp, encode_udp, udp_packet
 from lowpan.netsim import NodeRole, World
 from lowpan.reassembly import FragmentationContext
 
@@ -250,24 +248,37 @@ def test_discovery_two_way():
 
 # --- adaptation pipeline --------------------------------------------------------------
 
+def two_node_world():
+    """Two FFDs, one radio hop apart, in a PAN with no gateway."""
+    world = World(pan_id=0xBEEF)
+    world.add_node("a", NodeRole.FFD, 0x00FE)
+    world.add_node("b", NodeRole.FFD, 0x0010)
+    world.add_link("a", "b")
+    return world
+
+
 def test_pipeline_inverse():
-    orig = Short16(0xBEEF, 0x00FE)
-    final = Short16(0xBEEF, 0x0010)
-    dst = addressing.link_local(addressing.iid_for(final))
-    udp = UdpDatagram(0xF0B3, 0xF0B4, 0x1234, bytes(range(256)) * 4)
-    pkt = Ipv6Packet(
-        src=IPv6Address("2001:db8::1"), dst=dst,
-        next_header=NEXT_HEADER_UDP, payload=encode_udp(udp),
-    )
-    frames = wired_to_lowpan(pkt, orig, final, FragmentationContext())
+    world = two_node_world()
+    a, b = world.node("a"), world.node("b")
+    src = IPv6Address("2001:db8::1")  # not derivable from the MAC address: carried inline
+    payload = bytes(range(256)) * 4
+    pkt = udp_packet(src, b.link_local, 0xF0B3, 0xF0B4, payload)
+    frames = wired_to_lowpan(pkt, a.wpan_address, b.wpan_address, FragmentationContext())
     assert len(frames) > 1
-    assert lowpan_to_wired(frames, 0xBEEF) == pkt
+    world.send_udp(0.0, "a", "b", 0xF0B3, 0xF0B4, payload, src_addr=src)
+    world.run()
+    assert world.metrics["fragments_tx"] == len(frames)
+    assert [p for _, p in b.received_packets] == [pkt]
+    assert "drops" not in world.metrics
 
 
 def test_pipeline_rejects_empty_mesh_frame():
-    mesh = encode_mesh(MeshHeader(Short16(0xBEEF, 0x00FE), Short16(0xBEEF, 0x0010), 8))
-    with pytest.raises(GatewayError):
-        lowpan_to_wired([mesh], 0xBEEF)
+    world = two_node_world()
+    a, b = world.node("a"), world.node("b")
+    world._transmit(a, b.short, encode_mesh(MeshHeader(a.wpan_address, b.wpan_address, 8)))
+    world.run()
+    drops = [(r.node, r.detail) for r in world.trace if r.kind == "drop"]
+    assert drops == [("b", "reason=empty-payload")]
 
 
 # --- border gateway end to end ----------------------------------------------------------
@@ -371,12 +382,10 @@ def test_border_broadcast_relay_to_subscribers():
 
 def two_region_world(mode: GatewayMode, seed=0) -> World:
     world = World(seed=seed)
-    world.add_node("x", NodeRole.FFD, 0x0010, pan_id=0xAAAA,
-                   stack={"border": "lowpan", "devid": "app"}.get(mode.value, "nwk"))
+    world.add_node("x", NodeRole.FFD, 0x0010, pan_id=0xAAAA)
     world.add_gateway("ga", 0x00FE, mode, WIRED_A, prefix=PREFIX_A, pan_id=0xAAAA,
                       tunnel_peer=WIRED_B)
-    world.add_node("y", NodeRole.FFD, 0x0020, pan_id=0xBBBB,
-                   stack={"border": "lowpan", "devid": "app"}.get(mode.value, "nwk"))
+    world.add_node("y", NodeRole.FFD, 0x0020, pan_id=0xBBBB)
     world.add_gateway("gb", 0x00FD, mode, WIRED_B, prefix=PREFIX_B, pan_id=0xBBBB,
                       tunnel_peer=WIRED_A)
     world.add_link("x", "ga")
@@ -438,7 +447,7 @@ def test_cross_region_bridge_nwk_byte_identical():
 
 def devid_world(seed=0):
     world = World(seed=seed, pan_id=0xAAAA)
-    world.add_node("n1", NodeRole.RFD, 0x0010, stack="app")
+    world.add_node("n1", NodeRole.RFD, 0x0010)
     world.add_gateway("gw", 0x00FE, GatewayMode.DEVID, WIRED_A)
     world.add_host("h1", HOST_ADDR)
     world.add_link("n1", "gw")

@@ -4,9 +4,10 @@ import pytest
 
 from lowpan import addressing, netsim
 from lowpan.frame import PhyBand, SecurityMode
-from lowpan.gateway import GatewayMode
-from lowpan.ipv6 import decode_udp
+from lowpan.gateway import GatewayMode, wired_to_lowpan
+from lowpan.ipv6 import decode_udp, udp_packet
 from lowpan.netsim import NodeRole, SleepSchedule, World
+from lowpan.reassembly import REASSEMBLY_TIMEOUT, FragmentationContext
 from lowpan.scenario import load_scenario
 
 
@@ -293,6 +294,25 @@ def test_fragmented_unicast_reassembles():
     assert decode_udp(packets[0][1].payload).payload == payload
     assert any(r.kind == "frag-start" for r in world.trace)
     assert any(r.kind == "reasm-complete" and r.node == "d" for r in world.trace)
+
+
+def test_incomplete_reassembly_is_discarded_at_its_deadline():
+    world = make_line()
+    a, b = world.node("a"), world.node("b")
+    pkt = udp_packet(a.link_local, b.link_local, 1, 2, bytes(300))
+    first, second, *_ = wired_to_lowpan(pkt, a.wpan_address, b.wpan_address, FragmentationContext())
+    world._transmit(a, b.short, first)  # the rest of the datagram never comes
+    world.run_until(REASSEMBLY_TIMEOUT - 1)
+    assert len(b.reassembly) == 1 and drops_of(world) == []
+    world.run_until(REASSEMBLY_TIMEOUT + 1)
+    assert b.reassembly == {}
+    (drop,) = drops_of(world)
+    assert (drop.node, drop.detail) == ("b", "reason=timeout stage=reassembly")
+    # a fragment after the deadline opens a fresh buffer and reports nothing
+    world._transmit(a, b.short, second)
+    world.run_until(2 * REASSEMBLY_TIMEOUT)
+    assert len(b.reassembly) == 1 and drops_of(world) == [drop]
+    assert world.metrics["drops_timeout"] == 1
 
 
 def test_security_overhead_shrinks_budget():

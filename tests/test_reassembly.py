@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowpan.codec import CodecError, decode_frag
+from lowpan.codec import CodecError, decode_frag, encode_frag_subsequent
 from lowpan.frame import Short16
 from lowpan.reassembly import (
     REASSEMBLY_TIMEOUT,
@@ -17,7 +17,6 @@ from lowpan.reassembly import (
     ReassemblyError,
     accept_fragment,
     fragment,
-    purge_stale,
 )
 
 SRC = Short16(0xBEEF, 0x0001)
@@ -136,6 +135,22 @@ def test_timeout_drops_old_buffer():
     assert len(buffer.received) == 1
 
 
+def test_a_fragment_that_opens_a_buffer_names_its_key():
+    frames = fragment(_pattern(300), 60, FragmentationContext())
+    table = {}
+    assert accept_fragment(table, SRC, frames[0], 0.0).opened == (SRC, 0)
+    assert accept_fragment(table, SRC, frames[1], 1.0).opened is None
+    late = accept_fragment(table, SRC, frames[2], 62.0)
+    assert late.outcome is FragmentOutcome.DROPPED and late.opened == (SRC, 0)
+
+
+def test_a_rejected_fragment_leaves_no_buffer():
+    table = {}
+    with pytest.raises(InconsistentSize):
+        accept_fragment(table, SRC, encode_frag_subsequent(16, 0, 1) + bytes(16), 0.0)
+    assert table == {}
+
+
 def test_within_window_still_accepts():
     frames = fragment(_pattern(300), 60, FragmentationContext())
     table = {}
@@ -171,15 +186,6 @@ def test_overlap_mismatch():
     corrupted = frames[0][:4] + b"\xff" + frames[0][5:]
     with pytest.raises(OverlapMismatch):
         accept_fragment(table, SRC, corrupted, 0.0)
-
-
-def test_purge_stale():
-    frames = fragment(_pattern(300), 60, FragmentationContext())
-    table = {}
-    accept_fragment(table, SRC, frames[0], 0.0)
-    accept_fragment(table, Short16(0xBEEF, 9), frames[0], 30.0)
-    assert purge_stale(table, 61.0) == [(SRC, 0)]
-    assert all(61.0 - b.started_at <= REASSEMBLY_TIMEOUT for b in table.values())
 
 
 _FRAG_FRAMES = st.tuples(
