@@ -10,17 +10,23 @@ Two derivation paths exist, one per link-address form:
     complemented.
 
 Both yield the low 64 bits of a link-local (fe80::/64) or delegated
-global address.
+global address.  `iid_for` packs the short-address form in one step,
+0x0200 | PAN high | 0xFFFE | PAN low | short, the same eight octets as
+`iid_from_pseudo48(pseudo48(pan_id, short))`; `Short16` has already
+range-checked both fields.
 """
 
 from __future__ import annotations
 
+import struct
 from ipaddress import IPv6Address
 
 from .frame import Eui64, NodeAddress, Short16
 
 LINK_LOCAL_PREFIX = bytes.fromhex("fe80000000000000")
 UNIVERSAL_LOCAL_BIT = 0x02
+# a short address's IID: U/L-flipped zero octets, PAN high, 0xFFFE, PAN low, short
+_SHORT_IID = struct.Struct(">HBHBH")
 
 
 def iid_from_eui64(eui: bytes) -> bytes:
@@ -49,7 +55,8 @@ def iid_for(addr: NodeAddress) -> bytes:
     if isinstance(addr, Eui64):
         return iid_from_eui64(addr.eui)
     if isinstance(addr, Short16):
-        return iid_from_pseudo48(pseudo48(addr.pan_id, addr.short))
+        pan_id, short = addr
+        return _SHORT_IID.pack(UNIVERSAL_LOCAL_BIT << 8, pan_id >> 8, 0xFFFE, pan_id & 0xFF, short)
     raise TypeError(f"not a link address: {addr!r}")
 
 

@@ -36,17 +36,19 @@ per-address path.  Security is modelled
 purely as `overhead` zero filler octets (auxiliary header plus MIC
 stand-in).  Each enum carries what the codec reads from it as a plain
 member attribute set in its `__init__`: `FrameType.code` and
-`SecurityMode.code` (the two-bit wire codes), `SecurityMode.overhead`
-and `PhyBand.bit_rate`.  Decoding maps the codes to their members by
+`SecurityMode.code` (the two-bit wire codes), `SecurityMode.overhead`,
+`SecurityMode.budget` (what `mac_payload_budget` returns) and
+`PhyBand.bit_rate`.  Decoding maps the codes to their members by
 indexing a tuple of the members.  The FCS is CRC-16/XMODEM (polynomial
 0x1021, init 0x0000, MSB first, no final XOR) over everything that
 precedes it; that is the stdlib's `binascii.crc_hqx(data, 0)`.  The
 budget arithmetic always uses the 25-octet worst case even when short
 addressing makes the actual header smaller.
 
-`Short16` and `MacFrame` (and `codec.MeshHeader`) are immutable value
-types: `CheckedTuple` subclasses of a `namedtuple` whose `__new__` runs
-every range check once.  They compare equal only to an instance of the
+`Short16` and `MacFrame` (and `codec.MeshHeader`, `ipv6.Ipv6Packet`,
+`ipv6.UdpDatagram` and `gateway.NwkFrame`) are immutable value types:
+`CheckedTuple` subclasses of a `namedtuple` whose `__new__` runs every
+range check once.  They compare equal only to an instance of the
 same class with equal fields, hash by value, and `_make` / `_replace`
 go through the same checks.
 """
@@ -125,6 +127,8 @@ class SecurityMode(Enum):
         self.code: int = code
         # octets of auxiliary security header plus MIC, by suite code
         self.overhead: int = (0, 9, 13, 21)[code]
+        # octets left to the MAC payload under the worst-case header
+        self.budget: int = PSDU_MAX - MAC_OVERHEAD - self.overhead
 
 
 class FrameType(Enum):
@@ -200,7 +204,7 @@ NodeAddress = Short16 | Eui64
 
 def mac_payload_budget(security: SecurityMode) -> int:
     """Octets available to the MAC payload under the worst-case header."""
-    return PSDU_MAX - MAC_OVERHEAD - security.overhead
+    return security.budget
 
 
 def frame_airtime(band: PhyBand, ppdu_octets: int) -> float:
@@ -271,7 +275,7 @@ class MacFrame(
         if frame_type is FrameType.ACK:
             if src is not None or dst is not None or payload:
                 raise FrameError("ACK frames carry no addressing and no payload")
-        budget = mac_payload_budget(security)
+        budget = security.budget
         if len(payload) > budget:
             raise PayloadOverBudget(
                 f"payload {len(payload)} octets exceeds budget {budget} for {security.name}"

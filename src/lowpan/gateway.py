@@ -29,12 +29,13 @@ front end.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address
 
 from .codec import DispatchKind, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh, parse_dispatch
-from .frame import NodeAddress, SecurityMode, mac_payload_budget
+from .frame import CheckedTuple, NodeAddress, SecurityMode, mac_payload_budget
 from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, fragment
 
@@ -163,24 +164,32 @@ def resolve_devid(registry: DevidRegistry, devid: int) -> Endpoint:
 
 # --- zigbee network frames ------------------------------------------------
 
-@dataclass(frozen=True)
-class NwkFrame:
+class NwkFrame(
+    CheckedTuple,
+    namedtuple("NwkFrame", "dst_short src_short radius sequence frame_control payload"),
+):
     """Synthetic Zigbee network-layer frame.
 
     The high two bits of the leading frame-control octet are kept zero
     so the frame classifies as non-6LoWPAN under the dispatch table.
+    A `frame.CheckedTuple` value type: that check runs once, in `__new__`,
+    and `_make` / `_replace` run it too.
     """
 
-    dst_short: int
-    src_short: int
-    radius: int = 8
-    sequence: int = 0
-    frame_control: int = 0x0900
-    payload: bytes = b""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.frame_control >> 8) & 0xC0:
+    def __new__(
+        cls,
+        dst_short: int,
+        src_short: int,
+        radius: int = 8,
+        sequence: int = 0,
+        frame_control: int = 0x0900,
+        payload: bytes = b"",
+    ):
+        if (frame_control >> 8) & 0xC0:
             raise GatewayError("frame control would collide with 6LoWPAN dispatch space")
+        return tuple.__new__(cls, (dst_short, src_short, radius, sequence, frame_control, payload))
 
     def encode(self) -> bytes:
         return (
@@ -379,14 +388,16 @@ class Gateway:
     registry: DevidRegistry = field(default_factory=dict)
     mapping: MappingTable = field(init=False)
     discovery: DiscoveryCache = field(init=False)
+    prefix64: bytes | None = field(init=False)  # the delegated prefix's first 8 octets
 
     def __post_init__(self):
         prefix = self.prefix if self.prefix is not None else IPv6Address("2001:db8::")
         self.mapping = MappingTable(prefix=prefix)
         self.discovery = DiscoveryCache(ttl=self.discovery_ttl)
+        self.prefix64 = None if self.prefix is None else self.prefix.packed[:8]
 
     def owns_prefix(self, address: IPv6Address) -> bool:
-        return self.prefix is not None and address.packed[:8] == self.prefix.packed[:8]
+        return self.prefix64 is not None and address.packed[:8] == self.prefix64
 
     # devid mode
 

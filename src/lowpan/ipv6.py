@@ -3,13 +3,20 @@
 The IPv6 header is a fixed 40 octets, the UDP header a fixed 8.  TCP is
 not modelled as a transport; it exists only as a next-header code and a
 20-octet size constant for budget arithmetic.
+
+`Ipv6Packet` and `UdpDatagram` are immutable value types built, like the
+MAC-layer ones, on `frame.CheckedTuple`: `__new__` runs every range check
+once (traffic class, flow label, next header, hop limit and payload size;
+each port and the checksum), and `_make` / `_replace` run them too.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from ipaddress import IPv6Address
+
+from .frame import CheckedTuple
 
 IPV6_HEADER_OCTETS = 40
 UDP_HEADER_OCTETS = 8
@@ -33,45 +40,54 @@ class TruncatedHeader(PacketError):
     pass
 
 
-@dataclass(frozen=True)
-class Ipv6Packet:
-    src: IPv6Address
-    dst: IPv6Address
-    next_header: int = NEXT_HEADER_UDP
-    hop_limit: int = 64
-    payload: bytes = b""
-    traffic_class: int = 0
-    flow_label: int = 0
+class Ipv6Packet(
+    CheckedTuple,
+    namedtuple("Ipv6Packet", "src dst next_header hop_limit payload traffic_class flow_label"),
+):
+    """One IPv6 packet: addresses, header fields and the payload octets."""
 
-    def __post_init__(self):
-        if not 0 <= self.traffic_class <= 0xFF:
-            raise ValueError(f"traffic class out of range: {self.traffic_class}")
-        if not 0 <= self.flow_label <= 0xFFFFF:
-            raise ValueError(f"flow label out of range: {self.flow_label}")
-        if not 0 <= self.next_header <= 0xFF:
-            raise ValueError(f"next header out of range: {self.next_header}")
-        if not 0 <= self.hop_limit <= 0xFF:
-            raise ValueError(f"hop limit out of range: {self.hop_limit}")
-        if len(self.payload) > 0xFFFF:
-            raise ValueError(f"payload too large: {len(self.payload)} octets")
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        src: IPv6Address,
+        dst: IPv6Address,
+        next_header: int = NEXT_HEADER_UDP,
+        hop_limit: int = 64,
+        payload: bytes = b"",
+        traffic_class: int = 0,
+        flow_label: int = 0,
+    ):
+        if not 0 <= traffic_class <= 0xFF:
+            raise ValueError(f"traffic class out of range: {traffic_class}")
+        if not 0 <= flow_label <= 0xFFFFF:
+            raise ValueError(f"flow label out of range: {flow_label}")
+        if not 0 <= next_header <= 0xFF:
+            raise ValueError(f"next header out of range: {next_header}")
+        if not 0 <= hop_limit <= 0xFF:
+            raise ValueError(f"hop limit out of range: {hop_limit}")
+        if len(payload) > 0xFFFF:
+            raise ValueError(f"payload too large: {len(payload)} octets")
+        return tuple.__new__(cls, (src, dst, next_header, hop_limit, payload, traffic_class, flow_label))
 
     @property
     def payload_length(self) -> int:
         return len(self.payload)
 
 
-@dataclass(frozen=True)
-class UdpDatagram:
-    src_port: int
-    dst_port: int
-    checksum: int = 0
-    payload: bytes = b""
+class UdpDatagram(CheckedTuple, namedtuple("UdpDatagram", "src_port dst_port checksum payload")):
+    """One UDP datagram: ports, checksum and the payload octets."""
 
-    def __post_init__(self):
-        for name in ("src_port", "dst_port", "checksum"):
-            value = getattr(self, name)
-            if not 0 <= value <= 0xFFFF:
-                raise ValueError(f"{name} out of range: {value}")
+    __slots__ = ()
+
+    def __new__(cls, src_port: int, dst_port: int, checksum: int = 0, payload: bytes = b""):
+        if not 0 <= src_port <= 0xFFFF:
+            raise ValueError(f"src_port out of range: {src_port}")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise ValueError(f"dst_port out of range: {dst_port}")
+        if not 0 <= checksum <= 0xFFFF:
+            raise ValueError(f"checksum out of range: {checksum}")
+        return tuple.__new__(cls, (src_port, dst_port, checksum, payload))
 
     @property
     def length(self) -> int:
@@ -149,5 +165,5 @@ def udp_packet(
 ) -> Ipv6Packet:
     """An IPv6 packet carrying one UDP datagram with its checksum filled in."""
     udp = UdpDatagram(sport, dport, 0, payload)
-    udp = UdpDatagram(sport, dport, udp_checksum(src, dst, udp), payload)
+    udp = udp._replace(checksum=udp_checksum(src, dst, udp))
     return Ipv6Packet(src=src, dst=dst, next_header=NEXT_HEADER_UDP, payload=encode_udp(udp))

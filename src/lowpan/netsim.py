@@ -93,6 +93,7 @@ from .reassembly import (
 
 BC0_CACHE_ENTRIES = 64
 WIRED_DELAY = 0.001  # one-way latency of the wired IPv6 domain, in seconds
+_TRACE_LINE = "%.6f\t%s\t%s\t%s\t%s"  # time, node, kind, detail, nbytes
 
 
 class NodeRole(Enum):
@@ -131,19 +132,23 @@ class TraceRecord(NamedTuple):
     nbytes: int = 0
 
     def line(self) -> str:
-        return f"{self.time:.6f}\t{self.node}\t{self.kind}\t{self.detail}\t{self.nbytes}"
+        return _TRACE_LINE % self
 
 
-class _AddressText(dict):
-    """`IPv6Address` -> its text, each address formatted once.
+class _TraceText(dict):
+    """A value -> its trace text, each value formatted once by `to_text`.
 
-    Trace details name the same few addresses over and over, and
-    `str(IPv6Address)` is pure Python.  A world keeps one of these, so it
-    holds only the addresses that world's packets carry.
+    Trace details name the same few addresses and shorts over and over, and
+    `str(IPv6Address)` is pure Python.  A world keeps one of these per kind
+    of text, so each holds only the values that world's packets carry.
     """
 
-    def __missing__(self, addr: IPv6Address) -> str:
-        text = self[addr] = str(addr)
+    def __init__(self, to_text):
+        super().__init__()
+        self.to_text = to_text
+
+    def __missing__(self, value) -> str:
+        text = self[value] = self.to_text(value)
         return text
 
 
@@ -163,6 +168,7 @@ class SimNode:
         self.pan_id = pan_id
         self.short = short
         self.wpan_address = Short16(pan_id, short)
+        self.iid = addressing.iid_for(self.wpan_address)  # the interface identifier, from the short
         self.eui = eui
         self.sleep = sleep
         self.security = security
@@ -183,7 +189,7 @@ class SimNode:
 
     @property
     def link_local(self) -> IPv6Address:
-        return addressing.link_local(addressing.iid_for(self.wpan_address))
+        return addressing.link_local(self.iid)
 
     def matches(self, addr: NodeAddress) -> bool:
         if isinstance(addr, Short16):
@@ -231,10 +237,16 @@ class World:
         self.gateways: dict[str, Gateway] = {}
         self._gateway_ids: list[str] = []  # the gateways' ids, in id order
         self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
+        # where a wired packet goes: its destination address, or that address's
+        # first 8 octets, -> the lowest id of a gateway with that wired address
+        # or delegated prefix
+        self._wired_gateway: dict[IPv6Address, str] = {}
+        self._prefix_gateway: dict[bytes, str] = {}
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace: list[TraceRecord] = []
-        self._addr_text = _AddressText()
+        self._addr_text = _TraceText(str)  # IPv6Address -> its text
+        self._rx_text = _TraceText("src=0x%04X".__mod__)  # a frame's source short -> rx detail
         self.metrics: dict[str, float] = {}
         self._queue: list = []
         self._event_seq = 0
@@ -271,7 +283,7 @@ class World:
         )
         self.nodes[node_id] = node
         self.by_addr[(pan, short)] = node
-        for iid in (addressing.iid_for(node.wpan_address), addressing.iid_from_eui64(node.eui)):
+        for iid in (node.iid, addressing.iid_from_eui64(node.eui)):
             held = self.by_iid.get((pan, iid))
             if held is None or short < held.short:  # a shared IID resolves to the lower short
                 self.by_iid[(pan, iid)] = node
@@ -306,6 +318,10 @@ class World:
         self.gateways[node_id] = gw
         bisect.insort(self._gateway_ids, node_id)
         self._pan_gateway[pan] = min(node_id, self._pan_gateway.get(pan, node_id))
+        # IPv6Address keys compare scope ids too, as `==` does
+        self._wired_gateway[wired_addr] = min(node_id, self._wired_gateway.get(wired_addr, node_id))
+        if gw.prefix64 is not None:
+            self._prefix_gateway[gw.prefix64] = min(node_id, self._prefix_gateway.get(gw.prefix64, node_id))
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
@@ -431,7 +447,7 @@ class World:
         entry = self.segment_gateway(node.pan_id)
         if entry is None or entry[1].prefix is None:
             raise ValueError(f"segment of {node_id!r} has no delegated prefix")
-        return addressing.global_unicast(entry[1].prefix, addressing.iid_for(node.wpan_address))
+        return addressing.global_unicast(entry[1].prefix, node.iid)
 
     # --- event loop -------------------------------------------------------
 
@@ -697,8 +713,9 @@ class World:
         except FrameError as exc:
             self._drop(node.id, "malformed-frame", str(exc))
             return
-        src = f"0x{frame.src.short:04X}" if isinstance(frame.src, Short16) else "?"
-        self.record(node.id, "rx", f"src={src}", PHY_OVERHEAD + len(psdu))
+        src = frame.src
+        detail = self._rx_text[src.short] if isinstance(src, Short16) else "src=?"
+        self.record(node.id, "rx", detail, PHY_OVERHEAD + len(psdu))
         self.bump("frames_rx")
         self._receivers[node.stack](node, frame)
 
@@ -869,13 +886,16 @@ class World:
             self.record(host.id, "deliver", f"kind=ipv6 from={src}", pkt.payload_length)
             self.bump("delivered")
             return
-        for gw_id in self._gateway_ids:
-            gw = self.gateways[gw_id]
-            if pkt.dst == gw.wired_addr or gw.owns_prefix(pkt.dst):
-                self.record(gw_id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
-                self._gateway_downlink(gw_id, gw, pkt)
-                return
-        self._drop("wired", "no-wired-route", f"dst={self._addr_text[pkt.dst]}")
+        # the lowest-id gateway whose wired address is, or whose prefix holds, the destination
+        gw_id = self._wired_gateway.get(pkt.dst)
+        by_prefix = self._prefix_gateway.get(pkt.dst.packed[:8])
+        if by_prefix is not None and (gw_id is None or by_prefix < gw_id):
+            gw_id = by_prefix
+        if gw_id is None:
+            self._drop("wired", "no-wired-route", f"dst={self._addr_text[pkt.dst]}")
+            return
+        self.record(gw_id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
+        self._gateway_downlink(gw_id, self.gateways[gw_id], pkt)
 
     def _gateway_downlink(self, gw_id: str, gw: Gateway, pkt: Ipv6Packet):
         node = self.nodes[gw_id]
@@ -924,7 +944,7 @@ class World:
     # --- reporting --------------------------------------------------------------
 
     def trace_lines(self) -> list[str]:
-        return [record.line() for record in self.trace]
+        return [_TRACE_LINE % record for record in self.trace]
 
     def metrics_lines(self) -> list[str]:
         out = dict(self.metrics)

@@ -1,0 +1,23 @@
+"""Counter conservation laws that every simulated world obeys.
+
+Shared by the tests that run worlds to their end: the pinned scenario and
+benchmark runs (`test_digests.py`) and the generated scenarios the loader
+accepts (`test_scenario.py`).
+"""
+
+
+def check_counter_laws(world):
+    """Counter conservation: every drop has a reason counter, and every
+    frame put on the air is received, lost, missed asleep, undecodable or
+    still in flight."""
+    metrics = world.metrics
+    reasons = sum(v for k, v in metrics.items() if k.startswith("drops_"))
+    assert metrics.get("drops", 0) == reasons
+    asleep_rx = sum(1 for r in world.trace if r.kind == "drop" and r.detail.startswith("reason=asleep dir=rx"))
+    in_flight = sum(
+        1 for _, _, fn in world._queue if getattr(fn, "func", None) in (world._rx_event, world._loss_event)
+    )
+    assert metrics.get("frames_tx", 0) == (
+        metrics.get("frames_rx", 0) + metrics.get("drops_loss", 0) + asleep_rx
+        + metrics.get("drops_malformed-frame", 0) + in_flight
+    )

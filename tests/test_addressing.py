@@ -1,7 +1,7 @@
 from ipaddress import IPv6Address
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lowpan import addressing
@@ -28,6 +28,17 @@ def test_iid_from_eui64_is_involution(eui):
 def test_pseudo48():
     assert addressing.pseudo48(0xABCD, 0x1234) == bytes.fromhex("0000abcd1234")
     assert addressing.pseudo48(0, 0) == bytes(6)
+
+
+@example(0, 0)
+@example(0xFFFF, 0xFFFF)
+@example(0x00FF, 0xFF00)
+@given(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))
+def test_short_iid_is_the_pseudo48_derivation(pan_id, short):
+    # iid_for packs a short address's IID in one step; it must equal the
+    # three-step derivation: pseudo 48-bit address, 0xFFFE insertion, U/L flip
+    expected = addressing.iid_from_pseudo48(addressing.pseudo48(pan_id, short))
+    assert addressing.iid_for(Short16(pan_id, short)) == expected
 
 
 def test_pseudo48_injective_on_grid():

@@ -6,7 +6,7 @@ three workloads at its default and held-out seeds.  A change to any
 trace or metrics byte fails here, so a change meant to keep the output
 (a speedup, a refactor) is checked by the tier-1 run itself.  A change
 meant to alter the output updates the pins and says why.  Every run is
-also checked against two counter conservation laws (`_check_counter_laws`).
+also checked against two counter conservation laws (`counter_laws.py`).
 """
 
 import hashlib
@@ -14,6 +14,7 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+from counter_laws import check_counter_laws
 
 from lowpan.scenario import load_scenario
 
@@ -55,28 +56,11 @@ def _workloads():
     return module.WORKLOADS
 
 
-def _check_counter_laws(world):
-    """Counter conservation: every drop has a reason counter, and every
-    frame put on the air is received, lost, missed asleep, undecodable or
-    still in flight."""
-    metrics = world.metrics
-    reasons = sum(v for k, v in metrics.items() if k.startswith("drops_"))
-    assert metrics.get("drops", 0) == reasons
-    asleep_rx = sum(1 for r in world.trace if r.kind == "drop" and r.detail.startswith("reason=asleep dir=rx"))
-    in_flight = sum(
-        1 for _, _, fn in world._queue if getattr(fn, "func", None) in (world._rx_event, world._loss_event)
-    )
-    assert metrics.get("frames_tx", 0) == (
-        metrics.get("frames_rx", 0) + metrics.get("drops_loss", 0) + asleep_rx
-        + metrics.get("drops_malformed-frame", 0) + in_flight
-    )
-
-
 def _digest(text: str, mode: str | None = None) -> str:
     """What `lowpan run [--mode-override MODE]` writes, hashed as trace.tsv + metrics.txt."""
     world, t_end = load_scenario(text, mode_override=mode)
     world.run_until(t_end)
-    _check_counter_laws(world)
+    check_counter_laws(world)
     out = "".join(line + "\n" for line in world.trace_lines())
     out += "".join(line + "\n" for line in world.metrics_lines())
     return hashlib.sha256(out.encode()).hexdigest()

@@ -47,6 +47,7 @@ def test_budget_values():
 @pytest.mark.parametrize("mode", SecurityMode)
 def test_budget_identity(mode):
     assert mac_payload_budget(mode) + MAC_OVERHEAD + mode.overhead == PSDU_MAX
+    assert mac_payload_budget(mode) == mode.budget == PSDU_MAX - MAC_OVERHEAD - mode.overhead
 
 
 def test_security_overheads():

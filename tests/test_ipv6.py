@@ -1,3 +1,4 @@
+import re
 import struct
 from ipaddress import IPv6Address
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lowpan.gateway import GatewayError, NwkFrame
 from lowpan.ipv6 import (
     IPV6_HEADER_OCTETS,
     NEXT_HEADER_UDP,
@@ -182,3 +184,101 @@ def test_decode_udp_raises_only_packet_errors(data, fix_length):
         decode_udp(bytes(data))
     except PacketError:
         pass
+
+
+# --- value types ----------------------------------------------------------
+
+def _raises_exactly(error, message, build):
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        build()
+    assert caught.type is error
+
+
+def test_packet_value_types_keep_their_checks():
+    pkt = _packet(payload=b"hi")
+    udp = UdpDatagram(7, 9, 0x1234, b"data")
+    nwk = NwkFrame(dst_short=1, src_short=2, sequence=3, payload=b"apl")
+
+    # every range check, with its error class and message
+    for field, top, name in (
+        ("traffic_class", 0xFF, "traffic class"),
+        ("flow_label", 0xFFFFF, "flow label"),
+        ("next_header", 0xFF, "next header"),
+        ("hop_limit", 0xFF, "hop limit"),
+    ):
+        _packet(**{field: top})
+        _packet(**{field: 0})
+        _raises_exactly(ValueError, f"{name} out of range: {top + 1}", lambda: _packet(**{field: top + 1}))
+        _raises_exactly(ValueError, f"{name} out of range: -1", lambda: _packet(**{field: -1}))
+    _packet(payload=bytes(0xFFFF))
+    _raises_exactly(ValueError, "payload too large: 65536 octets", lambda: _packet(payload=bytes(0x10000)))
+    # the checks run in field order: traffic class first, payload size last
+    _raises_exactly(
+        ValueError, "traffic class out of range: 256",
+        lambda: _packet(traffic_class=256, flow_label=-1, hop_limit=256, payload=bytes(0x10000)),
+    )
+    for position, name in enumerate(("src_port", "dst_port", "checksum")):
+        fields = [0, 0, 0]
+        fields[position] = 0xFFFF
+        UdpDatagram(*fields)
+        fields[position] = 0x10000
+        _raises_exactly(ValueError, f"{name} out of range: 65536", lambda: UdpDatagram(*fields))
+        fields[position] = -1
+        _raises_exactly(ValueError, f"{name} out of range: -1", lambda: UdpDatagram(*fields))
+    _raises_exactly(ValueError, "src_port out of range: -1", lambda: UdpDatagram(-1, -1, -1))
+    collision = "frame control would collide with 6LoWPAN dispatch space"
+    for frame_control in (0x4000, 0x8000, 0xC000, 0x40FF):
+        _raises_exactly(GatewayError, collision, lambda: NwkFrame(1, 2, frame_control=frame_control))
+    NwkFrame(1, 2, frame_control=0x3FFF)
+
+    # no other way to build one skips them
+    _raises_exactly(ValueError, "hop limit out of range: 256", lambda: pkt._replace(hop_limit=256))
+    _raises_exactly(ValueError, "flow label out of range: 1048576", lambda: Ipv6Packet._make((SRC, DST, 17, 64, b"", 0, 1 << 20)))
+    _raises_exactly(ValueError, "checksum out of range: 65536", lambda: udp._replace(checksum=0x10000))
+    _raises_exactly(ValueError, "dst_port out of range: -1", lambda: UdpDatagram._make((1, -1, 0, b"")))
+    _raises_exactly(GatewayError, collision, lambda: nwk._replace(frame_control=0xC000))
+    _raises_exactly(GatewayError, collision, lambda: NwkFrame._make((1, 2, 8, 0, 0x8000, b"")))
+    assert udp._replace(checksum=5) == UdpDatagram(7, 9, 5, b"data")
+    assert pkt._replace(hop_limit=1) == _packet(payload=b"hi", hop_limit=1)
+
+    # immutable
+    for value, field in ((pkt, "hop_limit"), (udp, "checksum"), (nwk, "sequence")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 2)
+        with pytest.raises(AttributeError):
+            value.extra = 2
+
+    # hashed and compared by value, and only within one class
+    assert pkt == _packet(payload=b"hi") and hash(pkt) == hash(_packet(payload=b"hi"))
+    assert pkt != _packet(payload=b"ho") and not pkt == _packet(payload=b"ho")
+    assert udp == UdpDatagram(7, 9, 0x1234, b"data") and hash(udp) == hash(UdpDatagram(7, 9, 0x1234, b"data"))
+    assert udp != UdpDatagram(7, 9, 0x1235, b"data")
+    assert nwk == NwkFrame(1, 2, 8, 3, 0x0900, b"apl") and hash(nwk) == hash(NwkFrame(1, 2, 8, 3, 0x0900, b"apl"))
+    assert nwk != NwkFrame(1, 2, 8, 4, 0x0900, b"apl")
+    assert len({pkt, _packet(payload=b"hi"), udp, UdpDatagram(7, 9, 0x1234, b"data")}) == 2
+    assert NwkFrame(1, 2, 8, 0) != UdpDatagram(1, 2, 8, b"") and UdpDatagram(1, 2, 8, b"") != NwkFrame(1, 2, 8, 0)
+    for value, bare in (
+        (pkt, (SRC, DST, 17, 64, b"hi", 0, 0)),
+        (udp, (7, 9, 0x1234, b"data")),
+        (nwk, (1, 2, 8, 3, 0x0900, b"apl")),
+    ):
+        assert value != bare and bare != value and not value == bare
+
+    # the constructors' keywords, defaults and repr
+    assert Ipv6Packet(SRC, DST) == Ipv6Packet(
+        src=SRC, dst=DST, next_header=NEXT_HEADER_UDP, hop_limit=64, payload=b"", traffic_class=0, flow_label=0
+    )
+    assert UdpDatagram(1, 2) == UdpDatagram(src_port=1, dst_port=2, checksum=0, payload=b"")
+    assert NwkFrame(1, 2) == NwkFrame(
+        dst_short=1, src_short=2, radius=8, sequence=0, frame_control=0x0900, payload=b""
+    )
+    assert pkt.payload_length == 2 and udp.length == 12
+    assert repr(pkt) == (
+        "Ipv6Packet(src=IPv6Address('fe80::1'), dst=IPv6Address('2001:db8::2'), next_header=17, "
+        "hop_limit=64, payload=b'hi', traffic_class=0, flow_label=0)"
+    )
+    assert repr(udp) == "UdpDatagram(src_port=7, dst_port=9, checksum=4660, payload=b'data')"
+    assert repr(nwk) == (
+        "NwkFrame(dst_short=1, src_short=2, radius=8, sequence=3, frame_control=2304, payload=b'apl')"
+    )
+    assert NwkFrame.decode(nwk.encode()) == nwk

@@ -432,6 +432,31 @@ def test_gateway_lookups_pick_the_lowest_id_whatever_the_insertion_order(order):
     assert [r.node for r in world.trace if r.kind == "wired-rx"] == ["gx"]
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["in-id-order", "reverse"])
+def test_wired_delivery_takes_the_lowest_id_of_address_and_prefix_matches(reverse):
+    world = make_line()
+    gateways = [  # (id, short, wired address, keyword arguments)
+        ("g1", 0x00FE, IPv6Address("fd00::b%eth0"), dict(pan_id=0x2345)),
+        ("g2", 0x00FE, IPv6Address("fd00::b"), dict(pan_id=0x3456)),
+        ("g3", 0x00FE, IPv6Address("fd00::b"), dict(pan_id=0x4567)),  # shares g2's address
+        ("gx", 0x00FC, IPv6Address("fd00::a"), dict(prefix=IPv6Address("2001:db8:a::"))),
+        # gy's wired address lies inside lower-id gx's prefix
+        ("gy", 0x00FD, IPv6Address("2001:db8:a::ff"), dict(pan_id=0x1234)),
+    ]
+    for gw_id, short, wired, kwargs in reversed(gateways) if reverse else gateways:
+        world.add_gateway(gw_id, short, GatewayMode.BORDER, wired, **kwargs)
+    world.add_host("h", IPv6Address("fd00::99"))
+    world.send_udp(0.0, "h", "gy", 1, 2, b"x")
+    world.send_udp(1.0, "h", "g1", 1, 2, b"x")  # to fd00::b%eth0: only g1's scoped address matches
+    world.send_udp(2.0, "h", "g3", 1, 2, b"x")  # to fd00::b: g2, not the lower-id g1 nor g3
+    world.send_udp(3.0, "h", "g1", 1, 2, b"x", dst_addr=IPv6Address("fd00::b%eth1"))
+    world.run()
+    assert [(r.time, r.node) for r in world.trace if r.kind == "wired-rx"] == [
+        (0.001, "gx"), (1.001, "g1"), (2.001, "g2"),
+    ]
+    assert [r.detail for r in drops_of(world, "no-wired-route")] == ["reason=no-wired-route dst=fd00::b%eth1"]
+
+
 @pytest.mark.parametrize("scenario", ["demo", "devid", "zigbee"])
 def test_every_received_frame_is_decoded(scenario_dir, scenario, monkeypatch):
     calls = 0

@@ -4,6 +4,7 @@ import random
 import re
 from pathlib import Path
 
+from counter_laws import check_counter_laws
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
@@ -130,8 +131,7 @@ def test_loader_rejects_or_runs_generated_scenarios(rnd, mode):
     except ScenarioError:
         return  # rejected at a line; any other exception fails the test
     world.run_until(min(t_end, 5.0))
-    drops = sum(value for key, value in world.metrics.items() if key.startswith("drops_"))
-    assert world.metrics.get("drops", 0) == drops
+    check_counter_laws(world)  # drops == the sum of drops_*, and every frame sent has a fate
 
 
 def _documented(block: str):
