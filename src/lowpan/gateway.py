@@ -319,9 +319,8 @@ class ServiceQuery:
 
 @dataclass
 class DiscoveryCache:
-    """Per-query return-path records held for a limited period."""
+    """Per-query return-path records held for `DEFAULT_DISCOVERY_TTL` seconds."""
 
-    ttl: float = DEFAULT_DISCOVERY_TTL
     _pending: dict[int, list[tuple[IPv6Address | int, float]]] = field(default_factory=dict)
 
     def remember(self, pan_id: int, origin: IPv6Address | int, now: float):
@@ -329,7 +328,7 @@ class DiscoveryCache:
 
     def take_live(self, pan_id: int, now: float) -> list[IPv6Address | int]:
         entries = self._pending.pop(pan_id, [])
-        live = [origin for origin, t in entries if now - t <= self.ttl]
+        live = [origin for origin, t in entries if now - t <= DEFAULT_DISCOVERY_TTL]
         if not live:
             raise StaleRecord(f"no live discovery record for PAN 0x{pan_id:04X}")
         return live
@@ -383,17 +382,15 @@ class Gateway:
     prefix: IPv6Address | None = None
     subscribers: tuple[IPv6Address, ...] = ()
     tunnel_peer: IPv6Address | None = None
-    discovery_ttl: float = DEFAULT_DISCOVERY_TTL
 
     registry: DevidRegistry = field(default_factory=dict)
     mapping: MappingTable = field(init=False)
-    discovery: DiscoveryCache = field(init=False)
+    discovery: DiscoveryCache = field(init=False, default_factory=DiscoveryCache)
     prefix64: bytes | None = field(init=False)  # the delegated prefix's first 8 octets
 
     def __post_init__(self):
         prefix = self.prefix if self.prefix is not None else IPv6Address("2001:db8::")
         self.mapping = MappingTable(prefix=prefix)
-        self.discovery = DiscoveryCache(ttl=self.discovery_ttl)
         self.prefix64 = None if self.prefix is None else self.prefix.packed[:8]
 
     def owns_prefix(self, address: IPv6Address) -> bool:

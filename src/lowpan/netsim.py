@@ -1,10 +1,10 @@
 """Deterministic discrete-event simulation of LoWPAN segments.
 
-A world holds WPAN nodes, point-to-point radio links, optional gateways
-and wired IPv6 hosts.  Events are processed in (time, sequence) order
-from a single queue; the only randomness is per-transmission loss,
-sampled from one seeded generator, so a world's trace is a pure
-function of its scenario and seed.
+A world holds WPAN nodes, point-to-point radio links inside one PAN,
+optional gateways and wired IPv6 hosts.  Events are processed in (time,
+sequence) order from a single queue; the only randomness is
+per-transmission loss, sampled from one seeded generator, so a world's
+trace is a pure function of its scenario and seed.
 
 Node behaviour:
 
@@ -73,7 +73,6 @@ from .frame import (
     frame_airtime,
 )
 from .gateway import (
-    DEFAULT_DISCOVERY_TTL,
     AppHeader,
     Gateway,
     GatewayError,
@@ -82,7 +81,7 @@ from .gateway import (
     NWK_BROADCAST_SHORT,
     mesh_fragments,
 )
-from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, PacketError, decode_udp, udp_packet
+from .ipv6 import UDP_HEADER_OCTETS, Ipv6Packet, PacketError, udp_packet
 from .reassembly import (
     REASSEMBLY_TIMEOUT,
     FragmentOutcome,
@@ -235,7 +234,6 @@ class World:
         self.links: dict[tuple[str, str], SimLink] = {}
         self.neighbors: dict[str, list[str]] = {}
         self.gateways: dict[str, Gateway] = {}
-        self._gateway_ids: list[str] = []  # the gateways' ids, in id order
         self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
         # where a wired packet goes: its destination address, or that address's
         # first 8 octets, -> the lowest id of a gateway with that wired address
@@ -251,7 +249,6 @@ class World:
         self._queue: list = []
         self._event_seq = 0
         self._prepared = False
-        self._pan_neighbors: dict[str, list[str]] = {}  # routing's radio graph, built by prepare
         self._relays: set[str] = set()  # the nodes routing may use as transit
         # routing state, grown on lookup: destination id -> (hop counts by
         # node id, the nodes whose neighbours are still to walk)
@@ -301,7 +298,6 @@ class World:
         pan_id: int | None = None,
         subscribers: tuple[IPv6Address, ...] = (),
         tunnel_peer: IPv6Address | None = None,
-        discovery_ttl: float = DEFAULT_DISCOVERY_TTL,
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
         self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)
@@ -313,10 +309,8 @@ class World:
             prefix=prefix,
             subscribers=subscribers,
             tunnel_peer=tunnel_peer,
-            discovery_ttl=discovery_ttl,
         )
         self.gateways[node_id] = gw
-        bisect.insort(self._gateway_ids, node_id)
         self._pan_gateway[pan] = min(node_id, self._pan_gateway.get(pan, node_id))
         # IPv6Address keys compare scope ids too, as `==` does
         self._wired_gateway[wired_addr] = min(node_id, self._wired_gateway.get(wired_addr, node_id))
@@ -335,9 +329,17 @@ class World:
     def add_link(
         self, a: str, b: str, band: PhyBand = PhyBand.B2450, loss: float = 0.0
     ) -> SimLink:
+        """Join two different nodes of one PAN; PANs meet only through a gateway."""
         for end in (a, b):
             if end not in self.nodes:
                 raise ValueError(f"unknown node {end!r}")
+        if a == b:
+            raise ValueError(f"a link joins two different nodes, not {a!r} to itself")
+        pan_a, pan_b = self.nodes[a].pan_id, self.nodes[b].pan_id
+        if pan_a != pan_b:
+            raise ValueError(
+                f"a link joins two nodes of one PAN, not {a!r} (PAN 0x{pan_a:04X}) and {b!r} (PAN 0x{pan_b:04X})"
+            )
         link = SimLink(a, b, band, loss)
         self.links[(a, b)] = link
         self.links[(b, a)] = link
@@ -363,8 +365,8 @@ class World:
         return None if gw_id is None else (gw_id, self.gateways[gw_id])
 
     def prepare(self):
-        """Give each node its receive stack, index the radio graph for routing
-        and register gateway mappings.
+        """Give each node its receive stack, note the forwarders routing may
+        use and admit each zigbee gateway's nodes to its mapping.
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
@@ -376,14 +378,9 @@ class World:
             gw_id = node_id if node_id in self.gateways else self._pan_gateway.get(node.pan_id)
             if gw_id is not None:
                 node.stack = self.gateways[gw_id].mode.stack
-        self._pan_neighbors = {
-            node_id: [v for v in self.neighbors[node_id] if self.nodes[v].pan_id == node.pan_id]
-            for node_id, node in self.nodes.items()
-        }
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
-        for gw_id in self._gateway_ids:
-            gw = self.gateways[gw_id]
-            if gw.mode in (GatewayMode.ZIGBEE, GatewayMode.BRIDGE):
+        for gw_id, gw in self.gateways.items():  # each mapping is its gateway's own, so order is free
+            if gw.mode is GatewayMode.ZIGBEE:  # bridge mode tunnels NWK frames verbatim
                 for (pan, short), node in sorted(self.by_addr.items()):
                     if pan == gw.pan_id and node.id != gw_id:
                         gw.mapping.register_node(node.eui, short)
@@ -405,7 +402,7 @@ class World:
         return hop
 
     def _route(self, node: SimNode, final_short: int) -> int | None:
-        """The pinned route, else the lowest-id same-PAN neighbour one hop closer.
+        """The pinned route, else the lowest-id neighbour one hop closer.
 
         Hop counts come from a breadth-first search out of the destination,
         kept per destination and shared by every node routing toward it.  It
@@ -422,7 +419,7 @@ class World:
         if tree is None:
             tree = self.hop_trees[target.id] = ({target.id: 0}, [target.id])
         hops, frontier = tree
-        neighbors, relays = self._pan_neighbors, self._relays
+        neighbors, relays = self.neighbors, self._relays
         while node.id not in hops and frontier:
             level = hops[frontier[0]] + 1
             grown = []
@@ -541,11 +538,10 @@ class World:
     def send_app(self, at: float, src_id: str, src_devid: int, dst_devid: int, data: bytes):
         self.schedule(at, partial(self._do_send_app, src_id, src_devid, dst_devid, data))
 
-    def send_apl(self, at: float, src_id: str, dst_short: int, apl: bytes):
-        self.schedule(at, partial(self._do_send_nwk, src_id, dst_short, apl))
-
     def send_nwk(self, at: float, src_id: str, dst_short: int, payload: bytes):
         self.schedule(at, partial(self._do_send_nwk, src_id, dst_short, payload))
+
+    send_apl = send_nwk  # APL data rides a NWK frame as its payload
 
     # --- 6LoWPAN node stack --------------------------------------------------
 
@@ -589,18 +585,12 @@ class World:
             self._transmit(node, next_hop, data)
 
     def _note_compression(self, pkt: Ipv6Packet, stream: bytes):
-        app_octets = len(pkt.payload)
-        uncompressed = 1 + 40 + len(pkt.payload)
-        if pkt.next_header == NEXT_HEADER_UDP:
-            try:
-                app_octets = len(decode_udp(pkt.payload).payload)
-                uncompressed = 1 + 40 + 8 + app_octets
-            except PacketError:
-                pass
+        # the HC1 octet's low bit (HC2 follows) is set when the UDP header was compressed
+        app_octets = len(pkt.payload) - UDP_HEADER_OCTETS * (stream[1] & 1)
         self.bump("header_octets", len(stream) - app_octets)
         self.bump("header_count")
         self.bump("stream_octets", len(stream))
-        self.bump("uncompressed_octets", uncompressed)
+        self.bump("uncompressed_octets", 1 + 40 + len(pkt.payload))
 
     def _do_broadcast(self, src_id: str, payload: bytes, hops: int | None):
         node = self.nodes[src_id]

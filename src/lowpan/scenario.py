@@ -7,7 +7,7 @@ are required, and bracketed traffic tokens are optional:
 
     [general]            seed, t_end, pan, hops
     [node ID]            short; role, eui, sleep, security, devid, pan
-    [gateway ID]         mode, short, wired; prefix, pan, subscribers, peer, ttl
+    [gateway ID]         mode, short, wired; prefix, pan, subscribers, peer
     [host ID]            addr; devid
     [link A B]           band, loss
     [route ID]           <final-short> = <next-hop-short>, default = <short>
@@ -19,13 +19,15 @@ are required, and bracketed traffic tokens are optional:
     at=T kind=apl from=ID to=ID size=N|hex=HH
     at=T kind=nwk from=ID dst=SHORT size=N|hex=HH
 
-Numbers accept 0x prefixes.  Times (`at`, `t_end`, `ttl`, both parts of
+Numbers accept 0x prefixes.  Times (`at`, `t_end`, both parts of
 `sleep = awake/asleep`) are finite and >= 0, `loss` is in 0..1, shorts,
 PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
 generates a deterministic payload pattern and `hex=` gives it verbatim;
-either is at most 65,527 octets, what one UDP datagram carries.  Unknown
-sections, keys and tokens, a wrong number of ids, a key given twice in a
-section and out-of-range values are a `ScenarioError` naming their line.
+either is at most 65,527 octets, what one UDP datagram carries.  A link
+joins two different nodes of one PAN.  Unknown sections, keys and
+tokens, a wrong number of ids, a key given twice in a section, a link
+that breaks that rule and out-of-range values are a `ScenarioError`
+naming their line.
 Routes not pinned by a [route] section are hop-count shortest paths,
 computed on first use.
 """
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv6Address
 
 from .frame import PhyBand, SecurityMode
-from .gateway import DEFAULT_DISCOVERY_TTL, GatewayMode, register_devid
+from .gateway import GatewayMode, register_devid
 from .netsim import NodeRole, SleepSchedule, World
 
 DEFAULT_T_END = 60.0
@@ -56,7 +58,7 @@ class ScenarioError(ValueError):
 _SECTIONS = {
     "general": (0, (), ("seed", "t_end", "pan", "hops")),
     "node": (1, ("short",), ("role", "eui", "sleep", "security", "devid", "pan")),
-    "gateway": (1, ("mode", "short", "wired"), ("prefix", "pan", "subscribers", "peer", "ttl")),
+    "gateway": (1, ("mode", "short", "wired"), ("prefix", "pan", "subscribers", "peer")),
     "host": (1, ("addr",), ("devid",)),
     "link": (2, (), ("band", "loss")),
     "route": (1, (), None),
@@ -283,7 +285,6 @@ def load_scenario(
                 _MODES[mode_override] if mode_override is not None else mode,
                 _get(kv, "wired", _addr), prefix=_get(kv, "prefix", _addr), pan_id=gw_pan,
                 subscribers=tuple(subscribers), tunnel_peer=_get(kv, "peer", _addr),
-                discovery_ttl=_get(kv, "ttl", _float, DEFAULT_DISCOVERY_TTL),
             )
 
     coordinators: dict[int, str] = {}
@@ -313,10 +314,10 @@ def load_scenario(
     for section in sections["link"]:
         band = _get(section.keys, "band", _choice, PhyBand.B2450, table=_BANDS, what="band")
         loss = _get(section.keys, "loss", _float, 0.0, top=1.0)
-        a, b = section.ids
-        if a == b or a not in world.nodes or b not in world.nodes:
-            raise ScenarioError(f"line {section.lineno}: a link joins two different nodes")
-        world.add_link(a, b, band, loss)
+        try:
+            world.add_link(*section.ids, band, loss)
+        except ValueError as exc:  # an unknown node, a node to itself, or two PANs
+            raise ScenarioError(f"line {section.lineno}: {exc}") from None
 
     for section in sections["route"]:
         node = world.nodes.get(section.ids[0])

@@ -100,6 +100,24 @@ def test_neighbour_order_ignores_link_insertion_order():
     assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
 
 
+def test_a_link_joins_two_different_nodes_of_one_pan():
+    world = World(seed=0, pan_id=0xBEEF)
+    world.add_node("a", NodeRole.FFD, 1)
+    world.add_node("b", NodeRole.FFD, 2)
+    world.add_node("c", NodeRole.FFD, 2, pan_id=0x0002)  # b's short, in another PAN
+    world.add_link("a", "b")
+    for a, b, message in [("a", "c", "one PAN"), ("c", "a", "one PAN"), ("a", "a", "itself"),
+                          ("a", "ghost", "unknown node")]:
+        with pytest.raises(ValueError, match=message):
+            world.add_link(a, b)
+    assert world.neighbors == {"a": ["b"], "b": ["a"], "c": []}
+    assert set(world.links) == {("a", "b"), ("b", "a")}
+    world.broadcast(0.0, "a", b"flood")
+    world.run()
+    assert [r.detail for r in world.trace if r.node == "a" and r.kind == "tx"] == ["dst=b"]
+    assert world.node("c").received_broadcasts == []
+
+
 def test_delivery_to_self_address_forms():
     world = make_line()
     world.send_udp(0.0, "a", "b", 0xF0B3, 0xF0B4, b"direct", hops=4)

@@ -52,7 +52,7 @@ def all_pairs_routes(world: World) -> dict[str, tuple[dict[int, int], int | None
 
 @st.composite
 def worlds(draw) -> World:
-    """Up to 16 nodes of mixed roles in two PANs, random links, pins and gateways."""
+    """Up to 16 nodes of mixed roles in two PANs, random same-PAN links, pins and gateways."""
     addrs = draw(st.lists(
         st.tuples(st.sampled_from(PANS), st.integers(1, MAX_SHORT)),
         min_size=2, max_size=16, unique=True,
@@ -69,7 +69,7 @@ def worlds(draw) -> World:
             )
         else:
             world.add_node(names[i], draw(st.sampled_from(NodeRole)), short, pan_id=pan)
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if addrs[a][0] == addrs[b][0]]
     density = draw(st.sampled_from([2, 4, 7]))  # in tenths: sparse lines to near-cliques
     rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
     for (a, b), roll in zip(pairs, rolls):

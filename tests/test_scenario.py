@@ -38,7 +38,6 @@ VALUES = {  # legal values of each key and traffic token
     "prefix": ["2001:db8:a::", "2001:db8:b::"],
     "subscribers": ["h0", "h0,h1", "h1"],
     "peer": ["fd00::a", "fd00::b"],
-    "ttl": ["0", "1", "30"],
     "addr": ["fd00::99", "fd00::98", "fd00::a"],
     "band": ["868", "915", "2450"],
     "loss": ["0", "0", "0.2", "1"],
@@ -98,6 +97,7 @@ def scenario_text(rnd: random.Random) -> str:
     lines = section("general", [], pan="0xBEEF") if rnd.random() < 0.7 else []
     for host in hosts:
         lines += section("host", [host])
+    pan_of = {gateway: pans[gateway] for gateway in gateways}
     for gateway in gateways:
         subscribers = ",".join(rnd.sample(hosts, rnd.randint(1, len(hosts)))) if hosts else None
         subscribers = subscribers if rnd.random() < 0.5 else None
@@ -107,9 +107,14 @@ def scenario_text(rnd: random.Random) -> str:
         pan = rnd.choice([pans[gateway] for gateway in gateways] or [None])
         devid = rnd.choice(DEVIDS) if pan and rnd.random() < 0.3 else None
         lines += section("node", [node], short=SHORTS[node], pan=pan, devid=devid)
+        pan_of[node] = pan or "0xBEEF"
     radios = nodes + gateways
+    pan_groups = [group for pan in sorted(set(pan_of.values()))
+                  if len(group := [radio for radio in radios if pan_of[radio] == pan]) > 1]
     for _ in range(rnd.randint(0, 8) if len(radios) > 1 else 0):
-        lines += section("link", rnd.sample(radios, 2))
+        # about 1 link in 20 is drawn from all radios and may join two PANs, which the loader rejects
+        pool = rnd.choice(pan_groups) if pan_groups and rnd.random() < 0.95 else radios
+        lines += section("link", rnd.sample(pool, 2))
     for node in rnd.sample(nodes, rnd.randint(0, min(2, len(nodes)))):
         lines.append(f"[route {node}]")
         for final in rnd.sample(["default", *SHORTS.values()], rnd.randint(0, 2)):
