@@ -98,10 +98,9 @@ class GatewayMode(Enum):
     ZIGBEE = "zigbee"
     BRIDGE = "bridge"
 
-    @property
-    def stack(self) -> str:
-        """Receive stack of the nodes in a PAN behind a gateway of this mode."""
-        return {"border": "lowpan", "devid": "app"}.get(self.value, "nwk")
+    def __init__(self, value: str):
+        # the receive stack of the nodes in a PAN behind a gateway of this mode
+        self.stack: str = {"border": "lowpan", "devid": "app"}.get(value, "nwk")
 
 
 class TrafficClass(Enum):
@@ -265,10 +264,22 @@ class MappingTable:
     ext_by_node_short: dict[int, bytes] = field(default_factory=dict)
     short_by_peer: dict[IPv6Address, int] = field(default_factory=dict)
     peer_by_short: dict[int, IPv6Address] = field(default_factory=dict)
+    prefix64: bytes = field(init=False)  # the prefix's first 8 octets
+    # the reverse of ext_by_node_short: of the shorts sharing an ext, the one
+    # that comes first in ext_by_node_short
+    node_short_by_ext: dict[bytes, int] = field(init=False, default_factory=dict)
+
+    def __post_init__(self):
+        self.prefix64 = self.prefix.packed[:8]
+        for short, ext in self.ext_by_node_short.items():
+            self.node_short_by_ext.setdefault(ext, short)
 
     def register_node(self, ext: bytes, short: int) -> IPv6Address:
         """Admit a WPAN node and return its pseudo global address."""
-        self.ext_by_node_short[short] = ext
+        held = self.ext_by_node_short.setdefault(short, ext)
+        if held != ext:
+            raise ValueError(f"short 0x{short:04X} already names another node")
+        self.node_short_by_ext.setdefault(ext, short)
         return self.assign_pseudo(ext)
 
     def assign_pseudo(self, ext: bytes) -> IPv6Address:
@@ -276,12 +287,12 @@ class MappingTable:
             raise ValueError("extended address must be 8 octets")
         pseudo = self.pseudo_by_ext.get(ext)
         if pseudo is None:
-            pseudo = IPv6Address(self.prefix.packed[:8] + ext)
+            pseudo = IPv6Address(self.prefix64 + ext)
             self.pseudo_by_ext[ext] = pseudo
         return pseudo
 
     def ext_for_pseudo(self, address: IPv6Address) -> bytes:
-        if address.packed[:8] != self.prefix.packed[:8]:
+        if address.packed[:8] != self.prefix64:
             raise NoSuchNode(f"{address} is outside the delegated prefix")
         ext = address.packed[8:]
         if ext not in self.pseudo_by_ext:
@@ -460,9 +471,7 @@ class Gateway:
         if pkt.next_header != APL_NEXT_HEADER:
             raise GatewayError(f"next header {pkt.next_header} does not carry APL data")
         ext = self.mapping.ext_for_pseudo(pkt.dst)
-        dst_short = next(
-            (s for s, e in self.mapping.ext_by_node_short.items() if e == ext), None
-        )
+        dst_short = self.mapping.node_short_by_ext.get(ext)
         if dst_short is None:
             raise NoSuchNode(f"{pkt.dst} maps to no admitted node")
         src_short = self.mapping.assign_short(pkt.src)

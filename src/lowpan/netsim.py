@@ -35,7 +35,7 @@ import bisect
 import heapq
 import random
 import re
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -59,6 +59,7 @@ from .codec import (
 from .frame import (
     BROADCAST_SHORT,
     PHY_OVERHEAD,
+    CheckedTuple,
     Eui64,
     FrameError,
     FrameType,
@@ -115,12 +116,13 @@ class SleepSchedule:
         return t % (self.awake + self.asleep) < self.awake
 
 
-@dataclass(frozen=True)
-class SimLink:
-    a: str
-    b: str
-    band: PhyBand = PhyBand.B2450
-    loss_probability: float = 0.0
+class SimLink(CheckedTuple, namedtuple("SimLink", "a b band loss_probability")):
+    """A radio link between two nodes of one PAN; an unchecked value type."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: str, b: str, band: PhyBand = PhyBand.B2450, loss_probability: float = 0.0):
+        return tuple.__new__(cls, (a, b, band, loss_probability))
 
 
 class TraceRecord(NamedTuple):
@@ -152,6 +154,13 @@ class _TraceText(dict):
 
 
 class SimNode:
+    __slots__ = (
+        "id", "role", "pan_id", "short", "wpan_address", "iid", "eui", "sleep", "security", "stack",
+        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at",
+        "frag_ctx", "reassembly", "received_packets", "received_broadcasts", "received_app",
+        "received_nwk",
+    )
+
     def __init__(
         self,
         node_id: str,
@@ -330,22 +339,22 @@ class World:
         self, a: str, b: str, band: PhyBand = PhyBand.B2450, loss: float = 0.0
     ) -> SimLink:
         """Join two different nodes of one PAN; PANs meet only through a gateway."""
-        for end in (a, b):
-            if end not in self.nodes:
+        node_a, node_b = self.nodes.get(a), self.nodes.get(b)
+        for end, node in ((a, node_a), (b, node_b)):
+            if node is None:
                 raise ValueError(f"unknown node {end!r}")
         if a == b:
             raise ValueError(f"a link joins two different nodes, not {a!r} to itself")
-        pan_a, pan_b = self.nodes[a].pan_id, self.nodes[b].pan_id
+        pan_a, pan_b = node_a.pan_id, node_b.pan_id
         if pan_a != pan_b:
             raise ValueError(
                 f"a link joins two nodes of one PAN, not {a!r} (PAN 0x{pan_a:04X}) and {b!r} (PAN 0x{pan_b:04X})"
             )
-        link = SimLink(a, b, band, loss)
-        self.links[(a, b)] = link
-        self.links[(b, a)] = link
+        link = self.links[(a, b)] = self.links[(b, a)] = SimLink(a, b, band, loss)
         for end, other in ((a, b), (b, a)):
-            if other not in self.neighbors[end]:
-                bisect.insort(self.neighbors[end], other)  # kept in id order for floods and BFS
+            ends = self.neighbors[end]
+            if other not in ends:
+                bisect.insort(ends, other)  # kept in id order for floods and BFS
         return link
 
     def node(self, node_id: str) -> SimNode:

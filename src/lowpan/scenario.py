@@ -35,8 +35,6 @@ computed on first use.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from ipaddress import AddressValueError, IPv6Address
 
 from .frame import PhyBand, SecurityMode
@@ -90,25 +88,31 @@ def pattern_payload(size: int) -> bytes:
     return (_PATTERN * (size // 256 + 1))[:size]
 
 
-@dataclass
 class _Section:
-    lineno: int
-    kind: str
-    ids: list[str]
-    keys: dict[str, tuple[int, str]] = field(default_factory=dict)  # key -> (line, value)
-    events: list[tuple[int, str]] = field(default_factory=list)  # a traffic section's lines
+    __slots__ = ("lineno", "kind", "ids", "keys", "events")
+
+    def __init__(self, lineno: int, kind: str, ids: list[str]):
+        self.lineno = lineno
+        self.kind = kind
+        self.ids = ids
+        self.keys: dict[str, tuple[int, str]] = {}  # key -> (line, value)
+        self.events: list[tuple[int, str]] = []  # a traffic section's lines
 
 
 def _parse_sections(text: str) -> dict[str, list[_Section]]:
     """The sections of each kind in file order, checked against `_SECTIONS`."""
     sections: dict[str, list[_Section]] = {kind: [] for kind in _SECTIONS}
-    section = None
+    # the open section's kind, key dict and allowed keys (None: any key), and
+    # its event list if it is a traffic section
+    kind = keys = allowed = events = None
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        line = raw.strip()
         if not line:
             continue
-        if line.startswith("["):
-            if not line.endswith("]"):
+        if line[0] == "[":
+            if line[-1] != "]":
                 raise ScenarioError(f"line {lineno}: unterminated section header")
             kind, *ids = line[1:-1].split() or [""]
             if kind not in _SECTIONS:
@@ -117,20 +121,22 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
                 raise ScenarioError(f"line {lineno}: a {kind} section takes {_SECTIONS[kind][0]} id(s)")
             section = _Section(lineno, kind, ids)
             sections[kind].append(section)
-        elif section is None:
+            keys, allowed = section.keys, _KEYS.get(kind)
+            events = section.events if kind == "traffic" else None
+        elif events is not None:
+            events.append((lineno, line))
+        elif keys is None:
             raise ScenarioError(f"line {lineno}: entry before any section header")
-        elif section.kind == "traffic":
-            section.events.append((lineno, line))
         else:
             key, equals, value = line.partition("=")
-            key = key.strip()
             if not equals:
                 raise ScenarioError(f"line {lineno}: expected key = value")
-            if section.kind in _KEYS and key not in _KEYS[section.kind]:
-                raise ScenarioError(f"line {lineno}: unknown {section.kind} key {key!r}")
-            if key in section.keys:
-                raise ScenarioError(f"line {lineno}: {key!r} is already set at line {section.keys[key][0]}")
-            section.keys[key] = (lineno, value.strip())
+            key = key.strip()
+            if allowed is not None and key not in allowed:
+                raise ScenarioError(f"line {lineno}: unknown {kind} key {key!r}")
+            if key in keys:
+                raise ScenarioError(f"line {lineno}: {key!r} is already set at line {keys[key][0]}")
+            keys[key] = (lineno, value.strip())
     for kind, (_, required, _) in _SECTIONS.items():
         for section in sections[kind]:
             for key in required:
@@ -161,12 +167,12 @@ def _float(value: str, lineno: int, top: float = math.inf) -> float:
     return number
 
 
-def _get(kv: dict[str, tuple[int, str]], key: str, parse, default=None, **bounds):
-    """`parse` the value of `key` at its own line; `default` if the key is absent."""
+def _get(kv: dict[str, tuple[int, str]], key: str, parse, default=None, *bounds):
+    """`parse(value, line, *bounds)` for `key`; `default` if the key is absent."""
     if key not in kv:
         return default
     lineno, value = kv[key]
-    return parse(value, lineno, **bounds)
+    return parse(value, lineno, *bounds)
 
 
 def _choice(value: str, lineno: int, table: dict, what: str):
@@ -175,15 +181,21 @@ def _choice(value: str, lineno: int, table: dict, what: str):
     return table[value]
 
 
-@contextmanager
-def _at(lineno: int):
+class _at:
     """Report a rejected world-building step (duplicate id, short, devid) at its line."""
-    try:
-        yield
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
+
+    __slots__ = ("lineno",)
+
+    def __init__(self, lineno: int):
+        self.lineno = lineno
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, ValueError) and not isinstance(exc, ScenarioError):
+            raise ScenarioError(f"line {self.lineno}: {exc}") from None
+        return False
 
 
 def _addr(value: str, lineno: int) -> IPv6Address:
@@ -252,8 +264,8 @@ def load_scenario(
         if not (0 <= t_end_override and math.isfinite(t_end_override)):  # the rule `_float` applies
             raise ScenarioError(f"t_end override {t_end_override!r} is not a finite number >= 0")
         t_end = t_end_override
-    pan = _get(general, "pan", _int, 0xBEEF, top=U16)
-    hops = _get(general, "hops", _int, 8, top=MAX_HOPS)
+    pan = _get(general, "pan", _int, 0xBEEF, U16)
+    hops = _get(general, "hops", _int, 8, MAX_HOPS)
 
     if mode_override is not None and mode_override not in _MODES:
         raise ScenarioError(f"unknown gateway mode override: {mode_override!r}")
@@ -267,10 +279,10 @@ def load_scenario(
 
     for section in sections["gateway"]:
         kv = section.keys
-        gw_pan = _get(kv, "pan", _int, pan, top=U16)
+        gw_pan = _get(kv, "pan", _int, pan, U16)
         if world.segment_gateway(gw_pan) is not None:
             raise ScenarioError(f"line {section.lineno}: PAN 0x{gw_pan:04X} already has a gateway")
-        mode = _get(kv, "mode", _choice, table=_MODES, what="gateway mode")
+        mode = _get(kv, "mode", _choice, None, _MODES, "gateway mode")
         subscribers = []
         if "subscribers" in kv:
             lineno, value = kv["subscribers"]
@@ -281,7 +293,7 @@ def load_scenario(
                 subscribers.append(host.addr)
         with _at(section.lineno):
             world.add_gateway(
-                section.ids[0], _get(kv, "short", _int, top=U16),
+                section.ids[0], _get(kv, "short", _int, None, U16),
                 _MODES[mode_override] if mode_override is not None else mode,
                 _get(kv, "wired", _addr), prefix=_get(kv, "prefix", _addr), pan_id=gw_pan,
                 subscribers=tuple(subscribers), tunnel_peer=_get(kv, "peer", _addr),
@@ -290,17 +302,17 @@ def load_scenario(
     coordinators: dict[int, str] = {}
     for section in sections["node"]:
         kv, node_id = section.keys, section.ids[0]
-        role = _get(kv, "role", _choice, NodeRole.FFD, table=_ROLES, what="role")
-        node_pan = _get(kv, "pan", _int, pan, top=U16)
+        role = _get(kv, "role", _choice, NodeRole.FFD, _ROLES, "role")
+        node_pan = _get(kv, "pan", _int, pan, U16)
         if role is NodeRole.COORDINATOR:
             held = coordinators.setdefault(node_pan, node_id)
             if held != node_id:
                 raise ScenarioError(f"line {section.lineno}: PAN 0x{node_pan:04X} has coordinator {held!r}")
         sleep = _get(kv, "sleep", _sleep)
-        security = _get(kv, "security", _choice, SecurityMode.NONE, table=_SECURITY, what="security suite")
+        security = _get(kv, "security", _choice, SecurityMode.NONE, _SECURITY, "security suite")
         with _at(section.lineno):
             node = world.add_node(
-                node_id, role, _get(kv, "short", _int, top=U16), eui=_get(kv, "eui", _eui),
+                node_id, role, _get(kv, "short", _int, None, U16), eui=_get(kv, "eui", _eui),
                 pan_id=node_pan, sleep=sleep, security=security,
             )
         if "devid" in kv:  # registered at the node's segment gateway; hosts register below
@@ -309,11 +321,11 @@ def load_scenario(
             if entry is None:
                 raise ScenarioError(f"line {lineno}: node {node_id!r} has a devid but its PAN has no gateway")
             with _at(lineno):
-                register_devid(entry[1].registry, _get(kv, "devid", _int, top=U16), node.wpan_address)
+                register_devid(entry[1].registry, _get(kv, "devid", _int, None, U16), node.wpan_address)
 
     for section in sections["link"]:
-        band = _get(section.keys, "band", _choice, PhyBand.B2450, table=_BANDS, what="band")
-        loss = _get(section.keys, "loss", _float, 0.0, top=1.0)
+        band = _get(section.keys, "band", _choice, PhyBand.B2450, _BANDS, "band")
+        loss = _get(section.keys, "loss", _float, 0.0, 1.0)
         try:
             world.add_link(*section.ids, band, loss)
         except ValueError as exc:  # an unknown node, a node to itself, or two PANs
@@ -333,7 +345,7 @@ def load_scenario(
     devid_gateways = [gw for _, gw in sorted(world.gateways.items()) if gw.mode is GatewayMode.DEVID]
     for section in sections["host"]:
         if "devid" in section.keys:
-            devid = _get(section.keys, "devid", _int, top=U16)
+            devid = _get(section.keys, "devid", _int, None, U16)
             for gw in devid_gateways:
                 with _at(section.keys["devid"][0]):
                     register_devid(gw.registry, devid, world.hosts[section.ids[0]].addr)
@@ -347,10 +359,12 @@ def load_scenario(
 
 def _schedule_traffic(world: World, line: str, lineno: int):
     tokens = line.split()
-    try:
-        fields = dict(token.split("=", 1) for token in tokens)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: traffic tokens must be key=value") from None
+    fields = {}
+    for token in tokens:
+        key, equals, value = token.partition("=")
+        if not equals:
+            raise ScenarioError(f"line {lineno}: traffic tokens must be key=value")
+        fields[key] = value
     if len(fields) < len(tokens):
         raise ScenarioError(f"line {lineno}: a traffic token is given twice")
     kind = fields.get("kind")
@@ -402,14 +416,16 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
         raise ScenarioError(f"line {lineno}: segment of {src!r} has no gateway")
     gateway = entry[1]
     if dst in world.hosts:
-        return gateway.mapping.assign_short(world.hosts[dst].addr)
-    if dst in world.nodes:
+        peer = world.hosts[dst].addr
+    elif dst in world.nodes:
         target = world.nodes[dst]
         if target.pan_id == node.pan_id:
             return target.short
         remote = world.segment_gateway(target.pan_id)
         if remote is None:
             raise ScenarioError(f"line {lineno}: segment of {dst!r} has no gateway")
-        pseudo = remote[1].mapping.register_node(target.eui, target.short)
-        return gateway.mapping.assign_short(pseudo)
-    raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
+        peer = remote[1].mapping.register_node(target.eui, target.short)
+    else:
+        raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
+    with _at(lineno):  # the pool may be exhausted
+        return gateway.mapping.assign_short(peer)

@@ -110,6 +110,12 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
         "[node a]\nshort = 1\n[node b]\nshort = 2\n[node c]\nshort = 2\npan = 0x0002\n"
         "[link a b]\n[link a c]\n", 9,
     ),
+    (  # a zigbee gateway's pool holds 64 shorts, so a 65th wired apl destination cannot load
+        "[node z1]\nshort = 1\n[gateway gw]\nmode = zigbee\nshort = 2\nwired = fd00::a\n[link z1 gw]\n"
+        + "".join(f"[host x{n}]\naddr = fd01::{n + 1:x}\n" for n in range(65))
+        + "[traffic]\n" + "".join(f"at=1 kind=apl from=z1 to=x{n} size=1\n" for n in range(65)),
+        7 + 2 * 65 + 1 + 65,
+    ),
 ]
 
 

@@ -37,6 +37,7 @@ from lowpan.gateway import (
 from lowpan.ipv6 import Ipv6Packet, UdpDatagram, decode_udp, encode_udp, udp_packet
 from lowpan.netsim import NodeRole, World
 from lowpan.reassembly import FragmentationContext
+from lowpan.scenario import load_scenario
 
 PREFIX_A = IPv6Address("2001:db8:a::")
 PREFIX_B = IPv6Address("2001:db8:b::")
@@ -429,6 +430,61 @@ def test_cross_region_zigbee_passes():
     assert len(frames) == 1
     assert frames[0][1].payload == apl
     assert frames[0][1].dst_short == 0x0020
+
+
+def test_zigbee_downlink_to_a_shared_eui_picks_the_first_registered_short():
+    # the load registers an apl target (here y2, the higher short) before
+    # prepare admits the whole PAN in short order
+    text = """
+[gateway ga]
+mode = zigbee
+short = 0x00FE
+wired = fd00::a
+prefix = 2001:db8:a::
+pan = 0x000A
+[gateway gb]
+mode = zigbee
+short = 0x00FE
+wired = fd00::b
+prefix = 2001:db8:b::
+pan = 0x000B
+[node x]
+short = 0x0010
+pan = 0x000A
+[node y1]
+short = 0x0020
+pan = 0x000B
+eui = 00:12:4b:00:00:00:00:77
+[node y2]
+short = 0x0030
+pan = 0x000B
+eui = 00:12:4b:00:00:00:00:77
+[link x ga]
+[link y1 gb]
+[link y2 gb]
+[traffic]
+at=0.5 kind=apl from=x to=y2 size=8
+"""
+    world, t_end = load_scenario(text)
+    world.run_until(t_end)
+    mapping = world.gateway("gb").mapping
+    ext = world.node("y1").eui
+    # the first short in registration order whose ext matches
+    assert mapping.node_short_by_ext[ext] == next(s for s, e in mapping.ext_by_node_short.items() if e == ext)
+    assert mapping.node_short_by_ext[ext] == 0x0030
+    assert [frame.dst_short for _, frame in world.node("y2").received_nwk] == [0x0030]
+    assert world.node("y1").received_nwk == []
+
+
+def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():
+    ext, other = bytes.fromhex("00124b0000000001"), bytes.fromhex("00124b0000000002")
+    table = MappingTable(prefix=PREFIX_A, ext_by_node_short={0x20: ext, 0x10: ext})
+    assert table.node_short_by_ext == {ext: 0x20}
+    table.register_node(other, 0x30)
+    assert table.node_short_by_ext == {ext: 0x20, other: 0x30}
+    with pytest.raises(ValueError, match="0x0020 already names another node"):
+        table.register_node(other, 0x20)
+    assert table.ext_by_node_short[0x20] == ext
 
 
 def test_cross_region_bridge_nwk_byte_identical():

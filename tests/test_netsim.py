@@ -2,7 +2,7 @@ from ipaddress import IPv6Address
 
 import pytest
 
-from lowpan import addressing, netsim
+from lowpan import addressing, netsim, scenario
 from lowpan.frame import PhyBand, SecurityMode
 from lowpan.gateway import GatewayMode, wired_to_lowpan
 from lowpan.ipv6 import decode_udp, udp_packet
@@ -98,6 +98,19 @@ def test_neighbour_order_ignores_link_insertion_order():
     world.broadcast(0.0, "s", b"flood")
     world.run()
     assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
+
+
+def test_node_link_and_section_records_have_no_instance_dict():
+    world = make_line()
+    link = world.links[("a", "b")]
+    section = scenario._Section(1, "node", ["a"])
+    for record in (world.node("a"), link, section):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(AttributeError):
+        link.loss_probability = 0.5
+    assert link == netsim.SimLink("a", "b") and hash(link) == hash(netsim.SimLink("a", "b"))
+    assert link != ("a", "b", PhyBand.B2450, 0.0) and ("a", "b", PhyBand.B2450, 0.0) != link
+    assert repr(link) == f"SimLink(a='a', b='b', band={PhyBand.B2450!r}, loss_probability=0.0)"
 
 
 def test_a_link_joins_two_different_nodes_of_one_pan():

@@ -1,9 +1,11 @@
 """The scenario loader: generated input loads or is rejected, and the docs list its grammar."""
 
+import hashlib
 import random
 import re
 from pathlib import Path
 
+import pytest
 from counter_laws import check_counter_laws
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
@@ -170,3 +172,32 @@ def test_readme_and_docstring_list_the_grammar_the_loader_accepts():
             assert sections[kind][0] == count, kind
             if optional is not None:  # route keys are shorts; traffic lines are events
                 assert sections[kind][1:] == (required, optional), kind
+
+
+def _digest(text: str) -> str:
+    world, t_end = load_scenario(text)
+    world.run_until(t_end)
+    out = "".join(line + "\n" for line in [*world.trace_lines(), *world.metrics_lines()])
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def _key_lines(text: str, spaced: str) -> str:
+    """`text` with each `key = value` line written as key, `spaced`, value."""
+    return re.sub(r"(?m)^(\w+) = (.*)$", lambda m: m[1] + spaced + m[2], text)
+
+
+SPELLINGS = {  # the same scenario, spelled another way
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "tabs-around-equals": lambda text: _key_lines(text, "\t=\t"),
+    "no-spaces": lambda text: _key_lines(text, "="),
+    "trailing-comments": lambda text: re.sub(r"(?m)^(\S.*)$", r"\1  # a=b [note] # again", text),
+    "spaced-link-ids": lambda text: re.sub(r"\[link (\S+) (\S+)\]", r"[link  \1  \2]", text),
+}
+
+
+@pytest.mark.parametrize("spelling", SPELLINGS)
+def test_spellings_of_one_scenario_load_the_same_world(scenario_dir, spelling):
+    text = (scenario_dir / "demo.scn").read_text()
+    variant = SPELLINGS[spelling](text)
+    assert variant != text
+    assert _digest(variant) == _digest(text)
