@@ -145,6 +145,8 @@ def _dump_stream(data: bytes, l2_src, l2_dst, pan: int) -> list[str]:
             f"hops-left={mesh.hops_left}"
         )
         data = data[consumed:]
+        if not data:
+            raise codec.MalformedMesh("no payload after the mesh header", offset=consumed)
         orig, final = mesh.originator, mesh.final
         kind = codec.parse_dispatch(data[0])
         lines.append(f"dispatch: 0x{data[0]:02X} {kind.value}")
@@ -268,10 +270,10 @@ def _check_vectors(path: Path, pan: int) -> int:
             print(f"{path}:{lineno}: expected three fields", file=sys.stderr)
             failures += 1
             continue
-        data = bytes.fromhex(parts[0])
         expected_kind, expected_hex = parts[1], parts[2]
         checked += 1
         try:
+            data = bytes.fromhex(parts[0])
             actual = _vector_result(data, pan)
         except ValueError as exc:
             print(f"{path}:{lineno}: {exc}", file=sys.stderr)

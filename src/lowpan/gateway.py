@@ -49,7 +49,7 @@ BCAST_RELAY_UDP_PORT = 55842
 
 NWK_BROADCAST_SHORT = 0xFFFF
 NWK_HEADER_OCTETS = 8
-DEFAULT_DISCOVERY_TTL = 60.0
+PEER_SHORTS = range(0x8000, 0x8040)  # the zigbee gateway's pool for IPv6 peers
 
 
 class GatewayError(ValueError):
@@ -77,14 +77,6 @@ class AplTooLarge(GatewayError):
 
 
 class NotTunnelTraffic(GatewayError):
-    pass
-
-
-class UnknownPanId(GatewayError):
-    pass
-
-
-class StaleRecord(GatewayError):
     pass
 
 
@@ -254,25 +246,23 @@ class MappingTable:
 
     Pseudo addresses are the delegated prefix concatenated with the raw
     64-bit extended address (no universal/local bit flip); they exist
-    only in this table, never on the nodes.  IPv6 peers borrow short
-    addresses from a bounded pool.
+    only in this table, never on the nodes.  IPv6 peers take short
+    addresses from `PEER_SHORTS` in order of first sight; the pool never
+    refills.  Only the methods below write the state.
     """
 
     prefix: IPv6Address
-    short_pool: list[int] = field(default_factory=lambda: list(range(0x8000, 0x8040)))
-    pseudo_by_ext: dict[bytes, IPv6Address] = field(default_factory=dict)
-    ext_by_node_short: dict[int, bytes] = field(default_factory=dict)
-    short_by_peer: dict[IPv6Address, int] = field(default_factory=dict)
-    peer_by_short: dict[int, IPv6Address] = field(default_factory=dict)
     prefix64: bytes = field(init=False)  # the prefix's first 8 octets
+    pseudo_by_ext: dict[bytes, IPv6Address] = field(init=False, default_factory=dict)
+    ext_by_node_short: dict[int, bytes] = field(init=False, default_factory=dict)
     # the reverse of ext_by_node_short: of the shorts sharing an ext, the one
-    # that comes first in ext_by_node_short
+    # registered first
     node_short_by_ext: dict[bytes, int] = field(init=False, default_factory=dict)
+    short_by_peer: dict[IPv6Address, int] = field(init=False, default_factory=dict)
+    peer_by_short: dict[int, IPv6Address] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.prefix64 = self.prefix.packed[:8]
-        for short, ext in self.ext_by_node_short.items():
-            self.node_short_by_ext.setdefault(ext, short)
 
     def register_node(self, ext: bytes, short: int) -> IPv6Address:
         """Admit a WPAN node and return its pseudo global address."""
@@ -300,49 +290,16 @@ class MappingTable:
         return ext
 
     def assign_short(self, peer: IPv6Address) -> int:
-        """Short address for an IPv6 peer; idempotent while held."""
+        """Short address for an IPv6 peer: the next free one on first sight."""
         short = self.short_by_peer.get(peer)
         if short is not None:
             return short
-        if not self.short_pool:
+        if len(self.short_by_peer) == len(PEER_SHORTS):
             raise PoolExhausted("short-address pool is empty")
-        short = self.short_pool.pop(0)
+        short = PEER_SHORTS[len(self.short_by_peer)]
         self.short_by_peer[peer] = short
         self.peer_by_short[short] = peer
         return short
-
-    def release_short(self, peer: IPv6Address):
-        short = self.short_by_peer.pop(peer, None)
-        if short is not None:
-            del self.peer_by_short[short]
-            self.short_pool.append(short)
-
-
-# --- service discovery -------------------------------------------------------
-
-@dataclass(frozen=True)
-class ServiceQuery:
-    """Service lookup keyed by PAN ID; origin is the querying endpoint."""
-
-    pan_id: int
-    origin: IPv6Address | int  # wired address or WPAN short
-
-
-@dataclass
-class DiscoveryCache:
-    """Per-query return-path records held for `DEFAULT_DISCOVERY_TTL` seconds."""
-
-    _pending: dict[int, list[tuple[IPv6Address | int, float]]] = field(default_factory=dict)
-
-    def remember(self, pan_id: int, origin: IPv6Address | int, now: float):
-        self._pending.setdefault(pan_id, []).append((origin, now))
-
-    def take_live(self, pan_id: int, now: float) -> list[IPv6Address | int]:
-        entries = self._pending.pop(pan_id, [])
-        live = [origin for origin, t in entries if now - t <= DEFAULT_DISCOVERY_TTL]
-        if not live:
-            raise StaleRecord(f"no live discovery record for PAN 0x{pan_id:04X}")
-        return live
 
 
 # --- adaptation pipeline -------------------------------------------------------
@@ -394,9 +351,8 @@ class Gateway:
     subscribers: tuple[IPv6Address, ...] = ()
     tunnel_peer: IPv6Address | None = None
 
-    registry: DevidRegistry = field(default_factory=dict)
+    registry: DevidRegistry = field(init=False, default_factory=dict)
     mapping: MappingTable = field(init=False)
-    discovery: DiscoveryCache = field(init=False, default_factory=DiscoveryCache)
     prefix64: bytes | None = field(init=False)  # the delegated prefix's first 8 octets
 
     def __post_init__(self):
@@ -500,22 +456,3 @@ class Gateway:
             udp_packet(self.wired_addr, host, BCAST_RELAY_UDP_PORT, BCAST_RELAY_UDP_PORT, payload)
             for host in self.subscribers
         ]
-
-    # service discovery (both directions)
-
-    def query_to_segment(self, query: ServiceQuery, now: float) -> int:
-        """Admit a service query for this PAN; returns the PAN it targets.
-
-        Wired-side and segment-side queries are admitted alike, so
-        `query_to_wired` is the same method.
-        """
-        if query.pan_id != self.pan_id:
-            raise UnknownPanId(f"gateway serves PAN 0x{self.pan_id:04X}, not 0x{query.pan_id:04X}")
-        self.discovery.remember(query.pan_id, query.origin, now)
-        return query.pan_id
-
-    query_to_wired = query_to_segment
-
-    def route_response(self, pan_id: int, now: float) -> list[IPv6Address | int]:
-        """Return-path endpoints for a discovery response, dropping stale records."""
-        return self.discovery.take_live(pan_id, now)

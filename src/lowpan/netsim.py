@@ -132,9 +132,6 @@ class TraceRecord(NamedTuple):
     detail: str = ""
     nbytes: int = 0
 
-    def line(self) -> str:
-        return _TRACE_LINE % self
-
 
 class _TraceText(dict):
     """A value -> its trace text, each value formatted once by `to_text`.
@@ -379,6 +376,8 @@ class World:
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
+        This is the only place nodes are admitted, in short order, so nodes
+        sharing an EUI-64 resolve to the lowest short (as `by_iid` does).
         """
         if self._prepared:
             return

@@ -408,7 +408,8 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
 
     Wired hosts and remote-segment nodes are represented by shorts from
     the local gateway's pool; the mapping is established here, before
-    the run, exactly as a completed discovery exchange would leave it.
+    the run.  A remote node is named by its pseudo address, which needs
+    only its EUI-64: `World.prepare` admits the remote PAN's nodes.
     """
     node = world.nodes[src]
     entry = world.segment_gateway(node.pan_id)
@@ -424,7 +425,7 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
         remote = world.segment_gateway(target.pan_id)
         if remote is None:
             raise ScenarioError(f"line {lineno}: segment of {dst!r} has no gateway")
-        peer = remote[1].mapping.register_node(target.eui, target.short)
+        peer = remote[1].mapping.assign_pseudo(target.eui)
     else:
         raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
     with _at(lineno):  # the pool may be exhausted

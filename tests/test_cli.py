@@ -219,6 +219,12 @@ def test_codec_decode_error_reports_offset(capsys):
     assert "byte" in err
 
 
+def test_codec_decode_mesh_header_without_payload(capsys):
+    code, _, err = run_cli("codec", "decode", "bf00010002", capsys=capsys)
+    assert code == 3
+    assert err.startswith("decode error at byte 5: ")
+
+
 def test_codec_ppdu_roundtrip(capsys):
     code, out, _ = run_cli("codec", "ppdu-encode", "0102", capsys=capsys)
     assert code == 0
@@ -241,6 +247,15 @@ def test_codec_check_catches_corruption(golden_dir, tmp_path, capsys):
     bad.write_text(lines.replace("5000aabb bc0 5000aabb", "5000aabb bc0 5000aabc"))
     code, _, err = run_cli("codec", "check", str(bad), capsys=capsys)
     assert code == 3
+
+
+def test_codec_check_reports_a_non_hex_input_at_its_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("4zz hc1 00\n")
+    code, _, err = run_cli("codec", "check", str(bad), capsys=capsys)
+    assert code == 3
+    assert err.startswith(f"{bad}:1: non-hexadecimal number")
+    assert err.endswith("1 of 1 vectors failed\n")
 
 
 # --- budget / addr -----------------------------------------------------------

@@ -20,11 +20,8 @@ from lowpan.gateway import (
     NotTunnelTraffic,
     NwkFrame,
     PoolExhausted,
-    ServiceQuery,
-    StaleRecord,
     TrafficClass,
     UnknownDevid,
-    UnknownPanId,
     bridge_decapsulate,
     bridge_encapsulate,
     demux,
@@ -147,13 +144,13 @@ def test_ext_for_pseudo_unknown():
 
 
 def test_short_pool():
-    table = MappingTable(prefix=PREFIX_A, short_pool=[0x8000])
-    first = table.assign_short(HOST_ADDR)
-    assert table.assign_short(HOST_ADDR) == first  # idempotent while held
-    with pytest.raises(PoolExhausted):
-        table.assign_short(IPv6Address("fd00::2"))
-    table.release_short(HOST_ADDR)
-    assert table.assign_short(IPv6Address("fd00::2")) == first
+    table = MappingTable(prefix=PREFIX_A)
+    peers = [IPv6Address(f"fd00::{i + 1:x}") for i in range(0x40)]
+    assert [table.assign_short(peer) for peer in peers] == list(range(0x8000, 0x8040))
+    assert table.assign_short(peers[0]) == 0x8000  # idempotent
+    with pytest.raises(PoolExhausted, match="short-address pool is empty"):
+        table.assign_short(IPv6Address("fd00::1:0"))
+    assert table.peer_by_short[0x803F] == peers[-1]
 
 
 # --- pad / strip ---------------------------------------------------------------
@@ -218,33 +215,6 @@ def test_nwk_decode_rejects_lowpan_dispatch_space():
     frame = NwkFrame(dst_short=1, src_short=2).encode()
     with pytest.raises(GatewayError):
         NwkFrame.decode(b"\x41" + frame[1:])  # frame control reads as an IPv6 dispatch
-
-
-# --- discovery ----------------------------------------------------------------------
-
-def test_discovery_roundtrip_within_ttl():
-    gw = Gateway(mode=GatewayMode.ZIGBEE, pan_id=0xABCD, short=0xFE, wired_addr=WIRED_A)
-    gw.query_to_segment(ServiceQuery(0xABCD, HOST_ADDR), now=0.0)
-    assert gw.route_response(0xABCD, now=59.0) == [HOST_ADDR]
-
-
-def test_discovery_stale_after_ttl():
-    gw = Gateway(mode=GatewayMode.ZIGBEE, pan_id=0xABCD, short=0xFE, wired_addr=WIRED_A)
-    gw.query_to_segment(ServiceQuery(0xABCD, HOST_ADDR), now=0.0)
-    with pytest.raises(StaleRecord):
-        gw.route_response(0xABCD, now=61.0)
-
-
-def test_discovery_unknown_pan():
-    gw = Gateway(mode=GatewayMode.ZIGBEE, pan_id=0xABCD, short=0xFE, wired_addr=WIRED_A)
-    with pytest.raises(UnknownPanId):
-        gw.query_to_segment(ServiceQuery(0x1111, HOST_ADDR), now=0.0)
-
-
-def test_discovery_two_way():
-    gw = Gateway(mode=GatewayMode.ZIGBEE, pan_id=0xABCD, short=0xFE, wired_addr=WIRED_A)
-    gw.query_to_wired(ServiceQuery(0xABCD, 0x0010), now=0.0)  # node short asks outward
-    assert gw.route_response(0xABCD, now=10.0) == [0x0010]
 
 
 # --- adaptation pipeline --------------------------------------------------------------
@@ -432,10 +402,11 @@ def test_cross_region_zigbee_passes():
     assert frames[0][1].dst_short == 0x0020
 
 
-def test_zigbee_downlink_to_a_shared_eui_picks_the_first_registered_short():
-    # the load registers an apl target (here y2, the higher short) before
-    # prepare admits the whole PAN in short order
-    text = """
+@pytest.mark.parametrize("target", ["y1", "y2"])
+def test_zigbee_downlink_to_a_shared_eui_picks_the_lowest_short(target):
+    # prepare alone admits the PAN, in short order, whichever node the apl
+    # line names
+    text = f"""
 [gateway ga]
 mode = zigbee
 short = 0x00FE
@@ -463,7 +434,7 @@ eui = 00:12:4b:00:00:00:00:77
 [link y1 gb]
 [link y2 gb]
 [traffic]
-at=0.5 kind=apl from=x to=y2 size=8
+at=0.5 kind=apl from=x to={target} size=8
 """
     world, t_end = load_scenario(text)
     world.run_until(t_end)
@@ -471,14 +442,16 @@ at=0.5 kind=apl from=x to=y2 size=8
     ext = world.node("y1").eui
     # the first short in registration order whose ext matches
     assert mapping.node_short_by_ext[ext] == next(s for s, e in mapping.ext_by_node_short.items() if e == ext)
-    assert mapping.node_short_by_ext[ext] == 0x0030
-    assert [frame.dst_short for _, frame in world.node("y2").received_nwk] == [0x0030]
-    assert world.node("y1").received_nwk == []
+    assert mapping.node_short_by_ext[ext] == 0x0020
+    assert [frame.dst_short for _, frame in world.node("y1").received_nwk] == [0x0020]
+    assert world.node("y2").received_nwk == []
 
 
 def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():
     ext, other = bytes.fromhex("00124b0000000001"), bytes.fromhex("00124b0000000002")
-    table = MappingTable(prefix=PREFIX_A, ext_by_node_short={0x20: ext, 0x10: ext})
+    table = MappingTable(prefix=PREFIX_A)
+    table.register_node(ext, 0x20)
+    table.register_node(ext, 0x10)
     assert table.node_short_by_ext == {ext: 0x20}
     table.register_node(other, 0x30)
     assert table.node_short_by_ext == {ext: 0x20, other: 0x30}
