@@ -133,23 +133,34 @@ def _dump_ipv6(pkt) -> list[str]:
 
 
 def _dump_stream(data: bytes, l2_src, l2_dst, pan: int) -> list[str]:
-    """Walk the header stack of one adaptation-layer payload."""
-    lines = []
-    orig, final = l2_src, l2_dst
+    """Walk the header stack of one adaptation-layer payload.
+
+    A `CodecError`'s offset counts from the start of `data`, also for a
+    header that follows a mesh header.
+    """
     kind = codec.parse_dispatch(data[0])
-    lines.append(f"dispatch: 0x{data[0]:02X} {kind.value}")
-    if kind is codec.DispatchKind.MESH:
-        mesh, consumed = codec.decode_mesh(data, pan)
-        lines.append(
-            f"mesh: orig={_fmt_addr(mesh.originator)} final={_fmt_addr(mesh.final)} "
-            f"hops-left={mesh.hops_left}"
-        )
-        data = data[consumed:]
-        if not data:
-            raise codec.MalformedMesh("no payload after the mesh header", offset=consumed)
-        orig, final = mesh.originator, mesh.final
-        kind = codec.parse_dispatch(data[0])
-        lines.append(f"dispatch: 0x{data[0]:02X} {kind.value}")
+    if kind is not codec.DispatchKind.MESH:
+        return _dump_headers(data, l2_src, l2_dst)
+    mesh, consumed = codec.decode_mesh(data, pan)
+    lines = [
+        f"dispatch: 0x{data[0]:02X} {kind.value}",
+        f"mesh: orig={_fmt_addr(mesh.originator)} final={_fmt_addr(mesh.final)} "
+        f"hops-left={mesh.hops_left}",
+    ]
+    if consumed == len(data):
+        raise codec.MalformedMesh("no payload after the mesh header", offset=consumed)
+    try:
+        return lines + _dump_headers(data[consumed:], mesh.originator, mesh.final)
+    except codec.CodecError as exc:
+        if exc.offset is not None:
+            exc.offset += consumed
+        raise
+
+
+def _dump_headers(data: bytes, orig, final) -> list[str]:
+    """The dispatch and the headers after it, for a payload with no mesh header."""
+    kind = codec.parse_dispatch(data[0])
+    lines = [f"dispatch: 0x{data[0]:02X} {kind.value}"]
     if kind is codec.DispatchKind.BC0:
         seq, consumed = codec.decode_bc0(data)
         lines.append(f"bc0: seq={seq}")
@@ -207,8 +218,10 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     trace_path = out / "trace.tsv"
     metrics_path = out / "metrics.txt"
-    trace_path.write_text("".join(line + "\n" for line in world.trace_lines()))
-    metrics_path.write_text("".join(line + "\n" for line in world.metrics_lines()))
+    # streamed line by line: no whole-file string or encoded copy is built
+    for dest, lines in ((trace_path, world.trace_lines()), (metrics_path, world.metrics_lines())):
+        with dest.open("w", encoding="utf-8", newline="\n") as stream:
+            stream.writelines(line + "\n" for line in lines)
     print(f"trace: {trace_path} ({len(world.trace)} records)")
     print(f"metrics: {metrics_path}")
     return EXIT_OK

@@ -494,8 +494,10 @@ def encode_bc0(sequence: int) -> bytes:
 
 def decode_bc0(data: bytes) -> tuple[int, int]:
     """Returns (sequence, octets consumed)."""
-    if len(data) < 2 or data[0] != DISPATCH_BC0:
+    if not data or data[0] != DISPATCH_BC0:
         raise MalformedBc0("not a broadcast header", offset=0)
+    if len(data) < 2:
+        raise MalformedBc0("broadcast header truncated", offset=len(data))
     return data[1], 2
 
 

@@ -36,6 +36,7 @@ import heapq
 import random
 import re
 from collections import OrderedDict, namedtuple
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -249,6 +250,7 @@ class World:
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace: list[TraceRecord] = []
+        self._details: dict[str, str] = {}  # each distinct detail text, held once
         self._addr_text = _TraceText(str)  # IPv6Address -> its text
         self._rx_text = _TraceText("src=0x%04X".__mod__)  # a frame's source short -> rx detail
         self.metrics: dict[str, float] = {}
@@ -480,7 +482,10 @@ class World:
             pass
 
     def record(self, node: str, kind: str, detail: str = "", nbytes: int = 0):
-        # tuple.__new__ skips the NamedTuple's generated __new__; every field is given
+        # tuple.__new__ skips the NamedTuple's generated __new__; every field is given.
+        # Records share one object per distinct detail, so the trace grows with
+        # its distinct texts, not with copies of them.
+        detail = self._details.setdefault(detail, detail)
         self.trace.append(tuple.__new__(TraceRecord, (self.now, node, kind, detail, nbytes)))
 
     def bump(self, key: str, amount: float = 1):
@@ -941,8 +946,9 @@ class World:
 
     # --- reporting --------------------------------------------------------------
 
-    def trace_lines(self) -> list[str]:
-        return [_TRACE_LINE % record for record in self.trace]
+    def trace_lines(self) -> Iterator[str]:
+        """The trace as `trace.tsv` lines, rendered lazily: iterate it once."""
+        return map(_TRACE_LINE.__mod__, self.trace)
 
     def metrics_lines(self) -> list[str]:
         out = dict(self.metrics)

@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from test_digests import SCENARIO_DIGESTS
 
 from lowpan.cli import main
 from lowpan.scenario import ScenarioError, load_scenario, pattern_payload
@@ -39,6 +42,19 @@ def test_run_metrics_match_golden(scenario_dir, tmp_path, golden_dir, capsys):
     )
     assert code == 0
     assert (tmp_path / "metrics.txt").read_text() == (golden_dir / "demo_metrics.txt").read_text()
+
+
+SHIPPED_DIGESTS = [(scenario, digest) for scenario, mode, digest in SCENARIO_DIGESTS if mode is None]
+
+
+@pytest.mark.parametrize("scenario, digest", SHIPPED_DIGESTS, ids=[s for s, _ in SHIPPED_DIGESTS])
+def test_run_writes_the_pinned_files(scenario_dir, tmp_path, capsys, scenario, digest):
+    code, _, _ = run_cli(
+        "run", str(scenario_dir / f"{scenario}.scn"), "--out", str(tmp_path), capsys=capsys
+    )
+    assert code == 0
+    written = (tmp_path / "trace.tsv").read_bytes() + (tmp_path / "metrics.txt").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest  # the bytes on disk, not just trace_lines()
 
 
 def test_run_seed_override_changes_output(scenario_dir, tmp_path, capsys):
@@ -223,6 +239,21 @@ def test_codec_decode_mesh_header_without_payload(capsys):
     code, _, err = run_cli("codec", "decode", "bf00010002", capsys=capsys)
     assert code == 3
     assert err.startswith("decode error at byte 5: ")
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        ("bf0001000250", "byte 6: broadcast header truncated"),  # mesh header, then a bare BC0
+        ("50", "byte 1: broadcast header truncated"),
+        ("bf00010002c0", "byte 6: fragment header truncated"),
+        ("bf0001000242", "byte 6: HC1 stream truncated"),
+    ],
+)
+def test_codec_decode_error_offset_counts_from_the_input(capsys, stream, message):
+    code, _, err = run_cli("codec", "decode", stream, capsys=capsys)
+    assert code == 3
+    assert err == f"decode error at {message}\n"
 
 
 def test_codec_ppdu_roundtrip(capsys):

@@ -467,9 +467,10 @@ def test_bc0_roundtrip_exhaustive():
 
 
 def test_bc0_malformed():
-    with pytest.raises(MalformedBc0):
+    with pytest.raises(MalformedBc0, match="broadcast header truncated") as truncated:
         decode_bc0(b"\x50")
-    with pytest.raises(MalformedBc0):
+    assert truncated.value.offset == 1
+    with pytest.raises(MalformedBc0, match="not a broadcast header"):
         decode_bc0(b"\x42\x00")
 
 

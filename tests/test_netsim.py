@@ -284,8 +284,8 @@ def test_seeded_loss_is_reproducible():
         world.run()
         return world.trace_lines()
 
-    assert run(42) == run(42)
-    assert run(42) != run(43)  # 2^-20 chance of a false failure
+    assert list(run(42)) == list(run(42))
+    assert list(run(42)) != list(run(43))  # 2^-20 chance of a false failure
 
 
 def test_airtime_matches_trace():
@@ -383,8 +383,19 @@ def test_trace_is_pure_function_of_seed():
     first.run()
     second = build_busy_world(7)
     second.run()
-    assert first.trace_lines() == second.trace_lines()
+    assert list(first.trace_lines()) == list(second.trace_lines())
     assert first.metrics_lines() == second.metrics_lines()
+
+
+def test_trace_holds_each_detail_once_and_renders_lazily(scenario_dir):
+    world, t_end = load_scenario((scenario_dir / "demo.scn").read_text())
+    world.run_until(t_end)
+    lines = world.trace_lines()
+    assert iter(lines) is lines  # an iterator: no second copy of the trace is built
+    # one object per distinct detail text, however many records carry it
+    assert len({id(r.detail) for r in world.trace}) == len({r.detail for r in world.trace})
+    assert len({r.detail for r in world.trace}) < len(world.trace)
+    assert len(list(lines)) == len(world.trace)
 
 
 def test_drops_without_gateway_have_a_reason():
