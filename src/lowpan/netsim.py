@@ -35,11 +35,13 @@ import bisect
 import heapq
 import random
 import re
+from array import array
 from collections import OrderedDict, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain
 from ipaddress import IPv6Address
 from typing import NamedTuple
 
@@ -132,6 +134,77 @@ class TraceRecord(NamedTuple):
     kind: str
     detail: str = ""
     nbytes: int = 0
+
+
+_new_record = partial(tuple.__new__, TraceRecord)  # skips the generated __new__; every field is given
+
+
+class _TextIds(dict):
+    """A text -> its index in `texts`, each distinct text appended once.
+
+    It holds the list, not a bound method of the `Trace`, so a trace and
+    its table form no reference cycle.
+    """
+
+    __slots__ = ("texts",)
+
+    def __init__(self, texts: list[str]):
+        super().__init__()
+        self.texts = texts
+
+    def __missing__(self, text: str) -> int:
+        index = self[text] = len(self.texts)
+        self.texts.append(text)
+        return index
+
+
+# Records per column array.  A full chunk is never grown again: growing one
+# array per column for the whole run moves it through the malloc heap about
+# 170 times and leaves holes beside the payload buffers (about 5 MB of a
+# 50 MB `lowpan run` peak on a 260k-record run).
+_CHUNK = 4096
+
+
+class Trace:
+    """A world's trace in columns, one array slot per field of a record.
+
+    Node ids, kinds and details are indices into one table of distinct
+    texts, so a record costs about 24 octets and no Python object.  Byte
+    counts must fit 32 bits; the largest, a UDP length, is 65,535.  The
+    columns come in chunks of `_CHUNK` records; `World.record` appends to
+    the open chunk, whose arrays are the attributes below.  Iterating
+    yields `TraceRecord`s, built on demand.
+    """
+
+    __slots__ = ("times", "nodes", "kinds", "details", "nbytes", "chunks", "texts", "ids")
+
+    def __init__(self):
+        self.chunks: list[tuple[array, ...]] = []
+        self.texts: list[str] = []
+        self.ids = _TextIds(self.texts)
+        self.open_chunk()
+
+    def open_chunk(self):
+        columns = array("d"), array("I"), array("I"), array("I"), array("I")
+        self.times, self.nodes, self.kinds, self.details, self.nbytes = columns
+        self.chunks.append(columns)
+
+    def __len__(self) -> int:
+        return (len(self.chunks) - 1) * _CHUNK + len(self.times)
+
+    def _fields(self):
+        text = self.texts.__getitem__
+        return chain.from_iterable(
+            zip(times, map(text, nodes), map(text, kinds), map(text, details), nbytes)
+            for times, nodes, kinds, details, nbytes in self.chunks
+        )
+
+    def __iter__(self) -> Iterator[TraceRecord]:
+        return map(_new_record, self._fields())
+
+    def lines(self) -> Iterator[str]:
+        """The records as `trace.tsv` lines, rendered lazily."""
+        return map(_TRACE_LINE.__mod__, self._fields())
 
 
 class _TraceText(dict):
@@ -249,8 +322,7 @@ class World:
         self._prefix_gateway: dict[bytes, str] = {}
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
-        self.trace: list[TraceRecord] = []
-        self._details: dict[str, str] = {}  # each distinct detail text, held once
+        self.trace = Trace()
         self._addr_text = _TraceText(str)  # IPv6Address -> its text
         self._rx_text = _TraceText("src=0x%04X".__mod__)  # a frame's source short -> rx detail
         self.metrics: dict[str, float] = {}
@@ -482,11 +554,15 @@ class World:
             pass
 
     def record(self, node: str, kind: str, detail: str = "", nbytes: int = 0):
-        # tuple.__new__ skips the NamedTuple's generated __new__; every field is given.
-        # Records share one object per distinct detail, so the trace grows with
-        # its distinct texts, not with copies of them.
-        detail = self._details.setdefault(detail, detail)
-        self.trace.append(tuple.__new__(TraceRecord, (self.now, node, kind, detail, nbytes)))
+        trace = self.trace
+        if len(trace.times) == _CHUNK:
+            trace.open_chunk()
+        ids = trace.ids
+        trace.times.append(self.now)
+        trace.nodes.append(ids[node])
+        trace.kinds.append(ids[kind])
+        trace.details.append(ids[detail])
+        trace.nbytes.append(nbytes)
 
     def bump(self, key: str, amount: float = 1):
         self.metrics[key] = self.metrics.get(key, 0) + amount
@@ -948,7 +1024,7 @@ class World:
 
     def trace_lines(self) -> Iterator[str]:
         """The trace as `trace.tsv` lines, rendered lazily: iterate it once."""
-        return map(_TRACE_LINE.__mod__, self.trace)
+        return self.trace.lines()
 
     def metrics_lines(self) -> list[str]:
         out = dict(self.metrics)

@@ -74,6 +74,8 @@ _TRAFFIC = {
 }
 _TOKENS = {kind: {"at", "kind", "from", "size", "hex", *required, *optional}
            for kind, (required, optional) in _TRAFFIC.items()}
+# traffic kind -> the tokens it needs, in the order a missing one is reported
+_NEEDS = {kind: ("at", "from", *required) for kind, (required, _) in _TRAFFIC.items()}
 _ROLES = {role.value: role for role in NodeRole}
 _MODES = {mode.value: mode for mode in GatewayMode}
 _BANDS = {band.name[1:]: band for band in PhyBand}  # "868", "915", "2450"
@@ -370,7 +372,7 @@ def _schedule_traffic(world: World, line: str, lineno: int):
     kind = fields.get("kind")
     if kind not in _TRAFFIC:
         raise ScenarioError(f"line {lineno}: unknown traffic kind {kind!r}")
-    for key in ("at", "from", *_TRAFFIC[kind][0]):
+    for key in _NEEDS[kind]:
         if key not in fields:
             raise ScenarioError(f"line {lineno}: {kind} traffic needs {key}=")
     if not fields.keys() <= _TOKENS[kind]:

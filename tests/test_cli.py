@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from test_digests import SCENARIO_DIGESTS
@@ -55,6 +56,16 @@ def test_run_writes_the_pinned_files(scenario_dir, tmp_path, capsys, scenario, d
     assert code == 0
     written = (tmp_path / "trace.tsv").read_bytes() + (tmp_path / "metrics.txt").read_bytes()
     assert hashlib.sha256(written).hexdigest() == digest  # the bytes on disk, not just trace_lines()
+
+
+@pytest.mark.parametrize("scenario", [s for s, _ in SHIPPED_DIGESTS])
+def test_run_reports_as_many_records_as_trace_lines(scenario_dir, tmp_path, capsys, scenario):
+    code, out, _ = run_cli(
+        "run", str(scenario_dir / f"{scenario}.scn"), "--out", str(tmp_path), capsys=capsys
+    )
+    assert code == 0
+    reported = int(re.search(r"^trace: .* \((\d+) records\)$", out, re.MULTILINE).group(1))
+    assert reported == len((tmp_path / "trace.tsv").read_bytes().splitlines()) > 0
 
 
 def test_run_seed_override_changes_output(scenario_dir, tmp_path, capsys):

@@ -1,12 +1,14 @@
+import tracemalloc
 from ipaddress import IPv6Address
 
 import pytest
+from test_digests import _workloads
 
 from lowpan import addressing, netsim, scenario
 from lowpan.frame import PhyBand, SecurityMode
 from lowpan.gateway import GatewayMode, wired_to_lowpan
 from lowpan.ipv6 import decode_udp, udp_packet
-from lowpan.netsim import NodeRole, SleepSchedule, World
+from lowpan.netsim import _TRACE_LINE, NodeRole, SleepSchedule, TraceRecord, World
 from lowpan.reassembly import REASSEMBLY_TIMEOUT, FragmentationContext
 from lowpan.scenario import load_scenario
 
@@ -396,6 +398,52 @@ def test_trace_holds_each_detail_once_and_renders_lazily(scenario_dir):
     assert len({id(r.detail) for r in world.trace}) == len({r.detail for r in world.trace})
     assert len({r.detail for r in world.trace}) < len(world.trace)
     assert len(list(lines)) == len(world.trace)
+
+
+def test_a_trace_record_costs_under_48_octets():
+    world = World()
+    nodes = [f"n{i}" for i in range(4)]
+    details = [f"dst=n{i} seq={i}" for i in range(8)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            world.now = i * 0.001  # a fresh float per record, as a run makes
+            world.record(nodes[i % 4], "tx", details[i % 8], 64)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / 100_000 < 48  # columns: 8 octets of time, 4 each for node, kind, detail, nbytes
+    assert len(world.trace) == 100_000
+    assert [(r.time, r.node, r.detail) for r in world.trace] == [
+        (i * 0.001, nodes[i % 4], details[i % 8]) for i in range(100_000)
+    ]
+
+
+@pytest.mark.parametrize("source", ["demo", "gateway-mix-small"])
+def test_trace_records_round_trip_through_the_columns(scenario_dir, source):
+    if source == "demo":
+        text = (scenario_dir / "demo.scn").read_text()
+    else:
+        text = _workloads()["gateway-mix"](1, small=True)
+    world, t_end = load_scenario(text)
+    world.run_until(t_end)
+    records = list(world.trace)
+    assert len(records) == len(world.trace) > 0
+    assert [_TRACE_LINE % r for r in records] == list(world.trace_lines())
+    assert all(type(r) is TraceRecord and type(r.time) is float and type(r.nbytes) is int for r in records)
+
+
+def test_trace_keeps_the_largest_byte_counts_exact():
+    world = World()
+    world.add_host("h1", IPv6Address("fd00::1"))
+    world.add_host("h2", IPv6Address("fd00::2"))
+    world.send_udp(0.5, "h1", "h2", 1, 2, bytes(65_527))  # the largest UDP payload
+    world.run()
+    records = list(world.trace)
+    assert (0.5, "h1", "send", "kind=udp to=fd00::2", 65_527) in records
+    assert (0.5, "h1", "wired-tx", "dst=fd00::2 nh=17", 65_535) in records  # UDP header included
+    assert [_TRACE_LINE % r for r in records] == list(world.trace_lines())
 
 
 def test_drops_without_gateway_have_a_reason():
