@@ -54,7 +54,8 @@ world.add_link("n0", "n5")
 world.add_link("n2", "n7")
 world.broadcast(0.0, "n0", b"flood", hops=15)
 world.run()
-copies = {f"n{i}": len(world.node(f"n{i}").received_broadcasts) for i in range(10)}
+delivered_at = [r.node for r in world.trace if r.kind == "deliver"]
+copies = {f"n{i}": delivered_at.count(f"n{i}") for i in range(10)}
 print(f"  copies per node: {copies}")
 dupes = sum(1 for r in world.trace if r.kind == "drop" and "duplicate" in r.detail)
 print(f"  duplicate arrivals suppressed: {dupes}")

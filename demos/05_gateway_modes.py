@@ -25,10 +25,16 @@ from lowpan.gateway import (
     register_devid,
     strip_transform,
 )
-from lowpan.ipv6 import decode_udp
 from lowpan.netsim import NodeRole, World
 
 HOST = IPv6Address("fd00::99")
+
+
+def delivery(world, node_id):
+    """The one `deliver` trace record of `node_id`."""
+    (record,) = [r for r in world.trace if r.kind == "deliver" and r.node == node_id]
+    return record
+
 
 print("border: RFD -> 3-hop mesh -> gateway -> wired host, byte-identical payload")
 world = World(seed=0, pan_id=0xAAAA)
@@ -44,10 +50,10 @@ world.add_link("f2", "gw")
 world.send_udp(0.0, "rfd", "h1", 0xF0B3, 0xF0BF, b"sensor-reading")
 world.send_udp(1.0, "h1", "rfd", 0xF0B3, 0xF0B4, bytes(1232))  # a full 1280-octet packet back
 world.run()
-(_, up), = world.host("h1").delivered
-print(f"  host got {decode_udp(up.payload).payload!r} from {up.src}")
-(_, down), = world.node("rfd").received_packets
-print(f"  node got the 1280-octet packet back: {down.payload_length + 40} octets, "
+up = delivery(world, "h1")
+print(f"  host got a {up.nbytes}-octet UDP datagram: {up.detail}")
+down = delivery(world, "rfd")
+print(f"  node got the 1280-octet packet back: {down.nbytes + 40} octets, "
       f"{sum(1 for r in world.trace if r.kind == 'tx' and r.node == 'gw')} fragments on air")
 print()
 
@@ -62,8 +68,8 @@ register_devid(world.gateway("gw").registry, 9, HOST)
 world.send_app(0.0, "n1", 1, 9, b"reading")
 world.send_udp(1.0, "h1", "gw", 5, 5, AppHeader(9, 1).encode() + bytes(200))
 world.run()
-(_, pkt), = world.host("h1").delivered
-print(f"  wired packet source is the gateway, not the node: {pkt.src}")
+up = delivery(world, "h1")
+print(f"  wired packet source is the gateway, not the node: {up.detail.removeprefix('kind=ipv6 from=')}")
 drops = [r for r in world.trace if r.kind == "drop" and "no-fragmentation" in r.detail]
 print(f"  the 204-octet reply was refused: {drops[0].detail}")
 print()

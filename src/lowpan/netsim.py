@@ -26,7 +26,8 @@ Node behaviour:
     incomplete 60 s after its first fragment is discarded then.
 
 Trace records are one line each: time, node, event kind, detail and a
-byte count, tab separated.
+byte count, tab separated.  Only `World._deliver` writes `deliver` records
+and only `World._drop` writes `drop` records; no delivered payload is kept.
 """
 
 from __future__ import annotations
@@ -114,6 +115,10 @@ class SleepSchedule:
 
     awake: float
     asleep: float
+
+    def __post_init__(self):
+        if not (self.awake >= 0 and self.asleep >= 0 and self.awake + self.asleep > 0):
+            raise ValueError(f"sleep needs awake and asleep >= 0 and a period > 0, not {self.awake}/{self.asleep}")
 
     def is_awake(self, t: float) -> bool:
         return t % (self.awake + self.asleep) < self.awake
@@ -227,9 +232,8 @@ class _TraceText(dict):
 class SimNode:
     __slots__ = (
         "id", "role", "pan_id", "short", "wpan_address", "iid", "eui", "sleep", "security", "stack",
-        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at",
-        "frag_ctx", "reassembly", "received_packets", "received_broadcasts", "received_app",
-        "received_nwk",
+        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "frag_ctx",
+        "reassembly",
     )
 
     def __init__(
@@ -261,10 +265,6 @@ class SimNode:
         self.tx_free_at = 0.0
         self.frag_ctx = FragmentationContext()
         self.reassembly: dict = {}
-        self.received_packets: list[tuple[float, Ipv6Packet]] = []
-        self.received_broadcasts: list[tuple[float, bytes]] = []
-        self.received_app: list[tuple[float, bytes]] = []
-        self.received_nwk: list[tuple[float, NwkFrame]] = []
 
     @property
     def link_local(self) -> IPv6Address:
@@ -292,9 +292,6 @@ class SimNode:
 class WiredHost:
     id: str
     addr: IPv6Address
-
-    def __post_init__(self):
-        self.delivered: list[tuple[float, Ipv6Packet]] = []
 
 
 def synth_eui(pan_id: int, short: int) -> bytes:
@@ -695,9 +692,7 @@ class World:
         self.bump("bcast_sent")
         self.record(src_id, "send", f"kind=bc0 seq={seq}", len(payload))
         # the originating application keeps its own copy
-        node.received_broadcasts.append((self.now, payload))
-        self.record(src_id, "deliver", f"kind=bc0 seq={seq} from={src_id}", len(payload))
-        self.bump("bcast_delivered")
+        self._deliver(src_id, f"kind=bc0 seq={seq} from={src_id}", len(payload), payload, "bcast_delivered")
         self._flood(node, data)
 
     def _do_send_app(self, src_id: str, src_devid: int, dst_devid: int, data: bytes):
@@ -805,6 +800,15 @@ class World:
         self.bump("drops")
         self.bump(f"drops_{reason}")
 
+    def _deliver(self, node_id: str, detail: str, nbytes: int, delivered, counter: str = "delivered"):
+        """The one delivery path: a `deliver` trace record and `counter`.
+
+        `delivered`, the `Ipv6Packet`, payload octets or `NwkFrame` the
+        application receives, is not kept; to see it, wrap this method.
+        """
+        self.record(node_id, "deliver", detail, nbytes)
+        self.bump(counter)
+
     # --- receive paths ------------------------------------------------------
 
     def _rx_lowpan(self, node: SimNode, frame: MacFrame):
@@ -885,9 +889,7 @@ class World:
         if not node.note_broadcast((mesh.originator, seq)):
             self._drop(node.id, "duplicate", f"seq={seq}")
             return
-        node.received_broadcasts.append((self.now, payload))
-        self.record(node.id, "deliver", f"kind=bc0 seq={seq}", len(payload))
-        self.bump("bcast_delivered")
+        self._deliver(node.id, f"kind=bc0 seq={seq}", len(payload), payload, "bcast_delivered")
         gw = self.gateways.get(node.id)
         if gw is not None and gw.subscribers:
             for pkt in gw.relay_broadcast(payload):
@@ -903,9 +905,7 @@ class World:
         if gw is not None:
             self._uplink(node, gw, pkt)  # a border gateway: the packet crosses as is
             return
-        node.received_packets.append((self.now, pkt))
-        self.record(node.id, "deliver", f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length)
-        self.bump("delivered")
+        self._deliver(node.id, f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length, pkt)
 
     def _rx_app(self, node: SimNode, frame: MacFrame):
         gw = self.gateways.get(node.id)
@@ -914,9 +914,7 @@ class World:
             if entry is None or frame.src != self.nodes[entry[0]].wpan_address:
                 self._drop(node.id, "stack-mismatch")  # app frames come only from the translator
                 return
-            node.received_app.append((self.now, frame.payload))
-            self.record(node.id, "deliver", "kind=app", len(frame.payload))
-            self.bump("delivered")
+            self._deliver(node.id, "kind=app", len(frame.payload), frame.payload)
             return
         try:
             pkt = gw.devid_uplink(frame.payload)
@@ -934,9 +932,7 @@ class World:
         gw = self.gateways.get(node.id)
         if gw is None:
             if nwk.dst_short in (node.short, NWK_BROADCAST_SHORT):
-                node.received_nwk.append((self.now, nwk))
-                self.record(node.id, "deliver", f"kind=nwk src=0x{nwk.src_short:04X}", len(nwk.payload))
-                self.bump("delivered")
+                self._deliver(node.id, f"kind=nwk src=0x{nwk.src_short:04X}", len(nwk.payload), nwk)
             else:
                 self._drop(node.id, "nwk-not-mine", f"dst=0x{nwk.dst_short:04X}")
             return
@@ -960,10 +956,8 @@ class World:
         host = self.host_by_addr.get(pkt.dst)
         src = self._addr_text[pkt.src]
         if host is not None:
-            host.delivered.append((self.now, pkt))
             self.record(host.id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
-            self.record(host.id, "deliver", f"kind=ipv6 from={src}", pkt.payload_length)
-            self.bump("delivered")
+            self._deliver(host.id, f"kind=ipv6 from={src}", pkt.payload_length, pkt)
             return
         # the lowest-id gateway whose wired address is, or whose prefix holds, the destination
         gw_id = self._wired_gateway.get(pkt.dst)

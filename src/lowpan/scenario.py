@@ -184,7 +184,7 @@ def _choice(value: str, lineno: int, table: dict, what: str):
 
 
 class _at:
-    """Report a rejected world-building step (duplicate id, short, devid) at its line."""
+    """Report a rejected world-building step (duplicate id, short, devid, sleep period) at its line."""
 
     __slots__ = ("lineno",)
 
@@ -222,10 +222,8 @@ def _sleep(value: str, lineno: int) -> SleepSchedule:
     awake, slash, asleep = value.partition("/")
     if not slash:
         raise ScenarioError(f"line {lineno}: sleep needs awake/asleep")
-    sleep = SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
-    if not sleep.awake + sleep.asleep > 0:
-        raise ScenarioError(f"line {lineno}: sleep period must be positive: {value!r}")
-    return sleep
+    with _at(lineno):
+        return SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
 
 
 def _payload(fields: dict[str, str], lineno: int) -> bytes:

@@ -7,12 +7,15 @@ accepts (`test_scenario.py`).
 
 
 def check_counter_laws(world):
-    """Counter conservation: every drop has a reason counter, and every
-    frame put on the air is received, lost, missed asleep, undecodable or
-    still in flight."""
+    """Counter conservation: every drop has a reason counter, every
+    `deliver` record is counted in `delivered` or `bcast_delivered`, and
+    every frame put on the air is received, lost, missed asleep,
+    undecodable or still in flight."""
     metrics = world.metrics
     reasons = sum(v for k, v in metrics.items() if k.startswith("drops_"))
     assert metrics.get("drops", 0) == reasons
+    deliveries = sum(1 for r in world.trace if r.kind == "deliver")
+    assert deliveries == metrics.get("delivered", 0) + metrics.get("bcast_delivered", 0)
     asleep_rx = sum(1 for r in world.trace if r.kind == "drop" and r.detail.startswith("reason=asleep dir=rx"))
     in_flight = sum(
         1 for _, _, fn in world._queue if getattr(fn, "func", None) in (world._rx_event, world._loss_event)

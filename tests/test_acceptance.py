@@ -46,6 +46,7 @@ from lowpan.reassembly import (
     fragment,
 )
 
+from deliveries import watch
 from test_codec import _random_packet
 from test_gateway import border_world, devid_world, two_region_world
 from test_netsim import make_line, make_mesh_10
@@ -157,9 +158,10 @@ def test_criterion_06_fragmentation():
 
 def test_criterion_07_mesh_invariants():
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, b"hop", hops=4)
     world.run()
-    assert len(world.node("d").received_packets) == 1
+    assert len(seen["d", "ipv6"]) == 1
     for node_id, hops in (("b", 3), ("c", 2)):
         decrements = [
             r for r in world.trace if r.node == node_id and r.kind == "forward"
@@ -168,9 +170,10 @@ def test_criterion_07_mesh_invariants():
         assert f"hops={hops}" in decrements[0].detail
 
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, b"hop", hops=2)
     world.run()
-    assert world.node("d").received_packets == []
+    assert seen["d", "ipv6"] == []
     drops = [r for r in world.trace if r.kind == "drop" and "hops-exhausted" in r.detail]
     assert [r.node for r in drops] == ["c"]  # the second forwarder
 
@@ -191,28 +194,31 @@ def test_criterion_07_mesh_invariants():
 
 def test_criterion_08_broadcast_flood():
     world = make_mesh_10()
+    seen = watch(world)
     world.broadcast(0.0, "n0", b"flood", hops=15)
     world.run()  # queue drains: the flood terminates
     for i in range(10):
-        copies = world.node(f"n{i}").received_broadcasts
+        copies = seen[f"n{i}", "bc0"]
         assert len(copies) == 1 and copies[0][1] == b"flood"
     ok(8, "broadcast-flood")
 
 
 def test_criterion_09_gateway_end_to_end():
     world = border_world()
+    seen = watch(world)
     payload = bytes((3 * i + 5) & 0xFF for i in range(48))
     world.send_udp(0.0, "rfd", "h1", 0xF0B3, 0xF0BF, payload)
     world.run()
-    delivered = world.host("h1").delivered
+    delivered = seen["h1", "ipv6"]
     assert len(delivered) == 1
     assert decode_udp(delivered[0][1].payload).payload == payload
 
     world = border_world()
+    seen = watch(world)
     data = bytes((i * 5 + 2) & 0xFF for i in range(1232))
     world.send_udp(0.0, "h1", "rfd", 0xF0B3, 0xF0B4, data)  # 1280-octet packet
     world.run()
-    packets = world.node("rfd").received_packets
+    packets = seen["rfd", "ipv6"]
     assert len(packets) == 1
     assert packets[0][1].payload_length + 40 == 1280
     assert decode_udp(packets[0][1].payload).payload == data
@@ -223,34 +229,38 @@ def test_criterion_09_gateway_end_to_end():
 def test_criterion_10_mode_contrast():
     # the translator cannot fragment an over-budget wired payload
     world = devid_world()
+    seen = watch(world)
     world.send_udp(0.0, "h1", "gw", 5, 5, AppHeader(9, 1).encode() + bytes(200))
     world.run()
-    assert world.node("n1").received_app == []
+    assert seen["n1", "app"] == []
     assert any("no-fragmentation" in r.detail for r in world.trace if r.kind == "drop")
 
     # devid translation fails across regions: the peer is registered elsewhere
     world = two_region_world(GatewayMode.DEVID)
     register_devid(world.gateway("ga").registry, 1, world.node("x").wpan_address)
     register_devid(world.gateway("gb").registry, 2, world.node("y").wpan_address)
+    seen = watch(world)
     world.send_app(0.0, "x", 1, 2, b"hello")
     world.run()
-    assert world.node("y").received_app == []
+    assert seen["y", "app"] == []
     assert any("unknown-devid" in r.detail for r in world.trace if r.kind == "drop")
 
     # the IP-layer and mapping gateways pass the same scenario
     world = two_region_world(GatewayMode.BORDER)
+    seen = watch(world)
     world.send_udp(0.0, "x", "y", 0xF0B3, 0xF0B4, b"hello")
     world.run()
-    assert len(world.node("y").received_packets) == 1
+    assert len(seen["y", "ipv6"]) == 1
 
     world = two_region_world(GatewayMode.ZIGBEE)
     world.prepare()
     pseudo_y = world.gateway("gb").mapping.assign_pseudo(world.node("y").eui)
     dst_short = world.gateway("ga").mapping.assign_short(pseudo_y)
+    seen = watch(world)
     world.send_apl(0.0, "x", dst_short, b"hello")
     world.run()
-    assert len(world.node("y").received_nwk) == 1
-    assert world.node("y").received_nwk[0][1].payload == b"hello"
+    assert len(seen["y", "nwk"]) == 1
+    assert seen["y", "nwk"][0][1].payload == b"hello"
 
     # the padding transform round-trips every legal size and rejects 95
     for n in range(APL_MAX_OCTETS + 1):

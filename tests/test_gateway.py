@@ -1,6 +1,7 @@
 from ipaddress import IPv6Address
 
 import pytest
+from deliveries import watch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,10 +237,11 @@ def test_pipeline_inverse():
     pkt = udp_packet(src, b.link_local, 0xF0B3, 0xF0B4, payload)
     frames = wired_to_lowpan(pkt, a.wpan_address, b.wpan_address, FragmentationContext())
     assert len(frames) > 1
+    seen = watch(world)
     world.send_udp(0.0, "a", "b", 0xF0B3, 0xF0B4, payload, src_addr=src)
     world.run()
     assert world.metrics["fragments_tx"] == len(frames)
-    assert [p for _, p in b.received_packets] == [pkt]
+    assert [p for _, p in seen["b", "ipv6"]] == [pkt]
     assert "drops" not in world.metrics
 
 
@@ -270,10 +272,11 @@ def border_world(seed=0):
 
 def test_border_uplink_byte_identical():
     world = border_world()
+    seen = watch(world)
     payload = bytes((7 * i + 1) & 0xFF for i in range(40))
     world.send_udp(0.0, "rfd", "h1", 0xF0B3, 0xF0BF, payload)
     world.run()
-    delivered = world.host("h1").delivered
+    delivered = seen["h1", "ipv6"]
     assert len(delivered) == 1
     pkt = delivered[0][1]
     assert decode_udp(pkt.payload).payload == payload
@@ -283,10 +286,11 @@ def test_border_uplink_byte_identical():
 
 def test_border_downlink_1280_fragment_roundtrip():
     world = border_world()
+    seen = watch(world)
     data = bytes((i * 13 + 7) & 0xFF for i in range(1232))
     world.send_udp(0.0, "h1", "rfd", 0xF0B3, 0xF0B4, data)  # 1280-octet IPv6 packet
     world.run()
-    packets = world.node("rfd").received_packets
+    packets = seen["rfd", "ipv6"]
     assert len(packets) == 1
     pkt = packets[0][1]
     assert len(pkt.payload) + 40 == 1280
@@ -315,19 +319,21 @@ def test_border_downlink_fragment_count_matches_arithmetic():
 
 def test_border_unknown_destination():
     world = border_world()
+    seen = watch(world)
     world.send_udp(0.0, "h1", "rfd", 1, 2, b"x",
                    dst_addr=IPv6Address("2001:db8:a::dead"))
     world.run()
-    assert world.node("rfd").received_packets == []
+    assert seen["rfd", "ipv6"] == []
     assert any("reason=no-such-node" in r.detail for r in world.trace if r.kind == "drop")
 
 
 def test_border_downlink_oversize_stream_drops():
     # a wired packet whose compressed stream exceeds the 11-bit size field
     world = border_world()
+    seen = watch(world)
     world.send_udp(0.0, "h1", "rfd", 1, 2, bytes(2100))
     world.run()
-    assert world.node("rfd").received_packets == []
+    assert seen["rfd", "ipv6"] == []
     assert any("datagram-too-large" in r.detail for r in world.trace if r.kind == "drop")
 
 
@@ -341,10 +347,11 @@ def test_border_broadcast_relay_to_subscribers():
         subscribers=(HOST_ADDR, IPv6Address("fd00::98")),
     )
     world.add_link("c", "gw")
+    seen = watch(world)
     world.broadcast(0.0, "c", b"alarm")
     world.run()
     for host_id in ("h1", "h2"):
-        delivered = world.host(host_id).delivered
+        delivered = seen[host_id, "ipv6"]
         assert len(delivered) == 1
         assert decode_udp(delivered[0][1].payload).payload == b"alarm"
 
@@ -366,10 +373,11 @@ def two_region_world(mode: GatewayMode, seed=0) -> World:
 
 def test_cross_region_border_passes():
     world = two_region_world(GatewayMode.BORDER)
+    seen = watch(world)
     payload = b"cross-region"
     world.send_udp(0.0, "x", "y", 0xF0B3, 0xF0B4, payload)
     world.run()
-    packets = world.node("y").received_packets
+    packets = seen["y", "ipv6"]
     assert len(packets) == 1
     assert decode_udp(packets[0][1].payload).payload == payload
     assert packets[0][1].src == world.node_global("x")
@@ -380,9 +388,10 @@ def test_cross_region_devid_fails():
     register_devid(world.gateway("ga").registry, 1, world.node("x").wpan_address)
     register_devid(world.gateway("gb").registry, 2, world.node("y").wpan_address)
     # x only knows its preconfigured gateway; y's devid is not registered there
+    seen = watch(world)
     world.send_app(0.0, "x", 1, 2, b"hello")
     world.run()
-    assert world.node("y").received_app == []
+    assert seen["y", "app"] == []
     drops = [r for r in world.trace if r.kind == "drop" and "unknown-devid" in r.detail]
     assert len(drops) == 1 and drops[0].node == "ga"
 
@@ -394,9 +403,10 @@ def test_cross_region_zigbee_passes():
     pseudo_y = gb.mapping.assign_pseudo(world.node("y").eui)
     dst_short = ga.mapping.assign_short(pseudo_y)
     apl = b"apl-through-wire"
+    seen = watch(world)
     world.send_apl(0.0, "x", dst_short, apl)
     world.run()
-    frames = world.node("y").received_nwk
+    frames = seen["y", "nwk"]
     assert len(frames) == 1
     assert frames[0][1].payload == apl
     assert frames[0][1].dst_short == 0x0020
@@ -437,14 +447,15 @@ eui = 00:12:4b:00:00:00:00:77
 at=0.5 kind=apl from=x to={target} size=8
 """
     world, t_end = load_scenario(text)
+    seen = watch(world)
     world.run_until(t_end)
     mapping = world.gateway("gb").mapping
     ext = world.node("y1").eui
     # the first short in registration order whose ext matches
     assert mapping.node_short_by_ext[ext] == next(s for s, e in mapping.ext_by_node_short.items() if e == ext)
     assert mapping.node_short_by_ext[ext] == 0x0020
-    assert [frame.dst_short for _, frame in world.node("y1").received_nwk] == [0x0020]
-    assert world.node("y2").received_nwk == []
+    assert [frame.dst_short for _, frame in seen["y1", "nwk"]] == [0x0020]
+    assert seen["y2", "nwk"] == []
 
 
 def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():
@@ -462,9 +473,10 @@ def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():
 
 def test_cross_region_bridge_nwk_byte_identical():
     world = two_region_world(GatewayMode.BRIDGE)
+    seen = watch(world)
     world.send_nwk(0.0, "x", 0x0020, b"continuous-nwk")
     world.run()
-    frames = world.node("y").received_nwk
+    frames = seen["y", "nwk"]
     assert len(frames) == 1
     expected = NwkFrame(dst_short=0x0020, src_short=0x0010, sequence=0,
                         payload=b"continuous-nwk")
@@ -487,9 +499,10 @@ def devid_world(seed=0):
 
 def test_devid_uplink_through_sim():
     world = devid_world()
+    seen = watch(world)
     world.send_app(0.0, "n1", 1, 9, b"reading")
     world.run()
-    delivered = world.host("h1").delivered
+    delivered = seen["h1", "ipv6"]
     assert len(delivered) == 1
     pkt = delivered[0][1]
     assert pkt.src == WIRED_A  # not the node's address: IP terminates at the gateway
@@ -499,18 +512,20 @@ def test_devid_uplink_through_sim():
 def test_devid_downlink_through_sim():
     world = devid_world()
     app_frame = AppHeader(9, 1).encode() + b"command"
+    seen = watch(world)
     world.send_udp(0.0, "h1", "gw", 5, 5, app_frame)
     world.run()
-    received = world.node("n1").received_app
+    received = seen["n1", "app"]
     assert len(received) == 1
     assert received[0][1] == app_frame
 
 
 def test_devid_downlink_over_budget_drops():
     world = devid_world()
+    seen = watch(world)
     world.send_udp(0.0, "h1", "gw", 5, 5, AppHeader(9, 1).encode() + bytes(200))
     world.run()
-    assert world.node("n1").received_app == []
+    assert seen["n1", "app"] == []
     assert any("no-fragmentation" in r.detail for r in world.trace if r.kind == "drop")
 
 

@@ -1,7 +1,11 @@
+import ast
+import math
 import tracemalloc
 from ipaddress import IPv6Address
+from pathlib import Path
 
 import pytest
+from deliveries import watch
 from test_digests import _workloads
 
 from lowpan import addressing, netsim, scenario
@@ -41,9 +45,10 @@ def drops_of(world, reason=None):
 
 def test_line_delivery_with_hops_4():
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, b"hello", hops=4)
     world.run()
-    packets = world.node("d").received_packets
+    packets = seen["d", "ipv6"]
     assert len(packets) == 1
     assert decode_udp(packets[0][1].payload).payload == b"hello"
     # each forwarder decrements exactly once
@@ -54,9 +59,10 @@ def test_line_delivery_with_hops_4():
 
 def test_line_drop_with_hops_2():
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, b"hello", hops=2)
     world.run()
-    assert world.node("d").received_packets == []
+    assert seen["d", "ipv6"] == []
     # the first forwarder still forwards, the second exhausts the budget
     assert len(forwards_of(world, "b")) == 1
     assert forwards_of(world, "c") == []
@@ -66,9 +72,10 @@ def test_line_drop_with_hops_2():
 
 def test_zero_hop_budget_is_exhausted_at_the_first_forwarder():
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "c", 0xF0B3, 0xF0B4, b"hello", hops=0)
     world.run()
-    assert world.node("c").received_packets == []
+    assert seen["c", "ipv6"] == []
     exhausted = drops_of(world, "hops-exhausted")
     assert len(exhausted) == 1 and exhausted[0].node == "b"
 
@@ -82,10 +89,11 @@ def test_shared_iid_resolves_to_the_lower_short():
     world.add_link("a", "hi")
     world.add_link("a", "lo")
     dst = addressing.link_local(addressing.iid_from_eui64(eui))
+    seen = watch(world)
     world.send_udp(0.0, "a", "hi", 1, 2, b"shared", dst_addr=dst)
     world.run()
-    assert len(world.node("lo").received_packets) == 1
-    assert world.node("hi").received_packets == []
+    assert len(seen["lo", "ipv6"]) == 1
+    assert seen["hi", "ipv6"] == []
 
 
 def test_neighbour_order_ignores_link_insertion_order():
@@ -121,6 +129,7 @@ def test_a_link_joins_two_different_nodes_of_one_pan():
     world.add_node("b", NodeRole.FFD, 2)
     world.add_node("c", NodeRole.FFD, 2, pan_id=0x0002)  # b's short, in another PAN
     world.add_link("a", "b")
+    seen = watch(world)
     for a, b, message in [("a", "c", "one PAN"), ("c", "a", "one PAN"), ("a", "a", "itself"),
                           ("a", "ghost", "unknown node")]:
         with pytest.raises(ValueError, match=message):
@@ -130,14 +139,15 @@ def test_a_link_joins_two_different_nodes_of_one_pan():
     world.broadcast(0.0, "a", b"flood")
     world.run()
     assert [r.detail for r in world.trace if r.node == "a" and r.kind == "tx"] == ["dst=b"]
-    assert world.node("c").received_broadcasts == []
+    assert seen["c", "bc0"] == []
 
 
 def test_delivery_to_self_address_forms():
     world = make_line()
+    seen = watch(world)
     world.send_udp(0.0, "a", "b", 0xF0B3, 0xF0B4, b"direct", hops=4)
     world.run()
-    assert len(world.node("b").received_packets) == 1
+    assert len(seen["b", "ipv6"]) == 1
 
 
 def test_rfd_never_forwards():
@@ -149,9 +159,10 @@ def test_rfd_never_forwards():
     world.add_link("r", "b")
     # no route via BFS (RFDs are not transit); force one to prove the node refuses
     world.node("a").routes[0x0003] = 0x0002
+    seen = watch(world)
     world.send_udp(0.0, "a", "b", 1, 2, b"x")
     world.run()
-    assert world.node("b").received_packets == []
+    assert seen["b", "ipv6"] == []
     refused = drops_of(world, "not-forwarder")
     assert len(refused) == 1 and refused[0].node == "r"
     assert forwards_of(world, "r") == []
@@ -187,10 +198,11 @@ def make_mesh_10(seed=0):
 
 def test_flood_delivers_once_per_node_and_terminates():
     world = make_mesh_10()
+    seen = watch(world)
     world.broadcast(0.0, "n0", b"flood", hops=15)
     world.run()  # run() draining the queue is the termination proof
     for i in range(10):
-        copies = world.node(f"n{i}").received_broadcasts
+        copies = seen[f"n{i}", "bc0"]
         assert len(copies) == 1, f"n{i} got {len(copies)} copies"
         assert copies[0][1] == b"flood"
     assert len(drops_of(world, "duplicate")) > 0
@@ -212,11 +224,12 @@ def test_duplicate_arrival_dropped():
 def test_sequence_wrap_still_dedups():
     world = make_mesh_10()
     world.node("n0").bc0_seq = 255
+    seen = watch(world)
     world.broadcast(0.0, "n0", b"first")
     world.broadcast(1.0, "n0", b"second")  # wraps to sequence 0
     world.run()
     for i in range(10):
-        payloads = [p for _, p in world.node(f"n{i}").received_broadcasts]
+        payloads = [p for _, p in seen[f"n{i}", "bc0"]]
         assert payloads == [b"first", b"second"]
 
 
@@ -227,10 +240,11 @@ def test_rfd_delivers_but_does_not_reflood():
     world.add_node("b", NodeRole.FFD, 3)
     world.add_link("a", "r")
     world.add_link("r", "b")
+    seen = watch(world)
     world.broadcast(0.0, "a", b"x", hops=8)
     world.run()
-    assert len(world.node("r").received_broadcasts) == 1
-    assert world.node("b").received_broadcasts == []  # r refuses to re-flood
+    assert len(seen["r", "bc0"]) == 1
+    assert seen["b", "bc0"] == []  # r refuses to re-flood
     assert forwards_of(world, "r") == []
 
 
@@ -241,16 +255,26 @@ def test_sleep_gating():
     world.add_node("a", NodeRole.COORDINATOR, 1)
     world.add_node("s", NodeRole.RFD, 2, sleep=SleepSchedule(awake=1.0, asleep=1.0))
     world.add_link("a", "s")
+    seen = watch(world)
     world.send_udp(0.2, "a", "s", 1, 2, b"awake")
     world.send_udp(1.2, "a", "s", 1, 2, b"asleep")
     world.run()
-    assert len(world.node("s").received_packets) == 1
+    assert len(seen["s", "ipv6"]) == 1
     asleep = drops_of(world, "asleep")
     assert len(asleep) == 1 and asleep[0].node == "s"
     # the invariant: no tx/rx trace row shows a sleeping node
     for record in world.trace:
         if record.kind in ("tx", "rx"):
             assert world.nodes[record.node].is_awake(record.time)
+
+
+def test_a_sleep_schedule_needs_a_positive_period():
+    world = World(seed=0)
+    with pytest.raises(ValueError, match="period > 0"):  # refused before the run reaches is_awake
+        world.add_node("s", NodeRole.FFD, 1, sleep=SleepSchedule(0.0, 0.0))
+    for awake, asleep in [(1.0, -1.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan)]:
+        with pytest.raises(ValueError, match="period > 0"):
+            SleepSchedule(awake, asleep)
 
 
 def test_sleeping_sender_drops():
@@ -269,9 +293,10 @@ def test_total_loss_drops_everything():
     world.add_node("a", NodeRole.COORDINATOR, 1)
     world.add_node("b", NodeRole.FFD, 2)
     world.add_link("a", "b", loss=1.0)
+    seen = watch(world)
     world.send_udp(0.0, "a", "b", 1, 2, b"x")
     world.run()
-    assert world.node("b").received_packets == []
+    assert seen["b", "ipv6"] == []
     assert len(drops_of(world, "loss")) == 1
 
 
@@ -320,9 +345,10 @@ def test_transmissions_serialize_on_the_radio():
 def test_fragmented_unicast_reassembles():
     world = make_line()
     payload = bytes((i * 11 + 3) & 0xFF for i in range(900))
+    seen = watch(world)
     world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, payload, hops=8)
     world.run()
-    packets = world.node("d").received_packets
+    packets = seen["d", "ipv6"]
     assert len(packets) == 1
     assert decode_udp(packets[0][1].payload).payload == payload
     assert any(r.kind == "frag-start" for r in world.trace)
@@ -353,9 +379,10 @@ def test_security_overhead_shrinks_budget():
     world.add_node("a", NodeRole.COORDINATOR, 1, security=SecurityMode.AES_CCM_128)
     world.add_node("b", NodeRole.FFD, 2, security=SecurityMode.AES_CCM_128)
     world.add_link("a", "b")
+    seen = watch(world)
     world.send_udp(0.0, "a", "b", 1, 2, bytes(200))
     world.run()
-    assert len(world.node("b").received_packets) == 1
+    assert len(seen["b", "ipv6"]) == 1
     frames = [r for r in world.trace if r.kind == "tx"]
     assert all(r.nbytes <= 133 for r in frames)
 
@@ -566,6 +593,30 @@ def test_every_received_frame_is_decoded(scenario_dir, scenario, monkeypatch):
         received = [r for r in world.trace if r.kind == "rx"]
         malformed = drops_of(world, "malformed-frame")
         assert received and calls == len(received) + len(malformed), mode
+
+
+def trace_kind_writers(source: str) -> list[tuple[str, str]]:
+    """(kind, enclosing class.function) for each "deliver" or "drop" string in `source`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Constant) and child.value in ("deliver", "drop"):
+                found.append((child.value, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_only_deliver_and_drop_write_their_trace_kinds():
+    inline = 'class World:\n    def _rx(self):\n        self.record(n, "deliver", f"kind=x")\n'
+    assert trace_kind_writers(inline) == [("deliver", "World._rx")]
+    source = Path(netsim.__file__).read_text()
+    assert trace_kind_writers(source) == [("drop", "World._drop"), ("deliver", "World._deliver")]
 
 
 def test_metrics_lines_shape():
