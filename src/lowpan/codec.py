@@ -514,8 +514,8 @@ class FragHeader:
 def _check_frag_fields(datagram_size: int, tag: int):
     if datagram_size > MAX_DATAGRAM_SIZE:
         raise SizeOverflow(f"datagram size {datagram_size} exceeds {MAX_DATAGRAM_SIZE}")
-    if datagram_size < 0:
-        raise ValueError(f"negative datagram size: {datagram_size}")
+    if datagram_size < 1:
+        raise ValueError(f"datagram size must be at least 1, not {datagram_size}")
     if not 0 <= tag <= 0xFFFF:
         raise ValueError(f"tag out of range: {tag}")
 
@@ -552,6 +552,8 @@ def decode_frag(data: bytes) -> tuple[FragHeader, int]:
     if len(data) < need:
         raise MalformedFrag("fragment header truncated", offset=len(data))
     datagram_size = ((data[0] & 0x07) << 8) | data[1]
+    if datagram_size == 0:  # no fragment belongs to an empty datagram
+        raise MalformedFrag("fragment datagram size is 0", offset=0)
     tag = int.from_bytes(data[2:4], "big")
     offset = 0 if first else data[4]
     return FragHeader(datagram_size, tag, offset, first), need

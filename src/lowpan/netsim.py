@@ -2,9 +2,11 @@
 
 A world holds WPAN nodes, point-to-point radio links inside one PAN,
 optional gateways and wired IPv6 hosts.  Events are processed in (time,
-sequence) order from a single queue; the only randomness is
-per-transmission loss, sampled from one seeded generator, so a world's
-trace is a pure function of its scenario and seed.
+sequence) order from a single queue of `(t, seq, (method, *args))`
+entries, where `method` is a bound method of the world: what is in flight
+is plain data a test can read.  The only randomness is per-transmission
+loss, sampled from one seeded generator, so a world's trace is a pure
+function of its scenario and seed.
 
 Node behaviour:
 
@@ -41,7 +43,6 @@ from collections import OrderedDict, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import chain
 from ipaddress import IPv6Address
 from typing import NamedTuple
@@ -141,9 +142,6 @@ class TraceRecord(NamedTuple):
     nbytes: int = 0
 
 
-_new_record = partial(tuple.__new__, TraceRecord)  # skips the generated __new__; every field is given
-
-
 class _TextIds(dict):
     """A text -> its index in `texts`, each distinct text appended once.
 
@@ -205,7 +203,7 @@ class Trace:
         )
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_new_record, self._fields())
+        return map(TraceRecord._make, self._fields())
 
     def lines(self) -> Iterator[str]:
         """The records as `trace.tsv` lines, rendered lazily."""
@@ -527,16 +525,17 @@ class World:
 
     # --- event loop -------------------------------------------------------
 
-    def schedule(self, t: float, fn):
-        heapq.heappush(self._queue, (t, self._event_seq, fn))
+    def schedule(self, t: float, event: tuple):
+        """Queue `event`, a bound method of this world then its arguments, for time `t`."""
+        heapq.heappush(self._queue, (t, self._event_seq, event))
         self._event_seq += 1
 
     def step(self) -> bool:
         if not self._queue:
             return False
-        t, _, fn = heapq.heappop(self._queue)
+        t, _, event = heapq.heappop(self._queue)
         self.now = t
-        fn()
+        event[0](*event[1:])
         return True
 
     def run_until(self, t_end: float):
@@ -579,8 +578,7 @@ class World:
         src_addr: IPv6Address | None = None,
         dst_addr: IPv6Address | None = None,
     ):
-        self.schedule(at, partial(self._do_send_udp, src_id, dst_id, sport, dport,
-                                  payload, hops, src_addr, dst_addr))
+        self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops, src_addr, dst_addr))
 
     def _pick_addresses(self, src_id: str, dst_id: str) -> tuple[IPv6Address, IPv6Address]:
         wired_dst = dst_id in self.hosts or dst_id in self.gateways
@@ -619,13 +617,13 @@ class World:
             self._node_send_ipv6(self.nodes[src_id], pkt, hops)
 
     def broadcast(self, at: float, src_id: str, payload: bytes, *, hops: int | None = None):
-        self.schedule(at, partial(self._do_broadcast, src_id, payload, hops))
+        self.schedule(at, (self._do_broadcast, src_id, payload, hops))
 
     def send_app(self, at: float, src_id: str, src_devid: int, dst_devid: int, data: bytes):
-        self.schedule(at, partial(self._do_send_app, src_id, src_devid, dst_devid, data))
+        self.schedule(at, (self._do_send_app, src_id, src_devid, dst_devid, data))
 
     def send_nwk(self, at: float, src_id: str, dst_short: int, payload: bytes):
-        self.schedule(at, partial(self._do_send_nwk, src_id, dst_short, payload))
+        self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 
     send_apl = send_nwk  # APL data rides a NWK frame as its payload
 
@@ -756,7 +754,7 @@ class World:
         airtime = frame_airtime(link.band, PHY_OVERHEAD + len(psdu))
         start = max(self.now, node.tx_free_at)
         node.tx_free_at = start + airtime
-        self.schedule(start, partial(self._tx_event, node, dst_node, link, psdu, airtime))
+        self.schedule(start, (self._tx_event, node, dst_node, link, psdu, airtime))
 
     def _flood(self, node: SimNode, data: bytes):
         """Send one copy of `data` to every radio neighbour, in id order."""
@@ -771,12 +769,9 @@ class World:
         self.record(node.id, "tx", f"dst={dst_node.id}", ppdu_octets)
         self.bump("frames_tx")
         if self.rng.random() < link.loss_probability:
-            self.schedule(self.now + airtime, partial(self._loss_event, dst_node, ppdu_octets))
+            self.schedule(self.now + airtime, (self._drop, dst_node.id, "loss", "", ppdu_octets))
         else:
-            self.schedule(self.now + airtime, partial(self._rx_event, dst_node, psdu))
-
-    def _loss_event(self, dst_node: SimNode, ppdu_octets: int):
-        self._drop(dst_node.id, "loss", nbytes=ppdu_octets)
+            self.schedule(self.now + airtime, (self._rx_event, dst_node, psdu))
 
     def _rx_event(self, node: SimNode, psdu: bytes):
         if not node.is_awake(self.now):
@@ -838,8 +833,7 @@ class World:
             if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
                 result = accept_fragment(node.reassembly, orig, data, self.now)
                 if result.opened is not None:
-                    buffer = node.reassembly[result.opened]
-                    deadline = partial(self._reassembly_deadline, node, result.opened, buffer)
+                    deadline = (self._reassembly_deadline, node, result.opened, node.reassembly[result.opened])
                     self.schedule(self.now + REASSEMBLY_TIMEOUT, deadline)
                 if result.outcome is FragmentOutcome.DROPPED:
                     self._drop(node.id, "timeout", "stage=reassembly")
@@ -950,7 +944,7 @@ class World:
         dst = self._addr_text[pkt.dst]
         self.record(origin_id, "wired-tx", f"dst={dst} nh={pkt.next_header}", pkt.payload_length)
         self.bump("wired_tx")
-        self.schedule(self.now + WIRED_DELAY, partial(self._wired_rx, pkt))
+        self.schedule(self.now + WIRED_DELAY, (self._wired_rx, pkt))
 
     def _wired_rx(self, pkt: Ipv6Packet):
         host = self.host_by_addr.get(pkt.dst)

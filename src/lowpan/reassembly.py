@@ -158,7 +158,9 @@ def accept_fragment(
 
     if buffer.covered():
         table.pop(key, None)
-        return FragmentResult(FragmentOutcome.COMPLETE, datagram=buffer.assemble())
+        datagram = buffer.assemble()
+        buffer.received.clear()  # a deadline event may still hold the buffer; its pieces can go
+        return FragmentResult(FragmentOutcome.COMPLETE, datagram=datagram)
     if opened:
         table[key] = buffer
     if timed_out:

@@ -226,11 +226,16 @@ def _sleep(value: str, lineno: int) -> SleepSchedule:
         return SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
 
 
-def _payload(fields: dict[str, str], lineno: int) -> bytes:
+def _payload(fields: dict[str, str], lineno: int, patterns: dict[int, bytes]) -> bytes:
+    """The line's payload; `size=` payloads come from `patterns`, one object per size."""
     if ("size" in fields) == ("hex" in fields):
         raise ScenarioError(f"line {lineno}: traffic needs one of size= or hex=")
     if "size" in fields:
-        return pattern_payload(_int(fields["size"], lineno, MAX_PAYLOAD))
+        size = _int(fields["size"], lineno, MAX_PAYLOAD)
+        payload = patterns.get(size)
+        if payload is None:
+            payload = patterns[size] = pattern_payload(size)
+        return payload
     try:
         payload = bytes.fromhex(fields["hex"])
     except ValueError:
@@ -350,14 +355,17 @@ def load_scenario(
                 with _at(section.keys["devid"][0]):
                     register_devid(gw.registry, devid, world.hosts[section.ids[0]].addr)
 
+    patterns: dict[int, bytes] = {}  # this load's only: a size= may be up to MAX_PAYLOAD octets
     for section in sections["traffic"]:
         for lineno, line in section.events:
-            _schedule_traffic(world, line, lineno)
+            _schedule_traffic(world, line, lineno, patterns)
 
     return world, t_end
 
 
-def _schedule_traffic(world: World, line: str, lineno: int):
+def _schedule_traffic(world: World, line: str, lineno: int, patterns: dict[int, bytes]):
+    """Queue one traffic line's send.  Queued events name nodes and hosts by
+    the world's own id strings, not by the line's token copies."""
     tokens = line.split()
     fields = {}
     for token in tokens:
@@ -377,18 +385,20 @@ def _schedule_traffic(world: World, line: str, lineno: int):
         unknown = fields.keys() - _TOKENS[kind]
         raise ScenarioError(f"line {lineno}: unknown {kind} traffic token {min(unknown)}=")
     at = _float(fields["at"], lineno)
-    src = fields["from"]
-    if src not in world.nodes and src not in world.hosts:
-        raise ScenarioError(f"line {lineno}: unknown sender {src!r}")
+    sender = world.nodes.get(fields["from"]) or world.hosts.get(fields["from"])
+    if sender is None:
+        raise ScenarioError(f"line {lineno}: unknown sender {fields['from']!r}")
+    src = sender.id
     if src in world.hosts and kind != "udp":
         raise ScenarioError(f"line {lineno}: {kind} traffic must start at a node, not host {src!r}")
-    payload = _payload(fields, lineno)
+    payload = _payload(fields, lineno, patterns)
     hops = _int(fields["hops"], lineno, MAX_HOPS) if "hops" in fields else None
 
     if kind == "udp":
-        dst = fields["to"]
-        if dst not in world.nodes and dst not in world.hosts:
-            raise ScenarioError(f"line {lineno}: unknown udp destination {dst!r}")
+        receiver = world.nodes.get(fields["to"]) or world.hosts.get(fields["to"])
+        if receiver is None:
+            raise ScenarioError(f"line {lineno}: unknown udp destination {fields['to']!r}")
+        dst = receiver.id
         sport = _int(fields.get("sport", "0xF0B0"), lineno, U16)
         dport = _int(fields.get("dport", "0xF0B1"), lineno, U16)
         world.send_udp(at, src, dst, sport, dport, payload, hops=hops)

@@ -17,8 +17,9 @@ def check_counter_laws(world):
     deliveries = sum(1 for r in world.trace if r.kind == "deliver")
     assert deliveries == metrics.get("delivered", 0) + metrics.get("bcast_delivered", 0)
     asleep_rx = sum(1 for r in world.trace if r.kind == "drop" and r.detail.startswith("reason=asleep dir=rx"))
-    in_flight = sum(
-        1 for _, _, fn in world._queue if getattr(fn, "func", None) in (world._rx_event, world._loss_event)
+    in_flight = sum(  # frames on the air: a queued receive, or a queued loss
+        1 for _, _, (fn, *args) in world._queue
+        if fn == world._rx_event or (fn == world._drop and args[1] == "loss")
     )
     assert metrics.get("frames_tx", 0) == (
         metrics.get("frames_rx", 0) + metrics.get("drops_loss", 0) + asleep_rx

@@ -155,6 +155,20 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
         assert f"line {line}:" in err, (text, err)
 
 
+def test_run_drops_a_zero_size_first_fragment(tmp_path, capsys):
+    # the app header `C0 00 00 01` reads as FRAG1 with datagram size 0 at a border gateway
+    scn = tmp_path / "zero.scn"
+    scn.write_text(
+        "[gateway gw]\nmode = border\nshort = 1\nwired = fd00::1\nprefix = 2001:db8:1::\n"
+        "[node n1]\nshort = 2\n[link n1 gw]\n"
+        "[traffic]\nat=1 kind=app from=n1 todevid=1 devid=0xC000 size=0\n"
+    )
+    code, _, err = run_cli("run", str(scn), "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 0, err
+    trace = (tmp_path / "out" / "trace.tsv").read_text().splitlines()
+    assert trace[-1] == "1.000736\tgw\tdrop\treason=codec-error kind=MalformedFrag\t0"
+
+
 @pytest.mark.parametrize("t_end", ["nan", "-1", "inf"])
 def test_run_rejects_bad_t_end_override(scenario_dir, tmp_path, capsys, t_end):
     code, _, err = run_cli(
@@ -265,6 +279,12 @@ def test_codec_decode_error_offset_counts_from_the_input(capsys, stream, message
     code, _, err = run_cli("codec", "decode", stream, capsys=capsys)
     assert code == 3
     assert err == f"decode error at {message}\n"
+
+
+def test_codec_decode_rejects_a_zero_size_fragment(capsys):
+    code, _, err = run_cli("codec", "decode", "c0000000", capsys=capsys)
+    assert code == 3
+    assert err == "decode error at byte 0: fragment datagram size is 0\n"
 
 
 def test_codec_ppdu_roundtrip(capsys):

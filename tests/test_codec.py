@@ -514,6 +514,11 @@ def test_frag_malformed():
         decode_frag(b"\xe5\x00\x00\x07")
     with pytest.raises(MalformedFrag):
         decode_frag(b"\x42\x00\x00\x00")
+    for empty in (b"\xc0\x00\x00\x01", b"\xe0\x00\x00\x01\x00"):  # no fragment of an empty datagram
+        with pytest.raises(MalformedFrag):
+            decode_frag(empty)
+    with pytest.raises(ValueError):
+        encode_frag_first(0, 1)
 
 
 @settings(max_examples=200)

@@ -5,7 +5,10 @@ from ipaddress import IPv6Address
 from pathlib import Path
 
 import pytest
+from counter_laws import check_counter_laws
 from deliveries import watch
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_digests import _workloads
 
 from lowpan import addressing, netsim, scenario
@@ -355,6 +358,17 @@ def test_fragmented_unicast_reassembles():
     assert any(r.kind == "reasm-complete" and r.node == "d" for r in world.trace)
 
 
+def test_a_completed_reassembly_releases_its_pieces():
+    world = make_line()
+    world.send_udp(0.0, "a", "d", 0xF0B3, 0xF0B4, bytes(900), hops=8)
+    world.run_until(1.0)
+    assert any(r.kind == "reasm-complete" and r.node == "d" for r in world.trace)
+    deadlines = [event for _, _, event in world._queue if event[0] == world._reassembly_deadline]
+    assert deadlines  # each deadline stays queued for the whole window
+    for _, node, key, buffer in deadlines:
+        assert key not in node.reassembly and buffer.received == {}
+
+
 def test_incomplete_reassembly_is_discarded_at_its_deadline():
     world = make_line()
     a, b = world.node("a"), world.node("b")
@@ -628,3 +642,36 @@ def test_metrics_lines_shape():
     assert metrics["delivered"] == "1"
     assert metrics["delivery_ratio"] == "1"
     assert "mean_header_overhead" in metrics
+
+
+def _receiver_world(mode: str) -> World:
+    """A gateway `gw` of `mode`, its subscriber host and two nodes: n2 - n1 - gw."""
+    world, _ = load_scenario(
+        "[host h]\naddr = fd00::99\ndevid = 9\n"
+        f"[gateway gw]\nmode = {mode}\nshort = 0x00FE\nwired = fd00::a\nprefix = 2001:db8:a::\n"
+        "subscribers = h\npeer = fd00::b\n"
+        "[node n1]\nshort = 1\ndevid = 1\n[node n2]\nshort = 2\nrole = rfd\n"
+        "[link n1 gw]\n[link n1 n2]\n"
+    )
+    return world
+
+
+# MAC payloads: any octets, and octets behind each first octet the receive stacks tell apart
+MAC_PAYLOADS = st.binary(max_size=110) | st.builds(
+    lambda head, rest: bytes([head]) + rest,
+    st.sampled_from([0x00, 0x08, 0x41, 0x42, 0x50, 0x80, 0xBF, 0xC0, 0xC5, 0xE0, 0xE5, 0xFF]),
+    st.binary(max_size=109),
+)
+
+
+@pytest.mark.parametrize("receiver", ["gw", "n1"], ids=["at-gateway", "at-node"])
+@pytest.mark.parametrize("mode", ["border", "devid", "zigbee", "bridge"])  # stacks lowpan, app, nwk, nwk
+@settings(max_examples=60, deadline=None)
+@given(payload=MAC_PAYLOADS)
+@example(payload=bytes.fromhex("c0000001"))  # FRAG1 of an empty datagram
+def test_any_mac_payload_ends_in_a_trace_record_not_an_exception(mode, receiver, payload):
+    world = _receiver_world(mode)
+    sender = world.node("n1" if receiver == "gw" else "gw")
+    world.schedule(0.0, (world._transmit, sender, world.node(receiver).short, payload))
+    world.run()
+    check_counter_laws(world)

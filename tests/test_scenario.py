@@ -201,3 +201,40 @@ def test_spellings_of_one_scenario_load_the_same_world(scenario_dir, spelling):
     variant = SPELLINGS[spelling](text)
     assert variant != text
     assert _digest(variant) == _digest(text)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (Path(__file__).parents[1] / "scenarios").glob("*.scn")))
+def test_queued_events_are_bound_methods_of_the_world_and_their_arguments(scenario_dir, name):
+    world, t_end = load_scenario((scenario_dir / name).read_text())
+    assert world._queue
+    for entry in world._queue:
+        assert [type(field) for field in entry] == [float, int, tuple], entry
+        assert entry[2][0].__self__ is world, entry
+
+    queued = []  # every event the run queues takes the same form
+    schedule = world.schedule
+
+    def recording_schedule(t, event):
+        queued.append(event)
+        schedule(t, event)
+
+    world.schedule = recording_schedule
+    world.run_until(t_end)
+    assert queued and all(type(event) is tuple and event[0].__self__ is world for event in queued)
+
+
+def test_queued_sends_share_the_worlds_ids_and_one_payload_per_size():
+    world, _ = load_scenario(
+        "[host wired-host]\naddr = fd00::99\n[node sensor-a]\nshort = 1\n[node sensor-b]\nshort = 2\n"
+        "[link sensor-a sensor-b]\n[traffic]\n"
+        "at=0 kind=udp from=sensor-a to=sensor-b size=40\n"
+        "at=1 kind=broadcast from=sensor-b size=40\n"
+        "at=2 kind=udp from=wired-host to=sensor-a size=41\n"
+    )
+    udp, bc0, wired = (event for _, _, event in sorted(world._queue))
+    assert (udp[0], bc0[0], wired[0]) == (world._do_send_udp, world._do_broadcast, world._do_send_udp)
+    assert udp[5] is bc0[2] and udp[5] == scenario.pattern_payload(40)
+    assert wired[5] is not udp[5] and len(wired[5]) == 41
+    assert udp[1] is world.nodes["sensor-a"].id and udp[2] is world.nodes["sensor-b"].id
+    assert bc0[1] is world.nodes["sensor-b"].id
+    assert wired[1] is world.hosts["wired-host"].id and wired[2] is world.nodes["sensor-a"].id
