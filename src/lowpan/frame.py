@@ -100,7 +100,7 @@ class FcsMismatch(FrameError):
 
 
 class PayloadOverBudget(FrameError):
-    pass
+    reason = "payload-over-budget"
 
 
 class PhyBand(Enum):

@@ -53,35 +53,35 @@ PEER_SHORTS = range(0x8000, 0x8040)  # the zigbee gateway's pool for IPv6 peers
 
 
 class GatewayError(ValueError):
-    pass
+    reason = "gateway-error"
 
 
 class DuplicateDevid(GatewayError):
-    pass
+    reason = "duplicate-devid"
 
 
 class UnknownDevid(GatewayError):
-    pass
+    reason = "unknown-devid"
 
 
 class NoFragmentation(GatewayError):
-    pass
+    reason = "no-fragmentation"
 
 
 class PoolExhausted(GatewayError):
-    pass
+    reason = "pool-exhausted"
 
 
 class AplTooLarge(GatewayError):
-    pass
+    reason = "apl-too-large"
 
 
 class NotTunnelTraffic(GatewayError):
-    pass
+    reason = "not-tunnel-traffic"
 
 
 class NoSuchNode(GatewayError):
-    pass
+    reason = "no-such-node"
 
 
 class GatewayMode(Enum):

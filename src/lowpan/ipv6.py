@@ -31,13 +31,15 @@ NEXT_HEADER_ICMPV6 = 58
 class PacketError(ValueError):
     """Base class for IPv6/UDP codec failures."""
 
+    reason = "packet-error"
+
 
 class BadVersion(PacketError):
-    pass
+    reason = "bad-version"
 
 
 class TruncatedHeader(PacketError):
-    pass
+    reason = "truncated-header"
 
 
 class Ipv6Packet(

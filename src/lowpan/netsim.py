@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import random
-import re
 from array import array
 from collections import OrderedDict, namedtuple
 from collections.abc import Iterator
@@ -142,23 +141,22 @@ class TraceRecord(NamedTuple):
     nbytes: int = 0
 
 
-class _TextIds(dict):
-    """A text -> its index in `texts`, each distinct text appended once.
+class _Memo(dict):
+    """A value -> `make(value)`, each missing value made once.
 
-    It holds the list, not a bound method of the `Trace`, so a trace and
-    its table form no reference cycle.
+    A world formats each address or short of its trace details once in one
+    (`str(IPv6Address)` is pure Python); a trace numbers its texts in one.
     """
 
-    __slots__ = ("texts",)
+    __slots__ = ("make",)
 
-    def __init__(self, texts: list[str]):
+    def __init__(self, make):
         super().__init__()
-        self.texts = texts
+        self.make = make
 
-    def __missing__(self, text: str) -> int:
-        index = self[text] = len(self.texts)
-        self.texts.append(text)
-        return index
+    def __missing__(self, value):
+        made = self[value] = self.make(value)
+        return made
 
 
 # Records per column array.  A full chunk is never grown again: growing one
@@ -183,8 +181,14 @@ class Trace:
 
     def __init__(self):
         self.chunks: list[tuple[array, ...]] = []
-        self.texts: list[str] = []
-        self.ids = _TextIds(self.texts)
+        texts: list[str] = []
+
+        def text_id(text: str) -> int:  # closes over the list, not the trace: no reference cycle
+            texts.append(text)
+            return len(texts) - 1
+
+        self.texts = texts
+        self.ids = _Memo(text_id)  # a text -> its index in `texts`
         self.open_chunk()
 
     def open_chunk(self):
@@ -208,23 +212,6 @@ class Trace:
     def lines(self) -> Iterator[str]:
         """The records as `trace.tsv` lines, rendered lazily."""
         return map(_TRACE_LINE.__mod__, self._fields())
-
-
-class _TraceText(dict):
-    """A value -> its trace text, each value formatted once by `to_text`.
-
-    Trace details name the same few addresses and shorts over and over, and
-    `str(IPv6Address)` is pure Python.  A world keeps one of these per kind
-    of text, so each holds only the values that world's packets carry.
-    """
-
-    def __init__(self, to_text):
-        super().__init__()
-        self.to_text = to_text
-
-    def __missing__(self, value) -> str:
-        text = self[value] = self.to_text(value)
-        return text
 
 
 class SimNode:
@@ -318,8 +305,8 @@ class World:
         self.hosts: dict[str, WiredHost] = {}
         self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace = Trace()
-        self._addr_text = _TraceText(str)  # IPv6Address -> its text
-        self._rx_text = _TraceText("src=0x%04X".__mod__)  # a frame's source short -> rx detail
+        self._addr_text = _Memo(str)  # IPv6Address -> its text
+        self._rx_text = _Memo("src=0x%04X".__mod__)  # a frame's source short -> rx detail
         self.metrics: dict[str, float] = {}
         self._queue: list = []
         self._event_seq = 0
@@ -653,7 +640,7 @@ class World:
         try:
             frames = mesh_fragments(stream, orig, final, node.frag_ctx, node.security, hops)
         except ReassemblyError as exc:
-            self._drop(node.id, _reason_token(exc), f"size={len(stream)}")
+            self._drop(node.id, exc.reason, f"size={len(stream)}")
             return
         if len(frames) > 1:
             self.record(
@@ -746,8 +733,8 @@ class World:
                 security=node.security,
                 payload=payload,
             )
-        except PayloadOverBudget:
-            self._drop(node.id, "payload-over-budget", f"size={len(payload)}")
+        except PayloadOverBudget as exc:
+            self._drop(node.id, exc.reason, f"size={len(payload)}")
             return
         node.mac_seq = (node.mac_seq + 1) & 0xFF
         psdu = encode_mac_frame(frame)
@@ -913,7 +900,7 @@ class World:
         try:
             pkt = gw.devid_uplink(frame.payload)
         except GatewayError as exc:
-            self._drop(node.id, _reason_token(exc))
+            self._drop(node.id, exc.reason)
             return
         self._uplink(node, gw, pkt)
 
@@ -933,7 +920,7 @@ class World:
         try:
             pkts = gw.zigbee_uplink(nwk) if gw.mode is GatewayMode.ZIGBEE else [gw.bridge_uplink(nwk)]
         except GatewayError as exc:
-            self._drop(node.id, _reason_token(exc))
+            self._drop(node.id, exc.reason)
             return
         for pkt in pkts:
             self._uplink(node, gw, pkt)
@@ -983,7 +970,7 @@ class World:
                     nwk = gw.bridge_downlink(pkt)
                 self._downlink(node, gw, pkt, nwk.dst_short, nwk.encode())
         except (GatewayError, PacketError) as exc:
-            self._drop(gw_id, _reason_token(exc))
+            self._drop(gw_id, exc.reason)
 
     def _uplink(self, node: SimNode, gw: Gateway, pkt: Ipv6Packet):
         """Trace and count one translated packet, then send it on the wire."""
@@ -1030,8 +1017,3 @@ class World:
             else:
                 lines.append(f"{key}={int(value)}")
         return lines
-
-
-def _reason_token(exc: Exception) -> str:
-    """Stable kebab-case trace token for a gateway/codec error class."""
-    return re.sub(r"(?<!^)(?=[A-Z])", "-", type(exc).__name__).lower()

@@ -38,23 +38,23 @@ FRAG_SUBSEQUENT_HEADER_OCTETS = 5
 
 
 class ReassemblyError(ValueError):
-    pass
+    reason = "reassembly-error"
 
 
 class DatagramTooLarge(ReassemblyError):
-    pass
+    reason = "datagram-too-large"
 
 
 class BudgetTooSmall(ReassemblyError):
-    pass
+    reason = "budget-too-small"
 
 
 class InconsistentSize(ReassemblyError):
-    pass
+    reason = "inconsistent-size"
 
 
 class OverlapMismatch(ReassemblyError):
-    pass
+    reason = "overlap-mismatch"
 
 
 @dataclass

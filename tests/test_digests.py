@@ -6,7 +6,7 @@ three workloads at its default and held-out seeds.  A change to any
 trace or metrics byte fails here, so a change meant to keep the output
 (a speedup, a refactor) is checked by the tier-1 run itself.  A change
 meant to alter the output updates the pins and says why.  Every run is
-also checked against two counter conservation laws (`counter_laws.py`).
+also checked against four counter laws (`counter_laws.py`).
 """
 
 import hashlib

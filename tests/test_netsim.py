@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import tracemalloc
 from ipaddress import IPv6Address
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from counter_laws import check_counter_laws
 from deliveries import watch
+from drop_reasons import drop_reasons
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_digests import _workloads
@@ -631,6 +633,27 @@ def test_only_deliver_and_drop_write_their_trace_kinds():
     assert trace_kind_writers(inline) == [("deliver", "World._rx")]
     source = Path(netsim.__file__).read_text()
     assert trace_kind_writers(source) == [("drop", "World._drop"), ("deliver", "World._deliver")]
+
+
+@pytest.mark.parametrize("source, fault", [
+    ("self._drop(n, reason_of(exc))", "neither a literal"),
+    ("self.schedule(t, (self._drop, n))", "not called or queued with a reason"),
+    ("drop = self._drop", "not called or queued with a reason"),
+    ("self._drop(n, exc.reason)", "not the exception"),
+    ("try:\n    f()\nexcept CodecError as exc:\n    self._drop(n, exc.reason)", "CodecError declares no reason"),
+])
+def test_a_drop_reason_handed_over_any_other_way_is_refused(source, fault):
+    with pytest.raises(AssertionError, match=fault):
+        drop_reasons(source)
+
+
+def test_readme_lists_the_closed_set_of_drop_reasons():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Drop reasons", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"(?m)^\* `([a-z-]+)` \(", block)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == drop_reasons()
+    assert {"loss", "codec-error", "unknown-devid", "payload-over-budget"} <= drop_reasons()
 
 
 def test_metrics_lines_shape():
