@@ -16,10 +16,9 @@ from ipaddress import IPv6Address
 
 from lowpan.gateway import (
     AppHeader,
+    Gateway,
     GatewayMode,
     NoFragmentation,
-    bridge_decapsulate,
-    bridge_encapsulate,
     NwkFrame,
     pad_transform,
     register_devid,
@@ -79,7 +78,7 @@ ext = bytes.fromhex("00124b0001020304")
 print(f"  extended address {ext.hex()} + prefix 2001:db8:: ->")
 from lowpan.gateway import MappingTable
 table = MappingTable(prefix=IPv6Address("2001:db8::"))
-print(f"  pseudo address {table.assign_pseudo(ext)} (kept only in the gateway)")
+print(f"  pseudo address {table.assign_pseudo(ext)} (computed when needed, never stored)")
 block = pad_transform(b"lamp=on")
 print(f"  7-octet APL payload pads to {len(block)} wired octets; "
       f"strip gives back {strip_transform(block)!r}")
@@ -87,6 +86,7 @@ print()
 
 print("bridge: a network-layer frame crosses the wired domain untouched")
 nwk = NwkFrame(dst_short=0x0020, src_short=0x0010, sequence=3, payload=b"apl")
-tunnel = bridge_encapsulate(nwk, (IPv6Address("fd00::a"), IPv6Address("fd00::b")))
+bridge = Gateway(GatewayMode.BRIDGE, IPv6Address("fd00::a"), tunnel_peer=IPv6Address("fd00::b"))
+tunnel = bridge.bridge_uplink(nwk)
 print(f"  encapsulated as UDP to {tunnel.dst}, {tunnel.payload_length} octets")
-print(f"  decapsulated equals the original: {bridge_decapsulate(tunnel) == nwk}")
+print(f"  decapsulated equals the original: {bridge.bridge_downlink(tunnel) == nwk}")

@@ -222,38 +222,22 @@ def strip_transform(wired_payload: bytes) -> bytes:
     return wired_payload[1 : 1 + length]
 
 
-# --- bridge tunnelling ------------------------------------------------------
-
-def bridge_encapsulate(nwk: NwkFrame, tunnel: tuple[IPv6Address, IPv6Address]) -> Ipv6Packet:
-    """Carry a NWK frame verbatim as UDP payload between bridge endpoints."""
-    return udp_packet(*tunnel, TUNNEL_UDP_PORT, TUNNEL_UDP_PORT, nwk.encode())
-
-
-def bridge_decapsulate(pkt: Ipv6Packet) -> NwkFrame:
-    if pkt.next_header != NEXT_HEADER_UDP:
-        raise NotTunnelTraffic(f"next header {pkt.next_header} is not UDP")
-    udp = decode_udp(pkt.payload)
-    if udp.dst_port != TUNNEL_UDP_PORT:
-        raise NotTunnelTraffic(f"UDP port {udp.dst_port} is not the tunnel port {TUNNEL_UDP_PORT}")
-    return NwkFrame.decode(udp.payload)
-
-
 # --- zigbee address mapping --------------------------------------------------
 
 @dataclass
 class MappingTable:
     """Unicast mapping state of the zigbee-mode gateway.
 
-    Pseudo addresses are the delegated prefix concatenated with the raw
-    64-bit extended address (no universal/local bit flip); they exist
-    only in this table, never on the nodes.  IPv6 peers take short
-    addresses from `PEER_SHORTS` in order of first sight; the pool never
-    refills.  Only the methods below write the state.
+    A pseudo address is the delegated prefix concatenated with the raw
+    64-bit extended address (no universal/local bit flip), computed when
+    needed and never stored, on the nodes or here.  The admitted nodes
+    are the ones `register_node` names.  IPv6 peers take short addresses
+    from `PEER_SHORTS` in order of first sight; the pool never refills.
+    Only the methods below write the state.
     """
 
     prefix: IPv6Address
     prefix64: bytes = field(init=False)  # the prefix's first 8 octets
-    pseudo_by_ext: dict[bytes, IPv6Address] = field(init=False, default_factory=dict)
     ext_by_node_short: dict[int, bytes] = field(init=False, default_factory=dict)
     # the reverse of ext_by_node_short: of the shorts sharing an ext, the one
     # registered first
@@ -264,30 +248,24 @@ class MappingTable:
     def __post_init__(self):
         self.prefix64 = self.prefix.packed[:8]
 
-    def register_node(self, ext: bytes, short: int) -> IPv6Address:
-        """Admit a WPAN node and return its pseudo global address."""
+    def register_node(self, ext: bytes, short: int):
+        """Admit a WPAN node."""
         held = self.ext_by_node_short.setdefault(short, ext)
         if held != ext:
             raise ValueError(f"short 0x{short:04X} already names another node")
         self.node_short_by_ext.setdefault(ext, short)
-        return self.assign_pseudo(ext)
 
     def assign_pseudo(self, ext: bytes) -> IPv6Address:
+        """The pseudo global address of the node with extended address `ext`."""
         if len(ext) != 8:
             raise ValueError("extended address must be 8 octets")
-        pseudo = self.pseudo_by_ext.get(ext)
-        if pseudo is None:
-            pseudo = IPv6Address(self.prefix64 + ext)
-            self.pseudo_by_ext[ext] = pseudo
-        return pseudo
+        return IPv6Address(self.prefix64 + ext)
 
     def ext_for_pseudo(self, address: IPv6Address) -> bytes:
+        """The extended address inside a pseudo address; admission is not checked."""
         if address.packed[:8] != self.prefix64:
             raise NoSuchNode(f"{address} is outside the delegated prefix")
-        ext = address.packed[8:]
-        if ext not in self.pseudo_by_ext:
-            raise NoSuchNode(f"no node registered for {address}")
-        return ext
+        return address.packed[8:]
 
     def assign_short(self, peer: IPv6Address) -> int:
         """Short address for an IPv6 peer: the next free one on first sight."""
@@ -340,12 +318,11 @@ class Gateway:
     """Translation state and logic for one gateway instance.
 
     Pure value-in/value-out: the simulator owns scheduling, transmission
-    and tracing around these calls.
+    and tracing around these calls, and the gateway's radio side (its PAN,
+    short and sequence numbers) belongs to its own simulated node.
     """
 
     mode: GatewayMode
-    pan_id: int
-    short: int
     wired_addr: IPv6Address
     prefix: IPv6Address | None = None
     subscribers: tuple[IPv6Address, ...] = ()
@@ -441,12 +418,19 @@ class Gateway:
     # bridge mode
 
     def bridge_uplink(self, nwk: NwkFrame) -> Ipv6Packet:
+        """Carry a NWK frame verbatim as UDP payload to the tunnel peer."""
         if self.tunnel_peer is None:
             raise GatewayError("bridge gateway has no tunnel peer")
-        return bridge_encapsulate(nwk, (self.wired_addr, self.tunnel_peer))
+        return udp_packet(self.wired_addr, self.tunnel_peer, TUNNEL_UDP_PORT, TUNNEL_UDP_PORT, nwk.encode())
 
     def bridge_downlink(self, pkt: Ipv6Packet) -> NwkFrame:
-        return bridge_decapsulate(pkt)
+        """The NWK frame a tunnel packet carries."""
+        if pkt.next_header != NEXT_HEADER_UDP:
+            raise NotTunnelTraffic(f"next header {pkt.next_header} is not UDP")
+        udp = decode_udp(pkt.payload)
+        if udp.dst_port != TUNNEL_UDP_PORT:
+            raise NotTunnelTraffic(f"UDP port {udp.dst_port} is not the tunnel port {TUNNEL_UDP_PORT}")
+        return NwkFrame.decode(udp.payload)
 
     # broadcast relay (any mode with subscribers)
 

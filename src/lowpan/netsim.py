@@ -365,8 +365,6 @@ class World:
         self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)
         gw = Gateway(
             mode=mode,
-            pan_id=pan,
-            short=short,
             wired_addr=wired_addr,
             prefix=prefix,
             subscribers=subscribers,
@@ -413,18 +411,15 @@ class World:
     def node(self, node_id: str) -> SimNode:
         return self.nodes[node_id]
 
-    def host(self, host_id: str) -> WiredHost:
-        return self.hosts[host_id]
-
     def gateway(self, node_id: str) -> Gateway:
         return self.gateways[node_id]
 
     # --- routing ----------------------------------------------------------
 
-    def segment_gateway(self, pan_id: int) -> tuple[str, Gateway] | None:
-        """The lowest-id gateway on PAN `pan_id` with its id, or None."""
+    def segment_gateway(self, pan_id: int) -> tuple[SimNode, Gateway] | None:
+        """The lowest-id gateway on PAN `pan_id` with its node, or None."""
         gw_id = self._pan_gateway.get(pan_id)
-        return None if gw_id is None else (gw_id, self.gateways[gw_id])
+        return None if gw_id is None else (self.nodes[gw_id], self.gateways[gw_id])
 
     def prepare(self):
         """Give each node its receive stack, note the forwarders routing may
@@ -445,8 +440,9 @@ class World:
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
         for gw_id, gw in self.gateways.items():  # each mapping is its gateway's own, so order is free
             if gw.mode is GatewayMode.ZIGBEE:  # bridge mode tunnels NWK frames verbatim
+                gw_pan = self.nodes[gw_id].pan_id
                 for (pan, short), node in sorted(self.by_addr.items()):
-                    if pan == gw.pan_id and node.id != gw_id:
+                    if pan == gw_pan and node.id != gw_id:
                         gw.mapping.register_node(node.eui, short)
 
     def next_hop(self, node: SimNode, final_short: int) -> int | None:
@@ -461,8 +457,8 @@ class World:
             hop = node.default_route
         if hop is None:
             entry = self.segment_gateway(node.pan_id)
-            if entry is not None and entry[0] != node.id:
-                hop = self._route(node, entry[1].short)
+            if entry is not None and entry[0] is not node:
+                hop = self._route(node, entry[0].short)
         return hop
 
     def _route(self, node: SimNode, final_short: int) -> int | None:
@@ -562,10 +558,8 @@ class World:
         payload: bytes,
         *,
         hops: int | None = None,
-        src_addr: IPv6Address | None = None,
-        dst_addr: IPv6Address | None = None,
     ):
-        self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops, src_addr, dst_addr))
+        self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops))
 
     def _pick_addresses(self, src_id: str, dst_id: str) -> tuple[IPv6Address, IPv6Address]:
         wired_dst = dst_id in self.hosts or dst_id in self.gateways
@@ -585,17 +579,13 @@ class World:
             dst = self.nodes[dst_id].link_local
         return src, dst
 
-    def _do_send_udp(self, src_id, dst_id, sport, dport, payload, hops, src_addr, dst_addr):
+    def _do_send_udp(self, src_id, dst_id, sport, dport, payload, hops):
         self.bump("sent")
         try:
             src, dst = self._pick_addresses(src_id, dst_id)
         except ValueError:  # node_global: a segment without a delegated prefix
             self._drop(src_id, "no-prefix", f"to={dst_id}")
             return
-        if src_addr is not None:
-            src = src_addr
-        if dst_addr is not None:
-            dst = dst_addr
         pkt = udp_packet(src, dst, sport, dport, payload)
         self.record(src_id, "send", f"kind=udp to={self._addr_text[dst]}", len(payload))
         if src_id in self.hosts:
@@ -618,14 +608,10 @@ class World:
 
     def _resolve_final_short(self, node: SimNode, dst: IPv6Address) -> int | None:
         entry = self.segment_gateway(node.pan_id)
-        gw = entry[1] if entry else None
-        local = addressing.is_link_local(dst) or (gw is not None and gw.owns_prefix(dst))
-        if local:
+        if addressing.is_link_local(dst) or (entry is not None and entry[1].owns_prefix(dst)):
             target = self.by_iid.get((node.pan_id, addressing.iid_of(dst)))
             return target.short if target is not None else None
-        if gw is not None:
-            return gw.short
-        return None
+        return entry[0].short if entry is not None else None
 
     def _node_send_ipv6(self, node: SimNode, pkt: Ipv6Packet, hops: int | None = None):
         final_short = self._resolve_final_short(node, pkt.dst)
@@ -689,7 +675,7 @@ class World:
         if entry is None:
             self._drop(src_id, "no-route", "detail=no-translator")
             return
-        self._transmit(node, entry[1].short, payload)
+        self._transmit(node, entry[0].short, payload)
 
     def _do_send_nwk(self, src_id: str, dst_short: int, payload: bytes):
         node = self.nodes[src_id]
@@ -711,7 +697,7 @@ class World:
         if entry is None:
             self._drop(src_id, "no-route", f"dst=0x{dst_short:04X}")
             return
-        self._transmit(node, entry[1].short, frame.encode())
+        self._transmit(node, entry[0].short, frame.encode())
 
     # --- radio -----------------------------------------------------------------
 
@@ -892,7 +878,7 @@ class World:
         gw = self.gateways.get(node.id)
         if gw is None:
             entry = self.segment_gateway(node.pan_id)
-            if entry is None or frame.src != self.nodes[entry[0]].wpan_address:
+            if entry is None or frame.src != entry[0].wpan_address:
                 self._drop(node.id, "stack-mismatch")  # app frames come only from the translator
                 return
             self._deliver(node.id, "kind=app", len(frame.payload), frame.payload)

@@ -184,7 +184,7 @@ def _choice(value: str, lineno: int, table: dict, what: str):
 
 
 class _at:
-    """Report a rejected world-building step (duplicate id, short, devid, sleep period) at its line."""
+    """Report a rejected world-building step (duplicate id, short, devid, link, sleep period) at its line."""
 
     __slots__ = ("lineno",)
 
@@ -331,10 +331,8 @@ def load_scenario(
     for section in sections["link"]:
         band = _get(section.keys, "band", _choice, PhyBand.B2450, _BANDS, "band")
         loss = _get(section.keys, "loss", _float, 0.0, 1.0)
-        try:
+        with _at(section.lineno):  # an unknown node, a node to itself, or two PANs
             world.add_link(*section.ids, band, loss)
-        except ValueError as exc:  # an unknown node, a node to itself, or two PANs
-            raise ScenarioError(f"line {section.lineno}: {exc}") from None
 
     for section in sections["route"]:
         node = world.nodes.get(section.ids[0])
@@ -418,8 +416,9 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
 
     Wired hosts and remote-segment nodes are represented by shorts from
     the local gateway's pool; the mapping is established here, before
-    the run.  A remote node is named by its pseudo address, which needs
-    only its EUI-64: `World.prepare` admits the remote PAN's nodes.
+    the run.  A remote node is named by its pseudo address, computed from
+    the remote prefix and its EUI-64 alone; `World.prepare` admits the
+    remote PAN's nodes.
     """
     node = world.nodes[src]
     entry = world.segment_gateway(node.pan_id)

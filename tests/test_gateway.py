@@ -23,8 +23,6 @@ from lowpan.gateway import (
     PoolExhausted,
     TrafficClass,
     UnknownDevid,
-    bridge_decapsulate,
-    bridge_encapsulate,
     demux,
     pad_transform,
     register_devid,
@@ -78,7 +76,7 @@ def test_unknown_devid():
 
 
 def _devid_gateway() -> Gateway:
-    gw = Gateway(mode=GatewayMode.DEVID, pan_id=0xBEEF, short=0x00FE, wired_addr=WIRED_A)
+    gw = Gateway(mode=GatewayMode.DEVID, wired_addr=WIRED_A)
     register_devid(gw.registry, 1, Short16(0xBEEF, 0x0010))
     register_devid(gw.registry, 9, HOST_ADDR)
     return gw
@@ -140,8 +138,6 @@ def test_ext_for_pseudo_unknown():
     table = MappingTable(prefix=PREFIX_A)
     with pytest.raises(NoSuchNode):
         table.ext_for_pseudo(IPv6Address("2001:db8:b::1"))  # wrong prefix
-    with pytest.raises(NoSuchNode):
-        table.ext_for_pseudo(IPv6Address("2001:db8:a::1"))  # never assigned
 
 
 def test_short_pool():
@@ -185,24 +181,27 @@ def test_strip_rejects_bad_prefix():
 
 # --- bridge tunnelling ------------------------------------------------------------
 
+BRIDGE = Gateway(mode=GatewayMode.BRIDGE, wired_addr=WIRED_A, tunnel_peer=WIRED_B)
+
+
 def test_bridge_roundtrip():
     nwk = NwkFrame(dst_short=0x0020, src_short=0x0010, sequence=3, payload=b"apl-data")
-    pkt = bridge_encapsulate(nwk, (WIRED_A, WIRED_B))
+    pkt = BRIDGE.bridge_uplink(nwk)
     assert pkt.src == WIRED_A and pkt.dst == WIRED_B
-    assert bridge_decapsulate(pkt) == nwk
+    assert BRIDGE.bridge_downlink(pkt) == nwk
 
 
 def test_bridge_rejects_non_tunnel():
     nwk = NwkFrame(dst_short=1, src_short=2)
-    pkt = bridge_encapsulate(nwk, (WIRED_A, WIRED_B))
+    pkt = BRIDGE.bridge_uplink(nwk)
     udp = decode_udp(pkt.payload)
     other = UdpDatagram(udp.src_port, 9999, udp.checksum, udp.payload)
     with pytest.raises(NotTunnelTraffic):
-        bridge_decapsulate(
+        BRIDGE.bridge_downlink(
             Ipv6Packet(src=pkt.src, dst=pkt.dst, payload=encode_udp(other))
         )
     with pytest.raises(NotTunnelTraffic):
-        bridge_decapsulate(Ipv6Packet(src=WIRED_A, dst=WIRED_B, next_header=58, payload=b""))
+        BRIDGE.bridge_downlink(Ipv6Packet(src=WIRED_A, dst=WIRED_B, next_header=58, payload=b""))
 
 
 def test_nwk_frame_classifies_as_not_lowpan():
@@ -238,7 +237,7 @@ def test_pipeline_inverse():
     frames = wired_to_lowpan(pkt, a.wpan_address, b.wpan_address, FragmentationContext())
     assert len(frames) > 1
     seen = watch(world)
-    world.send_udp(0.0, "a", "b", 0xF0B3, 0xF0B4, payload, src_addr=src)
+    world.schedule(0.0, (world._node_send_ipv6, a, pkt))
     world.run()
     assert world.metrics["fragments_tx"] == len(frames)
     assert [p for _, p in seen["b", "ipv6"]] == [pkt]
@@ -320,8 +319,7 @@ def test_border_downlink_fragment_count_matches_arithmetic():
 def test_border_unknown_destination():
     world = border_world()
     seen = watch(world)
-    world.send_udp(0.0, "h1", "rfd", 1, 2, b"x",
-                   dst_addr=IPv6Address("2001:db8:a::dead"))
+    world.schedule(0.0, (world.wired_send, "h1", udp_packet(HOST_ADDR, IPv6Address("2001:db8:a::dead"), 1, 2, b"x")))
     world.run()
     assert seen["rfd", "ipv6"] == []
     assert any("reason=no-such-node" in r.detail for r in world.trace if r.kind == "drop")
@@ -456,6 +454,59 @@ at=0.5 kind=apl from=x to={target} size=8
     assert mapping.node_short_by_ext[ext] == 0x0020
     assert [frame.dst_short for _, frame in seen["y1", "nwk"]] == [0x0020]
     assert seen["y2", "nwk"] == []
+
+
+TWO_ZIGBEE_PANS = """
+[gateway ga]
+mode = zigbee
+short = 0x00FE
+wired = fd00::a
+prefix = 2001:db8:a::
+pan = 0x000A
+[gateway gb]
+mode = zigbee
+short = 0x00FE
+wired = fd00::b
+prefix = 2001:db8:b::
+pan = 0x000B
+[node x]
+short = 0x0010
+pan = 0x000A
+[node y]
+short = 0x0020
+pan = 0x000B
+[link x ga]
+[link y gb]
+"""
+
+DEVID_TWO_HOSTS = """
+[gateway g]
+mode = devid
+short = 0x00FE
+wired = fd00::a
+[host h1]
+addr = fd00::99
+devid = 9
+[host h2]
+addr = fd00::98
+devid = 8
+"""
+
+
+@pytest.mark.parametrize("text, line, drop", [
+    # the pseudo address of gb itself: a gateway is never in its own mapping
+    (TWO_ZIGBEE_PANS, "at=0.5 kind=apl from=x to=gb size=8", (0.50212, "gb", "reason=no-such-node")),
+    # a NWK destination short that ga's pool never handed out
+    (TWO_ZIGBEE_PANS, "at=1.0 kind=nwk from=x dst=0x9000 size=8", (1.00112, "ga", "reason=no-such-node")),
+    # h2 addresses h1's devid, which sits on the wired side of g
+    (DEVID_TWO_HOSTS, "at=0.5 kind=udp from=h2 to=g hex=00080009aabb", (0.501, "g", "reason=unknown-devid")),
+], ids=["zigbee-unadmitted-pseudo", "zigbee-unknown-peer-short", "devid-wired-to-wired"])
+def test_translator_refusals_are_traced_drops(text, line, drop):
+    world, t_end = load_scenario(f"{text}[traffic]\n{line}\n")
+    seen = watch(world)
+    world.run_until(t_end)
+    assert [(round(r.time, 6), r.node, r.detail) for r in world.trace if r.kind == "drop"] == [drop]
+    assert not any(seen.values())
 
 
 def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, and
 every function, method and class the package defines is named outside the
-tests."""
+tests; a method only by being read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -38,31 +38,44 @@ def test_module_has_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
 
 
-def named(source: str) -> set[str]:
-    """The names, attributes, import aliases and string constants in `source`."""
-    names = set()
+def named(source: str) -> tuple[set[str], set[str]]:
+    """The attributes `source` reads, and all its names: those attributes,
+    names, import aliases and string constants."""
+    read, names = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(filter(None, (node.name, node.asname)))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
-    return names
+    return read, names
 
 
 def unused_definitions(sources: dict[str, str], users: list[str]) -> list[str]:
     """The functions, methods and classes `sources` define that no text in
-    `users` names, as `module:name (line)`; dunders and `EXEMPT` aside."""
-    used = set().union(*(named(text) for text in users))
+    `users` names, as `module:name (line)`; dunders and `EXEMPT` aside.
+    A method is named only where it is read as an attribute."""
+    found = [named(text) for text in users]
+    read = set().union(*(r for r, _ in found))
+    used = set().union(*(n for _, n in found))
     unused = []
     for module, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
+        tree = ast.parse(source)
+        methods = {
+            node for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
-                if name not in used and name not in EXEMPT and not (name.startswith("__") and name.endswith("__")):
+                if name in EXEMPT or (name.startswith("__") and name.endswith("__")):
+                    continue
+                if name not in (read if node in methods else used):
                     unused.append(f"{module}:{name} (line {node.lineno})")
     return unused
 
@@ -70,7 +83,10 @@ def unused_definitions(sources: dict[str, str], users: list[str]) -> list[str]:
 def test_unused_definitions_finds_a_method_only_defined():
     source = "class A:\n    def __init__(self): self.f()\n    def f(self): pass\n    def g(self): pass\n"
     assert unused_definitions({"m.py": source}, [source, "A"]) == ["m.py:g (line 4)"]
-    assert unused_definitions({"m.py": source}, [source, "x = 'g'"]) == ["m.py:A (line 1)"]
+    # a string names a function or class, but not a method
+    assert unused_definitions({"m.py": source}, [source, "x = 'A'"]) == ["m.py:g (line 4)"]
+    assert unused_definitions({"m.py": source}, [source, "A", "x = {'g': g}", "a.g = 1"]) == ["m.py:g (line 4)"]
+    assert unused_definitions({"m.py": source}, [source, "A", "a.g()"]) == []
 
 
 def test_every_definition_is_named_outside_the_tests():

@@ -95,7 +95,8 @@ def test_shared_iid_resolves_to_the_lower_short():
     world.add_link("a", "lo")
     dst = addressing.link_local(addressing.iid_from_eui64(eui))
     seen = watch(world)
-    world.send_udp(0.0, "a", "hi", 1, 2, b"shared", dst_addr=dst)
+    a = world.node("a")
+    world.schedule(0.0, (world._node_send_ipv6, a, udp_packet(a.link_local, dst, 1, 2, b"shared")))
     world.run()
     assert len(seen["lo", "ipv6"]) == 1
     assert seen["hi", "ipv6"] == []
@@ -557,8 +558,8 @@ def test_gateway_lookups_pick_the_lowest_id_whatever_the_insertion_order(order):
     for gw_id in order:
         world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
     world.add_host("h", IPv6Address("fd00::99"))
-    assert world.segment_gateway(world.pan_id)[0] == "gx"
-    assert world.segment_gateway(0x1234)[0] == "gy"
+    assert world.segment_gateway(world.pan_id)[0].id == "gx"
+    assert world.segment_gateway(0x1234)[0].id == "gy"
     assert world.segment_gateway(0x4321) is None
     world.send_udp(0.0, "h", "a", 1, 2, b"x")  # to a's global address, in both gz's and gx's prefix
     world.run()
@@ -582,7 +583,8 @@ def test_wired_delivery_takes_the_lowest_id_of_address_and_prefix_matches(revers
     world.send_udp(0.0, "h", "gy", 1, 2, b"x")
     world.send_udp(1.0, "h", "g1", 1, 2, b"x")  # to fd00::b%eth0: only g1's scoped address matches
     world.send_udp(2.0, "h", "g3", 1, 2, b"x")  # to fd00::b: g2, not the lower-id g1 nor g3
-    world.send_udp(3.0, "h", "g1", 1, 2, b"x", dst_addr=IPv6Address("fd00::b%eth1"))
+    scoped = udp_packet(IPv6Address("fd00::99"), IPv6Address("fd00::b%eth1"), 1, 2, b"x")
+    world.schedule(3.0, (world.wired_send, "h", scoped))
     world.run()
     assert [(r.time, r.node) for r in world.trace if r.kind == "wired-rx"] == [
         (0.001, "gx"), (1.001, "g1"), (2.001, "g2"),

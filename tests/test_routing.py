@@ -44,8 +44,8 @@ def all_pairs_routes(world: World) -> dict[str, tuple[dict[int, int], int | None
             routes.setdefault(world.nodes[dst_id].short, world.nodes[hop_id].short)
         default = src.default_route
         entry = world.segment_gateway(src.pan_id)
-        if entry is not None and default is None and entry[0] != src_id:
-            default = routes.get(entry[1].short)
+        if entry is not None and default is None and entry[0].id != src_id:
+            default = routes.get(entry[0].short)
         table[src_id] = (routes, default)
     return table
 
