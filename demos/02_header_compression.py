@@ -7,6 +7,8 @@ link addresses, and well-known UDP ports pack into a nibble each.  Only
 the hop limit and the UDP checksum always ride in full.
 """
 
+from ipaddress import IPv6Address
+
 from lowpan import addressing
 from lowpan.codec import compress_ipv6, decompress_ipv6
 from lowpan.frame import Short16
@@ -53,8 +55,6 @@ print(f"decompressed == original packet: {back == pkt}")
 print()
 
 # fields that cannot be elided simply ride inline; compression never fails
-from ipaddress import IPv6Address
-
 global_pkt = Ipv6Packet(
     src=IPv6Address("2001:db8::1234"), dst=dst,
     next_header=NEXT_HEADER_UDP, payload=encode_udp(udp), traffic_class=0x20,

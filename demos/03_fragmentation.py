@@ -12,7 +12,6 @@ import random
 from lowpan.codec import decode_frag
 from lowpan.frame import Short16
 from lowpan.reassembly import (
-    FragmentOutcome,
     FragmentationContext,
     accept_fragment,
     fragment,

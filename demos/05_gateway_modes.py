@@ -18,7 +18,7 @@ from lowpan.gateway import (
     AppHeader,
     Gateway,
     GatewayMode,
-    NoFragmentation,
+    MappingTable,
     NwkFrame,
     pad_transform,
     register_devid,
@@ -76,7 +76,6 @@ print()
 print("zigbee: pseudo addresses and the zero-filled block transform")
 ext = bytes.fromhex("00124b0001020304")
 print(f"  extended address {ext.hex()} + prefix 2001:db8:: ->")
-from lowpan.gateway import MappingTable
 table = MappingTable(prefix=IPv6Address("2001:db8::"))
 print(f"  pseudo address {table.assign_pseudo(ext)} (computed when needed, never stored)")
 block = pad_transform(b"lamp=on")

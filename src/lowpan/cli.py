@@ -174,18 +174,16 @@ def _dump_headers(data: bytes, orig, final) -> list[str]:
         )
         lines.append(f"fragment-hex: {data[consumed:].hex()}")
         return lines
-    if kind is codec.DispatchKind.HC1:
-        if len(data) < 3:
-            raise codec.MalformedHeader("HC1 stream truncated", offset=len(data))
-        enc = codec.Hc1Encoding.from_byte(data[1])
-        nh_name = ("inline", "udp", "icmp", "tcp")[enc.next_header_mode]
-        lines.append(
-            f"hc1: src-mode={enc.src_mode} dst-mode={enc.dst_mode} "
-            f"tcfl-zero={int(enc.tcfl_zero)} next-header={nh_name} hc2={int(enc.hc2_follows)}"
-        )
-        lines.append(f"hop-limit: {data[2]}")
     if kind in (codec.DispatchKind.HC1, codec.DispatchKind.UNCOMPRESSED_IPV6):
         pkt = codec.decompress_ipv6(data, orig, final)
+        if kind is codec.DispatchKind.HC1:
+            enc = codec.Hc1Encoding.from_byte(data[1])
+            nh_name = ("inline", "udp", "icmp", "tcp")[enc.next_header_mode]
+            lines.append(
+                f"hc1: src-mode={enc.src_mode} dst-mode={enc.dst_mode} "
+                f"tcfl-zero={int(enc.tcfl_zero)} next-header={nh_name} hc2={int(enc.hc2_follows)}"
+            )
+            lines.append(f"hop-limit: {data[2]}")
         lines.extend(_dump_ipv6(pkt))
         return lines
     lines.append("payload-hex: " + data[1:].hex())

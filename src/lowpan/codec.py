@@ -29,9 +29,10 @@ HC1 octet layout (most significant bit first):
 Address modes: 0 = prefix and IID inline (16 octets), 1 = prefix inline
 and IID derived from the link address (8 octets), 2 = link-local prefix
 elided and IID inline (8 octets), 3 = link-local prefix and IID both
-elided (0 octets).  The hop limit always follows the HC1 octet in full;
-inline fields then appear in the order source, destination, traffic
-class + flow label (4 octets), next header.
+elided (0 octets); the high bit of a mode elides the link-local prefix,
+the low bit the IID.  The hop limit always follows the HC1 octet in
+full; inline fields then appear in the order source, destination,
+traffic class + flow label (4 octets), next header.
 
 HC2 octet layout for UDP: bit 0 source port compressed, bit 1
 destination port compressed, bit 2 length elided (always set by this
@@ -83,6 +84,8 @@ DISPATCH_ADDITIONAL = 0x7F
 UDP_PORT_BASE = 0xF0B0
 MAX_DATAGRAM_SIZE = 0x7FF  # 11-bit fragment size field
 FRAG_OFFSET_UNIT = 8
+FRAG_FIRST_HEADER_OCTETS = 4
+FRAG_SUBSEQUENT_HEADER_OCTETS = 5
 
 
 class CodecError(ValueError):
@@ -166,10 +169,8 @@ def parse_dispatch(first_byte: int) -> DispatchKind:
 
 # --- HC1 / HC2 ---------------------------------------------------------
 
-_ADDR_FULL_INLINE = 0
-_ADDR_PREFIX_INLINE = 1
-_ADDR_IID_INLINE = 2
-_ADDR_ELIDED = 3
+# the octets of an address that ride inline, by address mode
+_INLINE = (slice(0, 16), slice(0, 8), slice(8, 16), slice(8, 8))
 
 _NH_INLINE = 0
 _NH_UDP = 1
@@ -210,28 +211,10 @@ class Hc1Encoding:
         )
 
 
-def _address_mode(address: IPv6Address, link_addr: NodeAddress | None) -> int:
-    packed = address.packed
+def _address_mode(packed: bytes, link_addr: NodeAddress | None) -> int:
     link_local = packed[:8] == addressing.LINK_LOCAL_PREFIX
     derivable = link_addr is not None and packed[8:] == addressing.iid_for(link_addr)
-    if link_local and derivable:
-        return _ADDR_ELIDED
-    if link_local:
-        return _ADDR_IID_INLINE
-    if derivable:
-        return _ADDR_PREFIX_INLINE
-    return _ADDR_FULL_INLINE
-
-
-def _inline_address(address: IPv6Address, mode: int) -> bytes:
-    packed = address.packed
-    if mode == _ADDR_FULL_INLINE:
-        return packed
-    if mode == _ADDR_PREFIX_INLINE:
-        return packed[:8]
-    if mode == _ADDR_IID_INLINE:
-        return packed[8:]
-    return b""
+    return 2 * link_local + derivable
 
 
 def compress_udp(udp: UdpDatagram) -> bytes:
@@ -243,14 +226,8 @@ def compress_udp(udp: UdpDatagram) -> bytes:
     if src_ok and dst_ok:
         out.append(((udp.src_port - UDP_PORT_BASE) << 4) | (udp.dst_port - UDP_PORT_BASE))
     else:
-        if src_ok:
-            out.append(udp.src_port - UDP_PORT_BASE)
-        else:
-            out += udp.src_port.to_bytes(2, "big")
-        if dst_ok:
-            out.append(udp.dst_port - UDP_PORT_BASE)
-        else:
-            out += udp.dst_port.to_bytes(2, "big")
+        for port, ok in ((udp.src_port, src_ok), (udp.dst_port, dst_ok)):
+            out += bytes([port - UDP_PORT_BASE]) if ok else port.to_bytes(2, "big")
     out += udp.checksum.to_bytes(2, "big")
     return bytes(out)
 
@@ -260,44 +237,23 @@ def decompress_udp(data: bytes) -> UdpDatagram:
     if not data:
         raise MalformedHc2("empty HC2 region", offset=0)
     hc2 = data[0]
-    src_comp = bool(hc2 & 0x80)
-    dst_comp = bool(hc2 & 0x40)
-    length_elided = bool(hc2 & 0x20)
     pos = 1
-    try:
-        if src_comp and dst_comp:
-            src_port = UDP_PORT_BASE + (data[pos] >> 4)
-            dst_port = UDP_PORT_BASE + (data[pos] & 0x0F)
-            pos += 1
-        else:
-            if src_comp:
-                src_port = UDP_PORT_BASE + (data[pos] & 0x0F)
-                pos += 1
-            else:
-                if pos + 2 > len(data):
-                    raise IndexError
-                src_port = int.from_bytes(data[pos : pos + 2], "big")
-                pos += 2
-            if dst_comp:
-                dst_port = UDP_PORT_BASE + (data[pos] & 0x0F)
-                pos += 1
-            else:
-                if pos + 2 > len(data):
-                    raise IndexError
-                dst_port = int.from_bytes(data[pos : pos + 2], "big")
-                pos += 2
-        inline_length = None
-        if not length_elided:
-            if pos + 2 > len(data):
-                raise IndexError
-            inline_length = int.from_bytes(data[pos : pos + 2], "big")
-            pos += 2
-        if pos + 2 > len(data):
-            raise IndexError
-        checksum = int.from_bytes(data[pos : pos + 2], "big")
-        pos += 2
-    except IndexError:
-        raise MalformedHc2("HC2 header truncated", offset=pos) from None
+
+    def field(n: int) -> int:
+        nonlocal pos
+        if pos + n > len(data):
+            raise MalformedHc2("HC2 header truncated", offset=pos)
+        pos += n
+        return int.from_bytes(data[pos - n : pos], "big")
+
+    if hc2 & 0xC0 == 0xC0:
+        ports = field(1)
+        src_port, dst_port = UDP_PORT_BASE + (ports >> 4), UDP_PORT_BASE + (ports & 0x0F)
+    else:
+        src_port = UDP_PORT_BASE + (field(1) & 0x0F) if hc2 & 0x80 else field(2)
+        dst_port = UDP_PORT_BASE + (field(1) & 0x0F) if hc2 & 0x40 else field(2)
+    inline_length = None if hc2 & 0x20 else field(2)
+    checksum = field(2)
     payload = data[pos:]
     udp = UdpDatagram(src_port, dst_port, checksum, payload)
     if inline_length is not None and inline_length != udp.length:
@@ -313,8 +269,9 @@ def compress_ipv6(pkt: Ipv6Packet, l2_src: NodeAddress | None, l2_dst: NodeAddre
     Never fails: any field that cannot be elided is carried inline.
     Returns the dispatch byte followed by the compressed stream.
     """
-    src_mode = _address_mode(pkt.src, l2_src)
-    dst_mode = _address_mode(pkt.dst, l2_dst)
+    src, dst = pkt.src.packed, pkt.dst.packed
+    src_mode = _address_mode(src, l2_src)
+    dst_mode = _address_mode(dst, l2_dst)
     tcfl_zero = pkt.traffic_class == 0 and pkt.flow_label == 0
     nh_mode = _NH_CODE.get(pkt.next_header, _NH_INLINE)
 
@@ -327,8 +284,8 @@ def compress_ipv6(pkt: Ipv6Packet, l2_src: NodeAddress | None, l2_dst: NodeAddre
 
     enc = Hc1Encoding(src_mode, dst_mode, tcfl_zero, nh_mode, udp is not None)
     out = bytearray([DISPATCH_HC1, enc.to_byte(), pkt.hop_limit])
-    out += _inline_address(pkt.src, src_mode)
-    out += _inline_address(pkt.dst, dst_mode)
+    out += src[_INLINE[src_mode]]
+    out += dst[_INLINE[dst_mode]]
     if not tcfl_zero:
         out.append(pkt.traffic_class)
         out += pkt.flow_label.to_bytes(3, "big")
@@ -340,27 +297,6 @@ def compress_ipv6(pkt: Ipv6Packet, l2_src: NodeAddress | None, l2_dst: NodeAddre
     else:
         out += pkt.payload
     return bytes(out)
-
-
-def _reconstruct_address(
-    data: bytes, pos: int, mode: int, link_addr: NodeAddress | None
-) -> tuple[IPv6Address, int]:
-    def take(n: int) -> bytes:
-        if pos + n > len(data):
-            raise MalformedHeader("inline address truncated", offset=pos)
-        return data[pos : pos + n]
-
-    if mode == _ADDR_FULL_INLINE:
-        return IPv6Address(take(16)), pos + 16
-    if mode == _ADDR_PREFIX_INLINE:
-        if link_addr is None:
-            raise MalformedHeader("IID elided but no link address", offset=pos)
-        return IPv6Address(take(8) + addressing.iid_for(link_addr)), pos + 8
-    if mode == _ADDR_IID_INLINE:
-        return IPv6Address(addressing.LINK_LOCAL_PREFIX + take(8)), pos + 8
-    if link_addr is None:
-        raise MalformedHeader("address elided but no link address", offset=pos)
-    return addressing.link_local(addressing.iid_for(link_addr)), pos
 
 
 def decompress_ipv6(
@@ -389,21 +325,32 @@ def decompress_ipv6(
     enc = Hc1Encoding.from_byte(data[1])
     hop_limit = data[2]
     pos = 3
-    src, pos = _reconstruct_address(data, pos, enc.src_mode, l2_src)
-    dst, pos = _reconstruct_address(data, pos, enc.dst_mode, l2_dst)
-    traffic_class = 0
-    flow_label = 0
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise MalformedHeader(f"{what} truncated", offset=pos)
+        pos += n
+        return data[pos - n : pos]
+
+    addresses = []
+    for mode, link_addr in ((enc.src_mode, l2_src), (enc.dst_mode, l2_dst)):
+        if mode & 1 and link_addr is None:
+            what = "IID" if mode == 1 else "address"
+            raise MalformedHeader(f"{what} elided but no link address", offset=pos)
+        inline = _INLINE[mode]
+        addresses.append(IPv6Address(
+            (addressing.LINK_LOCAL_PREFIX if mode & 2 else b"")
+            + take(inline.stop - inline.start, "inline address")
+            + (addressing.iid_for(link_addr) if mode & 1 else b"")
+        ))
+    src, dst = addresses
+    traffic_class = flow_label = 0
     if not enc.tcfl_zero:
-        if pos + 4 > len(data):
-            raise MalformedHeader("traffic class / flow label truncated", offset=pos)
-        traffic_class = data[pos]
-        flow_label = int.from_bytes(data[pos + 1 : pos + 4], "big")
-        pos += 4
+        tcfl = int.from_bytes(take(4, "traffic class / flow label"), "big")
+        traffic_class, flow_label = tcfl >> 24, tcfl & 0xFFFFFF
     if enc.next_header_mode == _NH_INLINE:
-        if pos + 1 > len(data):
-            raise MalformedHeader("inline next header truncated", offset=pos)
-        next_header = data[pos]
-        pos += 1
+        next_header = take(1, "inline next header")[0]
     else:
         next_header = _NH_VALUE[enc.next_header_mode]
     if enc.hc2_follows:
@@ -548,7 +495,7 @@ def decode_frag(data: bytes) -> tuple[FragHeader, int]:
     if kind not in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
         raise MalformedFrag("not a fragment header", offset=0)
     first = kind is DispatchKind.FRAG_FIRST
-    need = 4 if first else 5
+    need = FRAG_FIRST_HEADER_OCTETS if first else FRAG_SUBSEQUENT_HEADER_OCTETS
     if len(data) < need:
         raise MalformedFrag("fragment header truncated", offset=len(data))
     datagram_size = ((data[0] & 0x07) << 8) | data[1]

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .codec import (
+    FRAG_FIRST_HEADER_OCTETS,
+    FRAG_SUBSEQUENT_HEADER_OCTETS,
     MAX_DATAGRAM_SIZE,
     FragHeader,
     decode_frag,
@@ -32,9 +34,6 @@ from .frame import NodeAddress
 
 REASSEMBLY_TIMEOUT = 60.0
 MIN_PAYLOAD_BUDGET = 16
-
-FRAG_FIRST_HEADER_OCTETS = 4
-FRAG_SUBSEQUENT_HEADER_OCTETS = 5
 
 
 class ReassemblyError(ValueError):

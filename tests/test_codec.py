@@ -44,7 +44,6 @@ from lowpan.ipv6 import (
     NEXT_HEADER_UDP,
     Ipv6Packet,
     UdpDatagram,
-    decode_ipv6,
     encode_ipv6,
     encode_udp,
 )
@@ -200,6 +199,64 @@ def test_decompress_rejects_fields_ipv6_cannot_hold():
     # fully elided header (UDP, no HC2) followed by more octets than the payload length field holds
     with pytest.raises(MalformedHeader, match="payload too large"):
         decompress_ipv6(bytes([DISPATCH_HC1, 0xFA, 64]) + bytes(0x10000), L2_SRC, L2_DST)
+
+
+# HC1 0x00 carries every field inline: source, destination, tc/fl, next header.
+ALL_INLINE = bytes([DISPATCH_HC1, 0x00, 64]) + bytes(range(16)) + bytes(range(16, 32))
+# HC1 0xFB elides both addresses, tc/fl and the next header (UDP), and flags HC2;
+# an HC2 error's offset counts from the HC2 octet.
+HC2_AFTER = bytes([DISPATCH_HC1, 0xFB, 64])
+
+
+@pytest.mark.parametrize(
+    "stream, l2_src, l2_dst, cls, message, offset",
+    [
+        pytest.param(b"", L2_SRC, L2_DST, MalformedHeader, "empty stream", 0, id="empty"),
+        pytest.param(ALL_INLINE[:1], L2_SRC, L2_DST, MalformedHeader, "HC1 stream truncated", 1, id="hc1-octet"),
+        pytest.param(ALL_INLINE[:2], L2_SRC, L2_DST, MalformedHeader, "HC1 stream truncated", 2, id="hop-limit"),
+        pytest.param(ALL_INLINE[:8], L2_SRC, L2_DST, MalformedHeader, "inline address truncated", 3, id="src"),
+        pytest.param(ALL_INLINE[:29], L2_SRC, L2_DST, MalformedHeader, "inline address truncated", 19, id="dst"),
+        pytest.param(ALL_INLINE + b"\x00\x01", L2_SRC, L2_DST, MalformedHeader,
+                     "traffic class / flow label truncated", 35, id="tcfl"),
+        pytest.param(ALL_INLINE + b"\x00\x01\x02\x03", L2_SRC, L2_DST, MalformedHeader,
+                     "inline next header truncated", 39, id="next-header"),
+        pytest.param(ALL_INLINE + b"\x00\xF0\x00\x00\x11", L2_SRC, L2_DST, MalformedHeader,
+                     "flow label out of range: 15728640", 40, id="flow-label"),
+        pytest.param(bytes([DISPATCH_HC1, 0xFA, 64]) + bytes(0x10000), L2_SRC, L2_DST, MalformedHeader,
+                     "payload too large: 65536 octets", 3, id="payload-length"),
+        pytest.param(bytes([DISPATCH_HC1, 0x40, 64]) + bytes(8), None, L2_DST, MalformedHeader,
+                     "IID elided but no link address", 3, id="src-mode-1-no-link"),
+        pytest.param(bytes([DISPATCH_HC1, 0xC0, 64]), None, L2_DST, MalformedHeader,
+                     "address elided but no link address", 3, id="src-mode-3-no-link"),
+        pytest.param(bytes([DISPATCH_HC1, 0x10, 64]) + bytes(24), L2_SRC, None, MalformedHeader,
+                     "IID elided but no link address", 19, id="dst-mode-1-no-link"),
+        pytest.param(bytes([DISPATCH_HC1, 0x30, 64]) + bytes(16), L2_SRC, None, MalformedHeader,
+                     "address elided but no link address", 19, id="dst-mode-3-no-link"),
+        pytest.param(bytes([DISPATCH_HC1, 0xFD, 64]), L2_SRC, L2_DST, MalformedHeader,
+                     "HC2 flagged for a non-UDP next header", 1, id="hc2-not-udp"),
+        pytest.param(HC2_AFTER, L2_SRC, L2_DST, MalformedHc2, "empty HC2 region", 0, id="hc2-empty"),
+        pytest.param(HC2_AFTER + b"\xE0", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 1, id="hc2-ports-octet"),
+        pytest.param(HC2_AFTER + b"\x20\xF0", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 1, id="hc2-src-port"),
+        pytest.param(HC2_AFTER + b"\xA0", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 1, id="hc2-src-port-octet"),
+        pytest.param(HC2_AFTER + b"\xA0\x01\xF0", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 2, id="hc2-dst-port"),
+        pytest.param(HC2_AFTER + b"\x60\xF0\xB0", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 3, id="hc2-dst-port-octet"),
+        pytest.param(HC2_AFTER + b"\xC0\x12\x00", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 2, id="hc2-length"),
+        pytest.param(HC2_AFTER + b"\xE0\x12\xAB", L2_SRC, L2_DST, MalformedHc2,
+                     "HC2 header truncated", 2, id="hc2-checksum"),
+        pytest.param(HC2_AFTER + b"\xC0\x12\x00\x0A\xAB\xCDx", L2_SRC, L2_DST, MalformedHc2,
+                     "inline length 10 but 9 octets of datagram", 6, id="hc2-length-disagrees"),
+    ],
+)
+def test_decompress_error_class_message_and_offset(stream, l2_src, l2_dst, cls, message, offset):
+    with pytest.raises(CodecError) as info:
+        decompress_ipv6(stream, l2_src, l2_dst)
+    assert (type(info.value), str(info.value), info.value.offset) == (cls, message, offset)
 
 
 @settings(max_examples=300)

@@ -1,6 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every function, method and class the package defines is named outside the
-tests; a method only by being read as an attribute."""
+"""Every name a module of the package, a demo or a bench script imports is
+used in that file, and every function, method and class the package defines
+is named outside the tests; a method only by being read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,9 @@ PACKAGE = Path(lowpan.__file__).parent
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 ROOT = Path(__file__).parents[1]
 USERS = [PACKAGE, ROOT / "demos", ROOT / "bench"]  # what may call the package, tests aside
+SOURCES = {name: PACKAGE / name for name in MODULES} | {
+    f"{root}/{path.name}": path for root in ("demos", "bench") for path in sorted((ROOT / root).glob("*.py"))
+}
 EXEMPT = {"_make"}  # the namedtuple hook `CheckedTuple` overrides
 
 
@@ -33,9 +36,9 @@ def test_unused_imports_finds_a_name_never_referenced():
     assert unused_imports(source) == ["os (line 2)"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", SOURCES)
 def test_module_has_no_unused_imports(module):
-    assert unused_imports((PACKAGE / module).read_text()) == []
+    assert unused_imports(SOURCES[module].read_text()) == []
 
 
 def named(source: str) -> tuple[set[str], set[str]]:
