@@ -356,7 +356,11 @@ def decompress_ipv6(
     if enc.hc2_follows:
         if enc.next_header_mode != _NH_UDP:
             raise MalformedHeader("HC2 flagged for a non-UDP next header", offset=1)
-        udp = decompress_udp(data[pos:])
+        try:
+            udp = decompress_udp(data[pos:])
+        except CodecError as exc:
+            exc.offset += pos  # count from the input, not from the HC2 octet
+            raise
         payload = encode_udp(udp)
     else:
         payload = data[pos:]

@@ -84,6 +84,10 @@ class NoSuchNode(GatewayError):
     reason = "no-such-node"
 
 
+class NoPrefix(GatewayError):
+    reason = "no-prefix"
+
+
 class GatewayMode(Enum):
     BORDER = "border"
     DEVID = "devid"
@@ -226,43 +230,36 @@ def strip_transform(wired_payload: bytes) -> bytes:
 
 @dataclass
 class MappingTable:
-    """Unicast mapping state of the zigbee-mode gateway.
+    """The delegated prefix and the peer pool of one gateway.
 
     A pseudo address is the delegated prefix concatenated with the raw
     64-bit extended address (no universal/local bit flip), computed when
-    needed and never stored, on the nodes or here.  The admitted nodes
-    are the ones `register_node` names.  IPv6 peers take short addresses
-    from `PEER_SHORTS` in order of first sight; the pool never refills.
-    Only the methods below write the state.
+    needed and never stored; without a prefix there is none.  Which node
+    an extended address names is the world's to say, not this table's.
+    IPv6 peers take short addresses from `PEER_SHORTS` in order of first
+    sight; the pool never refills.  Every gateway has a pool, whatever its
+    mode: a scenario's `apl` line takes its destination short from the
+    local gateway's pool, also when `--mode-override` changes that mode.
     """
 
-    prefix: IPv6Address
-    prefix64: bytes = field(init=False)  # the prefix's first 8 octets
-    ext_by_node_short: dict[int, bytes] = field(init=False, default_factory=dict)
-    # the reverse of ext_by_node_short: of the shorts sharing an ext, the one
-    # registered first
-    node_short_by_ext: dict[bytes, int] = field(init=False, default_factory=dict)
+    prefix: IPv6Address | None
+    prefix64: bytes | None = field(init=False)  # the prefix's first 8 octets
     short_by_peer: dict[IPv6Address, int] = field(init=False, default_factory=dict)
     peer_by_short: dict[int, IPv6Address] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        self.prefix64 = self.prefix.packed[:8]
-
-    def register_node(self, ext: bytes, short: int):
-        """Admit a WPAN node."""
-        held = self.ext_by_node_short.setdefault(short, ext)
-        if held != ext:
-            raise ValueError(f"short 0x{short:04X} already names another node")
-        self.node_short_by_ext.setdefault(ext, short)
+        self.prefix64 = None if self.prefix is None else self.prefix.packed[:8]
 
     def assign_pseudo(self, ext: bytes) -> IPv6Address:
         """The pseudo global address of the node with extended address `ext`."""
+        if self.prefix64 is None:
+            raise NoPrefix("no delegated prefix to form a pseudo address")
         if len(ext) != 8:
             raise ValueError("extended address must be 8 octets")
         return IPv6Address(self.prefix64 + ext)
 
     def ext_for_pseudo(self, address: IPv6Address) -> bytes:
-        """The extended address inside a pseudo address; admission is not checked."""
+        """The extended address inside a pseudo address; which node it names is not checked."""
         if address.packed[:8] != self.prefix64:
             raise NoSuchNode(f"{address} is outside the delegated prefix")
         return address.packed[8:]
@@ -330,15 +327,12 @@ class Gateway:
 
     registry: DevidRegistry = field(init=False, default_factory=dict)
     mapping: MappingTable = field(init=False)
-    prefix64: bytes | None = field(init=False)  # the delegated prefix's first 8 octets
 
     def __post_init__(self):
-        prefix = self.prefix if self.prefix is not None else IPv6Address("2001:db8::")
-        self.mapping = MappingTable(prefix=prefix)
-        self.prefix64 = None if self.prefix is None else self.prefix.packed[:8]
+        self.mapping = MappingTable(prefix=self.prefix)
 
     def owns_prefix(self, address: IPv6Address) -> bool:
-        return self.prefix64 is not None and address.packed[:8] == self.prefix64
+        return address.packed[:8] == self.mapping.prefix64  # never equal to None
 
     # devid mode
 
@@ -374,18 +368,18 @@ class Gateway:
 
     # zigbee mode
 
-    def zigbee_uplink(self, nwk: NwkFrame) -> list[Ipv6Packet]:
-        """Translate a NWK frame into wired packets.
+    def zigbee_uplink(self, nwk: NwkFrame, src_ext: bytes | None) -> list[Ipv6Packet]:
+        """Translate a NWK frame from the node with extended address `src_ext`
+        (None if its source short names no other node of the PAN) into wired packets.
 
         Unicast maps the destination short to its IPv6 peer; broadcast
         fans out to every subscribed host with the gateway as the
         rendezvous point.  The APL payload is never inspected beyond
         the declared length.
         """
-        ext = self.mapping.ext_by_node_short.get(nwk.src_short)
-        if ext is None:
-            raise NoSuchNode(f"source short 0x{nwk.src_short:04X} is not registered")
-        src = self.mapping.assign_pseudo(ext)
+        if src_ext is None:
+            raise NoSuchNode(f"source short 0x{nwk.src_short:04X} names no node")
+        src = self.mapping.assign_pseudo(src_ext)
         block = pad_transform(nwk.payload)
         if nwk.dst_short == NWK_BROADCAST_SHORT:
             destinations = list(self.subscribers)
@@ -399,14 +393,14 @@ class Gateway:
             for dst in destinations
         ]
 
-    def zigbee_downlink(self, pkt: Ipv6Packet, sequence: int = 0) -> NwkFrame:
-        """Translate a wired packet into a NWK frame for a local node."""
+    def zigbee_downlink(self, pkt: Ipv6Packet, shorts: dict[bytes, int], sequence: int = 0) -> NwkFrame:
+        """Translate a wired packet into a NWK frame for a local node, found in
+        `shorts` (EUI-64 -> short: the PAN's entry of `World.zigbee_shorts`)."""
         if pkt.next_header != APL_NEXT_HEADER:
             raise GatewayError(f"next header {pkt.next_header} does not carry APL data")
-        ext = self.mapping.ext_for_pseudo(pkt.dst)
-        dst_short = self.mapping.node_short_by_ext.get(ext)
+        dst_short = shorts.get(self.mapping.ext_for_pseudo(pkt.dst))
         if dst_short is None:
-            raise NoSuchNode(f"{pkt.dst} maps to no admitted node")
+            raise NoSuchNode(f"{pkt.dst} names no node of the PAN")
         src_short = self.mapping.assign_short(pkt.src)
         return NwkFrame(
             dst_short=dst_short,

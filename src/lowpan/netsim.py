@@ -82,6 +82,7 @@ from .gateway import (
     Gateway,
     GatewayError,
     GatewayMode,
+    NoPrefix,
     NwkFrame,
     NWK_BROADCAST_SHORT,
     mesh_fragments,
@@ -296,6 +297,7 @@ class World:
         self.links: dict[tuple[str, str], SimLink] = {}
         self.neighbors: dict[str, list[str]] = {}
         self.gateways: dict[str, Gateway] = {}
+        self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> lowest short (prepare)
         self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
         # where a wired packet goes: its destination address, or that address's
         # first 8 octets, -> the lowest id of a gateway with that wired address
@@ -374,8 +376,8 @@ class World:
         self._pan_gateway[pan] = min(node_id, self._pan_gateway.get(pan, node_id))
         # IPv6Address keys compare scope ids too, as `==` does
         self._wired_gateway[wired_addr] = min(node_id, self._wired_gateway.get(wired_addr, node_id))
-        if gw.prefix64 is not None:
-            self._prefix_gateway[gw.prefix64] = min(node_id, self._prefix_gateway.get(gw.prefix64, node_id))
+        if (prefix64 := gw.mapping.prefix64) is not None:
+            self._prefix_gateway[prefix64] = min(node_id, self._prefix_gateway.get(prefix64, node_id))
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
@@ -423,27 +425,26 @@ class World:
 
     def prepare(self):
         """Give each node its receive stack, note the forwarders routing may
-        use and admit each zigbee gateway's nodes to its mapping.
+        use and index the nodes of each zigbee PAN by EUI-64.
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
-        This is the only place nodes are admitted, in short order, so nodes
-        sharing an EUI-64 resolve to the lowest short (as `by_iid` does).
+        Nodes sharing an EUI-64 resolve to the lowest short (as `by_iid` does).
         """
         if self._prepared:
             return
         self._prepared = True
+        for gw_id, gw in self.gateways.items():  # bridge mode tunnels NWK frames verbatim
+            if gw.mode is GatewayMode.ZIGBEE:
+                self.zigbee_shorts[self.nodes[gw_id].pan_id] = {}
         for node_id, node in self.nodes.items():
             gw_id = node_id if node_id in self.gateways else self._pan_gateway.get(node.pan_id)
             if gw_id is not None:
                 node.stack = self.gateways[gw_id].mode.stack
+            shorts = self.zigbee_shorts.get(node.pan_id)  # gw_id == node_id at a gateway, left out
+            if shorts is not None and gw_id != node_id and node.short < shorts.get(node.eui, 0x10000):
+                shorts[node.eui] = node.short
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
-        for gw_id, gw in self.gateways.items():  # each mapping is its gateway's own, so order is free
-            if gw.mode is GatewayMode.ZIGBEE:  # bridge mode tunnels NWK frames verbatim
-                gw_pan = self.nodes[gw_id].pan_id
-                for (pan, short), node in sorted(self.by_addr.items()):
-                    if pan == gw_pan and node.id != gw_id:
-                        gw.mapping.register_node(node.eui, short)
 
     def next_hop(self, node: SimNode, final_short: int) -> int | None:
         """Short of the radio neighbour that `node` hands a frame for `final_short` to.
@@ -503,7 +504,7 @@ class World:
         node = self.nodes[node_id]
         entry = self.segment_gateway(node.pan_id)
         if entry is None or entry[1].prefix is None:
-            raise ValueError(f"segment of {node_id!r} has no delegated prefix")
+            raise NoPrefix(f"segment of {node_id!r} has no delegated prefix")
         return addressing.global_unicast(entry[1].prefix, node.iid)
 
     # --- event loop -------------------------------------------------------
@@ -583,8 +584,8 @@ class World:
         self.bump("sent")
         try:
             src, dst = self._pick_addresses(src_id, dst_id)
-        except ValueError:  # node_global: a segment without a delegated prefix
-            self._drop(src_id, "no-prefix", f"to={dst_id}")
+        except NoPrefix as exc:  # node_global: a segment without a delegated prefix
+            self._drop(src_id, exc.reason, f"to={dst_id}")
             return
         pkt = udp_packet(src, dst, sport, dport, payload)
         self.record(src_id, "send", f"kind=udp to={self._addr_text[dst]}", len(payload))
@@ -903,8 +904,10 @@ class World:
             else:
                 self._drop(node.id, "nwk-not-mine", f"dst=0x{nwk.dst_short:04X}")
             return
+        src = self.by_addr.get((node.pan_id, nwk.src_short))
+        src_ext = None if src is None or src is node else src.eui  # a gateway never speaks for itself
         try:
-            pkts = gw.zigbee_uplink(nwk) if gw.mode is GatewayMode.ZIGBEE else [gw.bridge_uplink(nwk)]
+            pkts = gw.zigbee_uplink(nwk, src_ext) if gw.mode is GatewayMode.ZIGBEE else [gw.bridge_uplink(nwk)]
         except GatewayError as exc:
             self._drop(node.id, exc.reason)
             return
@@ -950,7 +953,7 @@ class World:
                 self._downlink(node, gw, pkt, endpoint.short, payload)
             else:
                 if gw.mode is GatewayMode.ZIGBEE:
-                    nwk = gw.zigbee_downlink(pkt, node.nwk_seq)
+                    nwk = gw.zigbee_downlink(pkt, self.zigbee_shorts[node.pan_id], node.nwk_seq)
                     node.nwk_seq = (node.nwk_seq + 1) & 0xFF
                 else:
                     nwk = gw.bridge_downlink(pkt)

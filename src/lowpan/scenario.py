@@ -417,8 +417,8 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
     Wired hosts and remote-segment nodes are represented by shorts from
     the local gateway's pool; the mapping is established here, before
     the run.  A remote node is named by its pseudo address, computed from
-    the remote prefix and its EUI-64 alone; `World.prepare` admits the
-    remote PAN's nodes.
+    the remote prefix and its EUI-64 alone; `World.prepare` indexes the
+    remote PAN's nodes by EUI-64.
     """
     node = world.nodes[src]
     entry = world.segment_gateway(node.pan_id)
@@ -434,7 +434,8 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
         remote = world.segment_gateway(target.pan_id)
         if remote is None:
             raise ScenarioError(f"line {lineno}: segment of {dst!r} has no gateway")
-        peer = remote[1].mapping.assign_pseudo(target.eui)
+        with _at(lineno):  # the remote gateway may have no prefix
+            peer = remote[1].mapping.assign_pseudo(target.eui)
     else:
         raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
     with _at(lineno):  # the pool may be exhausted

@@ -143,6 +143,11 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
         + "[traffic]\n" + "".join(f"at=1 kind=apl from=z1 to=x{n} size=1\n" for n in range(65)),
         7 + 2 * 65 + 1 + 65,
     ),
+    (  # an apl destination behind a gateway without a prefix has no pseudo address
+        "[gateway ga]\nmode = zigbee\nshort = 1\nwired = fd00::a\nprefix = 2001:db8:a::\n[node x]\nshort = 2\n"
+        "[gateway gb]\nmode = zigbee\nshort = 1\nwired = fd00::b\npan = 0x0002\n[node y]\nshort = 2\npan = 0x0002\n"
+        "[traffic]\nat=0.5 kind=apl from=x to=y size=1\n", 17,
+    ),
 ]
 
 
@@ -273,6 +278,8 @@ def test_codec_decode_mesh_header_without_payload(capsys):
         ("50", "byte 1: broadcast header truncated"),
         ("bf00010002c0", "byte 6: fragment header truncated"),
         ("bf0001000242", "byte 6: HC1 stream truncated"),
+        ("42fb40e0", "byte 4: HC2 header truncated"),  # fully elided HC1, then an HC2 octet without ports
+        ("bf0001000242fb40e0", "byte 9: HC2 header truncated"),
     ],
 )
 def test_codec_decode_error_offset_counts_from_the_input(capsys, stream, message):

@@ -234,23 +234,23 @@ HC2_AFTER = bytes([DISPATCH_HC1, 0xFB, 64])
                      "address elided but no link address", 19, id="dst-mode-3-no-link"),
         pytest.param(bytes([DISPATCH_HC1, 0xFD, 64]), L2_SRC, L2_DST, MalformedHeader,
                      "HC2 flagged for a non-UDP next header", 1, id="hc2-not-udp"),
-        pytest.param(HC2_AFTER, L2_SRC, L2_DST, MalformedHc2, "empty HC2 region", 0, id="hc2-empty"),
+        pytest.param(HC2_AFTER, L2_SRC, L2_DST, MalformedHc2, "empty HC2 region", 3, id="hc2-empty"),
         pytest.param(HC2_AFTER + b"\xE0", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 1, id="hc2-ports-octet"),
+                     "HC2 header truncated", 4, id="hc2-ports-octet"),
         pytest.param(HC2_AFTER + b"\x20\xF0", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 1, id="hc2-src-port"),
+                     "HC2 header truncated", 4, id="hc2-src-port"),
         pytest.param(HC2_AFTER + b"\xA0", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 1, id="hc2-src-port-octet"),
+                     "HC2 header truncated", 4, id="hc2-src-port-octet"),
         pytest.param(HC2_AFTER + b"\xA0\x01\xF0", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 2, id="hc2-dst-port"),
+                     "HC2 header truncated", 5, id="hc2-dst-port"),
         pytest.param(HC2_AFTER + b"\x60\xF0\xB0", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 3, id="hc2-dst-port-octet"),
+                     "HC2 header truncated", 6, id="hc2-dst-port-octet"),
         pytest.param(HC2_AFTER + b"\xC0\x12\x00", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 2, id="hc2-length"),
+                     "HC2 header truncated", 5, id="hc2-length"),
         pytest.param(HC2_AFTER + b"\xE0\x12\xAB", L2_SRC, L2_DST, MalformedHc2,
-                     "HC2 header truncated", 2, id="hc2-checksum"),
+                     "HC2 header truncated", 5, id="hc2-checksum"),
         pytest.param(HC2_AFTER + b"\xC0\x12\x00\x0A\xAB\xCDx", L2_SRC, L2_DST, MalformedHc2,
-                     "inline length 10 but 9 octets of datagram", 6, id="hc2-length-disagrees"),
+                     "inline length 10 but 9 octets of datagram", 9, id="hc2-length-disagrees"),
     ],
 )
 def test_decompress_error_class_message_and_offset(stream, l2_src, l2_dst, cls, message, offset):

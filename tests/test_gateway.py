@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
-from lowpan.frame import Short16, mac_payload_budget, SecurityMode
+from lowpan.frame import FrameType, MacFrame, Short16, SecurityMode, encode_mac_frame, mac_payload_budget
 from lowpan.gateway import (
     APL_MAX_OCTETS,
     AplTooLarge,
@@ -17,6 +17,7 @@ from lowpan.gateway import (
     GatewayMode,
     MappingTable,
     NoFragmentation,
+    NoPrefix,
     NoSuchNode,
     NotTunnelTraffic,
     NwkFrame,
@@ -132,6 +133,12 @@ def test_assign_pseudo_is_raw_concatenation():
     assert pseudo == IPv6Address("2001:db8::12:4b00:102:304")  # no U/L bit flip
     assert table.assign_pseudo(ext) == pseudo  # idempotent
     assert table.ext_for_pseudo(pseudo) == ext
+
+
+def test_assign_pseudo_needs_a_prefix():
+    with pytest.raises(NoPrefix) as raised:
+        MappingTable(None).assign_pseudo(bytes.fromhex("00124b0001020304"))
+    assert raised.value.reason == "no-prefix"
 
 
 def test_ext_for_pseudo_unknown():
@@ -412,8 +419,7 @@ def test_cross_region_zigbee_passes():
 
 @pytest.mark.parametrize("target", ["y1", "y2"])
 def test_zigbee_downlink_to_a_shared_eui_picks_the_lowest_short(target):
-    # prepare alone admits the PAN, in short order, whichever node the apl
-    # line names
+    # the world's index holds the lowest short, whichever node the apl line names
     text = f"""
 [gateway ga]
 mode = zigbee
@@ -447,11 +453,9 @@ at=0.5 kind=apl from=x to={target} size=8
     world, t_end = load_scenario(text)
     seen = watch(world)
     world.run_until(t_end)
-    mapping = world.gateway("gb").mapping
     ext = world.node("y1").eui
-    # the first short in registration order whose ext matches
-    assert mapping.node_short_by_ext[ext] == next(s for s, e in mapping.ext_by_node_short.items() if e == ext)
-    assert mapping.node_short_by_ext[ext] == 0x0020
+    # the only zigbee PANs are indexed, and only by their non-gateway nodes
+    assert world.zigbee_shorts == {0x000A: {world.node("x").eui: 0x0010}, 0x000B: {ext: 0x0020}}
     assert [frame.dst_short for _, frame in seen["y1", "nwk"]] == [0x0020]
     assert seen["y2", "nwk"] == []
 
@@ -479,6 +483,18 @@ pan = 0x000B
 [link y gb]
 """
 
+ZIGBEE_WITHOUT_PREFIX = """
+[gateway gz]
+mode = zigbee
+short = 0x00FE
+wired = fd00::a
+[node z1]
+short = 0x0010
+[host h1]
+addr = fd00::99
+[link z1 gz]
+"""
+
 DEVID_TWO_HOSTS = """
 [gateway g]
 mode = devid
@@ -494,13 +510,15 @@ devid = 8
 
 
 @pytest.mark.parametrize("text, line, drop", [
-    # the pseudo address of gb itself: a gateway is never in its own mapping
+    # the pseudo address of gb itself: the world indexes no gateway by its EUI-64
     (TWO_ZIGBEE_PANS, "at=0.5 kind=apl from=x to=gb size=8", (0.50212, "gb", "reason=no-such-node")),
     # a NWK destination short that ga's pool never handed out
     (TWO_ZIGBEE_PANS, "at=1.0 kind=nwk from=x dst=0x9000 size=8", (1.00112, "ga", "reason=no-such-node")),
     # h2 addresses h1's devid, which sits on the wired side of g
     (DEVID_TWO_HOSTS, "at=0.5 kind=udp from=h2 to=g hex=00080009aabb", (0.501, "g", "reason=unknown-devid")),
-], ids=["zigbee-unadmitted-pseudo", "zigbee-unknown-peer-short", "devid-wired-to-wired"])
+    # z1 has no pseudo address to send from, so nothing reaches the wire and h1
+    (ZIGBEE_WITHOUT_PREFIX, "at=0.5 kind=apl from=z1 to=h1 size=8", (0.50112, "gz", "reason=no-prefix")),
+], ids=["zigbee-unadmitted-pseudo", "zigbee-unknown-peer-short", "devid-wired-to-wired", "zigbee-without-prefix"])
 def test_translator_refusals_are_traced_drops(text, line, drop):
     world, t_end = load_scenario(f"{text}[traffic]\n{line}\n")
     seen = watch(world)
@@ -509,17 +527,36 @@ def test_translator_refusals_are_traced_drops(text, line, drop):
     assert not any(seen.values())
 
 
-def test_mapping_reverse_lookup_holds_for_a_table_given_its_nodes():
-    ext, other = bytes.fromhex("00124b0000000001"), bytes.fromhex("00124b0000000002")
-    table = MappingTable(prefix=PREFIX_A)
-    table.register_node(ext, 0x20)
-    table.register_node(ext, 0x10)
-    assert table.node_short_by_ext == {ext: 0x20}
-    table.register_node(other, 0x30)
-    assert table.node_short_by_ext == {ext: 0x20, other: 0x30}
-    with pytest.raises(ValueError, match="0x0020 already names another node"):
-        table.register_node(other, 0x20)
-    assert table.ext_by_node_short[0x20] == ext
+def test_zigbee_downlink_reaches_a_node_sharing_its_gateways_eui():
+    # y2 pins gb's EUI-64 with a short above gb's: were gateways indexed, the
+    # lower short 0x00FE would take the pseudo address and the frame
+    text = f"""{TWO_ZIGBEE_PANS}[node y2]
+short = 0x0100
+pan = 0x000B
+eui = 00:12:4b:00:00:0b:00:fe
+[link y2 gb]
+[traffic]
+at=0.5 kind=apl from=x to=y2 size=8
+"""
+    world, t_end = load_scenario(text)
+    assert world.node("gb").eui == world.node("y2").eui
+    seen = watch(world)
+    world.run_until(t_end)
+    assert [frame.dst_short for _, frame in seen["y2", "nwk"]] == [0x0100]
+    assert not any(r.kind == "drop" for r in world.trace)
+
+
+def test_zigbee_uplink_from_the_gateways_own_short_names_no_node():
+    # x hands ga a NWK frame whose source short is ga's own, for a peer ga knows
+    world, _ = load_scenario(TWO_ZIGBEE_PANS)
+    assert world.gateway("ga").mapping.assign_short(HOST_ADDR) == 0x8000
+    frame = NwkFrame(dst_short=0x8000, src_short=0x00FE, payload=b"spoof")
+    psdu = MacFrame(FrameType.DATA, 0, src=Short16(0x000A, 0x0010), dst=Short16(0x000A, 0x00FE),
+                    payload=frame.encode())
+    world.schedule(0.0, (world._rx_event, world.node("ga"), encode_mac_frame(psdu)))
+    world.run()
+    assert [(r.node, r.detail) for r in world.trace if r.kind == "drop"] == [("ga", "reason=no-such-node")]
+    assert world.metrics.get("wired_tx", 0) == 0
 
 
 def test_cross_region_bridge_nwk_byte_identical():
