@@ -1,12 +1,16 @@
 """Deterministic discrete-event simulation of LoWPAN segments.
 
 A world holds WPAN nodes, point-to-point radio links inside one PAN,
-optional gateways and wired IPv6 hosts.  Events are processed in (time,
-sequence) order from a single queue of `(t, seq, (method, *args))`
-entries, where `method` is a bound method of the world: what is in flight
-is plain data a test can read.  The only randomness is per-transmission
-loss, sampled from one seeded generator, so a world's trace is a pure
-function of its scenario and seed.
+optional gateways and wired IPv6 hosts.  The radio graph is one map per
+node, in id order, from each neighbour's id to the `SimLink` the two share:
+one link record per pair, reachable from both ends.  Nodes, gateways and
+links are added before `World.prepare`; a prepared world refuses more.
+
+Events are processed in (time, sequence) order from a single queue of
+`(t, seq, (method, *args))` entries, where `method` is a bound method of
+the world: what is in flight is plain data a test can read.  The only
+randomness is per-transmission loss, sampled from one seeded generator,
+so a world's trace is a pure function of its scenario and seed.
 
 Node behaviour:
 
@@ -26,6 +30,9 @@ Node behaviour:
     fragmented after compression and reassembled only at the mesh
     final destination, under the 60-second window; a datagram still
     incomplete 60 s after its first fragment is discarded then.
+  * A node's flood dedup cache (`bc0_seen`) and fragment tag context
+    (`frag_ctx`) are made on first use, when it first sees a flood or
+    splits a datagram; most nodes of a large mesh never need them.
 
 Trace records are one line each: time, node, event kind, detail and a
 byte count, tab separated.  Only `World._deliver` writes `deliver` records
@@ -34,7 +41,6 @@ and only `World._drop` writes `drop` records; no delivered payload is kept.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import random
 from array import array
@@ -247,9 +253,9 @@ class SimNode:
         self.mac_seq = 0
         self.nwk_seq = 0
         self.bc0_seq = 0
-        self.bc0_seen: OrderedDict = OrderedDict()
+        self.bc0_seen: OrderedDict | None = None  # made by the first note_broadcast
         self.tx_free_at = 0.0
-        self.frag_ctx = FragmentationContext()
+        self.frag_ctx: FragmentationContext | None = None  # made by the first take_tag
         self.reassembly: dict = {}
 
     @property
@@ -266,12 +272,26 @@ class SimNode:
 
     def note_broadcast(self, key) -> bool:
         """Record a flood key; returns False if it was already seen."""
-        if key in self.bc0_seen:
+        seen = self.bc0_seen
+        if seen is None:
+            seen = self.bc0_seen = OrderedDict()
+        elif key in seen:
             return False
-        self.bc0_seen[key] = True
-        while len(self.bc0_seen) > BC0_CACHE_ENTRIES:
-            self.bc0_seen.popitem(last=False)
+        seen[key] = True
+        if len(seen) > BC0_CACHE_ENTRIES:
+            seen.popitem(last=False)
         return True
+
+    def take_tag(self) -> int:
+        """The next fragment tag of this node's datagrams.
+
+        The node stands in for its `FragmentationContext`, which `fragment`
+        asks for a tag only when a datagram is split, so a node that never
+        fragments holds none.
+        """
+        if self.frag_ctx is None:
+            self.frag_ctx = FragmentationContext()
+        return self.frag_ctx.take_tag()
 
 
 @dataclass
@@ -294,8 +314,9 @@ class World:
         self.nodes: dict[str, SimNode] = {}
         self.by_addr: dict[tuple[int, int], SimNode] = {}
         self.by_iid: dict[tuple[int, bytes], SimNode] = {}
-        self.links: dict[tuple[str, str], SimLink] = {}
-        self.neighbors: dict[str, list[str]] = {}
+        # the radio graph: node id -> {neighbour id: the link they share}, in
+        # neighbour id order for floods and routing; one SimLink per pair
+        self.neighbors: dict[str, dict[str, SimLink]] = {}
         self.gateways: dict[str, Gateway] = {}
         self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> lowest short (prepare)
         self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
@@ -332,6 +353,8 @@ class World:
         sleep: SleepSchedule | None = None,
         security: SecurityMode = SecurityMode.NONE,
     ) -> SimNode:
+        if self._prepared:
+            raise ValueError(f"cannot add {node_id!r}: the world is prepared")
         pan = self.pan_id if pan_id is None else pan_id
         if node_id in self.nodes or node_id in self.hosts:
             raise ValueError(f"duplicate id {node_id!r}")
@@ -348,7 +371,7 @@ class World:
             held = self.by_iid.get((pan, iid))
             if held is None or short < held.short:  # a shared IID resolves to the lower short
                 self.by_iid[(pan, iid)] = node
-        self.neighbors.setdefault(node_id, [])
+        self.neighbors[node_id] = {}
         return node
 
     def add_gateway(
@@ -364,7 +387,7 @@ class World:
         tunnel_peer: IPv6Address | None = None,
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
-        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)
+        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)  # refuses a prepared world
         gw = Gateway(
             mode=mode,
             wired_addr=wired_addr,
@@ -391,7 +414,9 @@ class World:
     def add_link(
         self, a: str, b: str, band: PhyBand = PhyBand.B2450, loss: float = 0.0
     ) -> SimLink:
-        """Join two different nodes of one PAN; PANs meet only through a gateway."""
+        """Join two different nodes of one PAN, once; PANs meet only through a gateway."""
+        if self._prepared:
+            raise ValueError(f"cannot link {a!r} and {b!r}: the world is prepared")
         node_a, node_b = self.nodes.get(a), self.nodes.get(b)
         for end, node in ((a, node_a), (b, node_b)):
             if node is None:
@@ -403,11 +428,16 @@ class World:
             raise ValueError(
                 f"a link joins two nodes of one PAN, not {a!r} (PAN 0x{pan_a:04X}) and {b!r} (PAN 0x{pan_b:04X})"
             )
-        link = self.links[(a, b)] = self.links[(b, a)] = SimLink(a, b, band, loss)
+        a, b = node_a.id, node_b.id  # the world's own id strings, not the caller's copies
+        if b in self.neighbors[a]:
+            raise ValueError(f"{a!r} and {b!r} are already linked")
+        link = SimLink(a, b, band, loss)
         for end, other in ((a, b), (b, a)):
             ends = self.neighbors[end]
-            if other not in ends:
-                bisect.insort(ends, other)  # kept in id order for floods and BFS
+            in_order = not ends or next(reversed(ends)) < other
+            ends[other] = link
+            if not in_order:
+                self.neighbors[end] = dict(sorted(ends.items()))
         return link
 
     def node(self, node_id: str) -> SimNode:
@@ -625,7 +655,7 @@ class World:
         self._note_compression(pkt, stream)
         hops = hops if hops is not None else self.default_hops
         try:
-            frames = mesh_fragments(stream, orig, final, node.frag_ctx, node.security, hops)
+            frames = mesh_fragments(stream, orig, final, node, node.security, hops)  # tags from take_tag
         except ReassemblyError as exc:
             self._drop(node.id, exc.reason, f"size={len(stream)}")
             return
@@ -691,7 +721,7 @@ class World:
             self._flood(node, frame.encode())
             return
         local = self.by_addr.get((node.pan_id, dst_short))
-        if local is not None and (src_id, local.id) in self.links:
+        if local is not None and local.id in self.neighbors[src_id]:
             self._transmit(node, dst_short, frame.encode())
             return
         entry = self.segment_gateway(node.pan_id)
@@ -707,7 +737,7 @@ class World:
         if dst_node is None:
             self._drop(node.id, "no-such-node", f"dst=0x{dst_short:04X}")
             return
-        link = self.links.get((node.id, dst_node.id))
+        link = self.neighbors[node.id].get(dst_node.id)
         if link is None:
             self._drop(node.id, "no-link", f"dst={dst_node.id}")
             return

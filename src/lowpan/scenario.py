@@ -24,7 +24,7 @@ Numbers accept 0x prefixes.  Times (`at`, `t_end`, both parts of
 PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
 generates a deterministic payload pattern and `hex=` gives it verbatim;
 either is at most 65,527 octets, what one UDP datagram carries.  A link
-joins two different nodes of one PAN.  Unknown sections, keys and
+joins two different nodes of one PAN, once.  Unknown sections, keys and
 tokens, a wrong number of ids, a key given twice in a section, a link
 that breaks that rule and out-of-range values are a `ScenarioError`
 naming their line.
@@ -34,7 +34,9 @@ computed on first use.
 
 from __future__ import annotations
 
+import gc
 import math
+from collections.abc import Iterator
 from ipaddress import AddressValueError, IPv6Address
 
 from .frame import PhyBand, SecurityMode
@@ -98,7 +100,14 @@ class _Section:
         self.kind = kind
         self.ids = ids
         self.keys: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-        self.events: list[tuple[int, str]] = []  # a traffic section's lines
+        self.events: list[tuple[int, str]] | None = [] if kind == "traffic" else None  # traffic lines
+
+
+def _drain(items: list) -> Iterator:
+    """The items of `items` in order, each removed from the list as it is handed out."""
+    items.reverse()
+    while items:
+        yield items.pop()
 
 
 def _parse_sections(text: str) -> dict[str, list[_Section]]:
@@ -107,7 +116,7 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
     # the open section's kind, key dict and allowed keys (None: any key), and
     # its event list if it is a traffic section
     kind = keys = allowed = events = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(_drain(text.splitlines()), 1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
         line = raw.strip()
@@ -124,7 +133,7 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
             section = _Section(lineno, kind, ids)
             sections[kind].append(section)
             keys, allowed = section.keys, _KEYS.get(kind)
-            events = section.events if kind == "traffic" else None
+            events = section.events
         elif events is not None:
             events.append((lineno, line))
         elif keys is None:
@@ -254,9 +263,28 @@ def load_scenario(
 ) -> tuple[World, float]:
     """Build a ready-to-run world from scenario text.
 
-    Returns the world and the end time; traffic is already scheduled.
+    Returns the world and the end time; traffic is already scheduled.  The
+    cyclic collector is paused for the load and then left as the caller had
+    it: what the load keeps is the world, which outlives it, so collecting
+    during the load would walk a growing heap and free nothing.
     """
-    sections = _parse_sections(text)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(_parse_sections(text), seed_override, t_end_override, mode_override)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _build(
+    sections: dict[str, list[_Section]],
+    seed_override: int | None,
+    t_end_override: float | None,
+    mode_override: str | None,
+) -> tuple[World, float]:
+    """The world of `sections`; each kind's sections are built in file order
+    and released as they are built."""
     if len(sections["general"]) > 1:
         raise ScenarioError(f"line {sections['general'][1].lineno}: a second general section")
     general = sections["general"][0].keys if sections["general"] else {}
@@ -277,12 +305,15 @@ def load_scenario(
 
     world = World(seed=seed, pan_id=pan, default_hops=hops)
 
-    # hosts first: gateways may subscribe to them
-    for section in sections["host"]:
+    # hosts first: gateways may subscribe to them; their devids register last
+    host_devids = []
+    for section in _drain(sections["host"]):
         with _at(section.lineno):
-            world.add_host(section.ids[0], _get(section.keys, "addr", _addr))
+            host = world.add_host(section.ids[0], _get(section.keys, "addr", _addr))
+        if "devid" in section.keys:
+            host_devids.append((host.addr, section.keys["devid"]))
 
-    for section in sections["gateway"]:
+    for section in _drain(sections["gateway"]):
         kv = section.keys
         gw_pan = _get(kv, "pan", _int, pan, U16)
         if world.segment_gateway(gw_pan) is not None:
@@ -305,7 +336,7 @@ def load_scenario(
             )
 
     coordinators: dict[int, str] = {}
-    for section in sections["node"]:
+    for section in _drain(sections["node"]):
         kv, node_id = section.keys, section.ids[0]
         role = _get(kv, "role", _choice, NodeRole.FFD, _ROLES, "role")
         node_pan = _get(kv, "pan", _int, pan, U16)
@@ -328,13 +359,13 @@ def load_scenario(
             with _at(lineno):
                 register_devid(entry[1].registry, _get(kv, "devid", _int, None, U16), node.wpan_address)
 
-    for section in sections["link"]:
+    for section in _drain(sections["link"]):
         band = _get(section.keys, "band", _choice, PhyBand.B2450, _BANDS, "band")
         loss = _get(section.keys, "loss", _float, 0.0, 1.0)
-        with _at(section.lineno):  # an unknown node, a node to itself, or two PANs
+        with _at(section.lineno):  # an unknown node, a node to itself, two PANs, or a pair linked twice
             world.add_link(*section.ids, band, loss)
 
-    for section in sections["route"]:
+    for section in _drain(sections["route"]):
         node = world.nodes.get(section.ids[0])
         if node is None:
             raise ScenarioError(f"line {section.lineno}: route section needs a node id")
@@ -346,16 +377,15 @@ def load_scenario(
 
     # host devids register at every devid gateway
     devid_gateways = [gw for _, gw in sorted(world.gateways.items()) if gw.mode is GatewayMode.DEVID]
-    for section in sections["host"]:
-        if "devid" in section.keys:
-            devid = _get(section.keys, "devid", _int, None, U16)
-            for gw in devid_gateways:
-                with _at(section.keys["devid"][0]):
-                    register_devid(gw.registry, devid, world.hosts[section.ids[0]].addr)
+    for addr, (lineno, value) in host_devids:
+        devid = _int(value, lineno, U16)
+        for gw in devid_gateways:
+            with _at(lineno):
+                register_devid(gw.registry, devid, addr)
 
     patterns: dict[int, bytes] = {}  # this load's only: a size= may be up to MAX_PAYLOAD octets
-    for section in sections["traffic"]:
-        for lineno, line in section.events:
+    for section in _drain(sections["traffic"]):
+        for lineno, line in _drain(section.events):
             _schedule_traffic(world, line, lineno, patterns)
 
     return world, t_end

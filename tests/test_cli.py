@@ -133,6 +133,7 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
     ("[node a]\nshort = 1\n[route a]\n0x10000 = 1\n", 4),
     ("[node a]\nshort = 1\n[route a]\ndefault = -1\n", 4),
     ("[node a]\nshort = 1\n[link a a]\n", 3),  # a node linked to itself
+    ("[node a]\nshort = 1\n[node b]\nshort = 2\n[link a b]\nloss = 0.1\n[link b a]\nloss = 0.5\n", 7),  # linked twice
     (  # a link across two PANs
         "[node a]\nshort = 1\n[node b]\nshort = 2\n[node c]\nshort = 2\npan = 0x0002\n"
         "[link a b]\n[link a c]\n", 9,

@@ -118,7 +118,8 @@ def test_neighbour_order_ignores_link_insertion_order():
 
 def test_node_link_and_section_records_have_no_instance_dict():
     world = make_line()
-    link = world.links[("a", "b")]
+    link = world.neighbors["a"]["b"]
+    assert world.neighbors["b"]["a"] is link  # one record per pair, reachable from both ends
     section = scenario._Section(1, "node", ["a"])
     for record in (world.node("a"), link, section):
         assert not hasattr(record, "__dict__"), type(record).__name__
@@ -136,16 +137,63 @@ def test_a_link_joins_two_different_nodes_of_one_pan():
     world.add_node("c", NodeRole.FFD, 2, pan_id=0x0002)  # b's short, in another PAN
     world.add_link("a", "b")
     seen = watch(world)
+    link = world.neighbors["a"]["b"]
     for a, b, message in [("a", "c", "one PAN"), ("c", "a", "one PAN"), ("a", "a", "itself"),
-                          ("a", "ghost", "unknown node")]:
+                          ("a", "ghost", "unknown node"), ("a", "b", "already linked"), ("b", "a", "already linked")]:
         with pytest.raises(ValueError, match=message):
-            world.add_link(a, b)
-    assert world.neighbors == {"a": ["b"], "b": ["a"], "c": []}
-    assert set(world.links) == {("a", "b"), ("b", "a")}
+            world.add_link(a, b, loss=0.5)
+    assert world.neighbors == {"a": {"b": link}, "b": {"a": link}, "c": {}}
+    assert world.neighbors["b"]["a"] is link and link == netsim.SimLink("a", "b")  # the first link stands
     world.broadcast(0.0, "a", b"flood")
     world.run()
     assert [r.detail for r in world.trace if r.node == "a" and r.kind == "tx"] == ["dst=b"]
     assert seen["c", "bc0"] == []
+
+
+def test_a_prepared_world_refuses_new_nodes_gateways_and_links():
+    def line(shortcut: bool) -> World:
+        world = World(seed=0)
+        for short, node_id in enumerate("abcde", 1):
+            world.add_node(node_id, NodeRole.FFD, short)
+        for a, b in zip("abcd", "bcde"):
+            world.add_link(a, b)
+        if shortcut:
+            world.add_node("z", NodeRole.FFD, 9)
+            world.add_link("a", "z")
+            world.add_link("z", "e")
+        return world
+
+    built = line(shortcut=True)
+    built.run()
+    assert built.next_hop(built.node("a"), 5) == 9  # a - z - e
+    # added after `prepare`, z would have no receive stack, would never be transit
+    # and would leave the cached hop trees stale, so the world refuses it
+    world = line(shortcut=False)
+    world.run()
+    assert world.next_hop(world.node("a"), 5) == 2
+    for add in (lambda: world.add_node("z", NodeRole.FFD, 9),
+                lambda: world.add_gateway("gw", 0xFE, GatewayMode.BORDER, IPv6Address("fd00::a")),
+                lambda: world.add_link("a", "e")):
+        with pytest.raises(ValueError, match="the world is prepared"):
+            add()
+    assert list(world.nodes) == list("abcde") and not world.gateways and "e" not in world.neighbors["a"]
+    assert world.next_hop(world.node("a"), 5) == 2
+
+
+def test_flood_and_fragment_state_is_made_on_first_use():
+    world = make_line()  # a - b - c - d
+    world.send_udp(0.0, "a", "c", 0xF0B0, 0xF0B1, b"x" * 8)
+    world.run()
+    assert all(node.bc0_seen is None and node.frag_ctx is None for node in world.nodes.values())
+    for at in (1.0, 2.0):
+        world.send_udp(at, "a", "c", 0xF0B0, 0xF0B1, b"x" * 300)
+    world.run()
+    assert [node.id for node in world.nodes.values() if node.frag_ctx is not None] == ["a"]
+    assert world.node("a").frag_ctx.next_tag == 2  # tags 0 and 1, one per fragmented datagram
+    assert all(node.bc0_seen is None for node in world.nodes.values())
+    world.broadcast(3.0, "b", b"flood")
+    world.run()
+    assert all(len(node.bc0_seen) == 1 for node in world.nodes.values())
 
 
 def test_delivery_to_self_address_forms():

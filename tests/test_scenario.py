@@ -1,16 +1,19 @@
 """The scenario loader: generated input loads or is rejected, and the docs list its grammar."""
 
+import gc
 import hashlib
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from counter_laws import check_counter_laws
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
+from test_digests import _workloads
 
-from lowpan import scenario
+from lowpan import netsim, scenario
 from lowpan.scenario import ScenarioError, load_scenario
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
@@ -113,10 +116,17 @@ def scenario_text(rnd: random.Random) -> str:
     radios = nodes + gateways
     pan_groups = [group for pan in sorted(set(pan_of.values()))
                   if len(group := [radio for radio in radios if pan_of[radio] == pan]) > 1]
+    linked: list[list[str]] = []
     for _ in range(rnd.randint(0, 8) if len(radios) > 1 else 0):
+        if linked and rnd.random() < 0.02:  # a pair linked again, either way round, which the loader rejects
+            lines += section("link", rnd.sample(rnd.choice(linked), 2))
+            continue
         # about 1 link in 20 is drawn from all radios and may join two PANs, which the loader rejects
         pool = rnd.choice(pan_groups) if pan_groups and rnd.random() < 0.95 else radios
-        lines += section("link", rnd.sample(pool, 2))
+        fresh = [pair for pair in combinations(pool, 2) if sorted(pair) not in map(sorted, linked)]
+        if fresh:
+            linked.append(rnd.sample(rnd.choice(fresh), 2))
+            lines += section("link", linked[-1])
     for node in rnd.sample(nodes, rnd.randint(0, min(2, len(nodes)))):
         lines.append(f"[route {node}]")
         for final in rnd.sample(["default", *SHORTS.values()], rnd.randint(0, 2)):
@@ -238,3 +248,47 @@ def test_queued_sends_share_the_worlds_ids_and_one_payload_per_size():
     assert udp[1] is world.nodes["sensor-a"].id and udp[2] is world.nodes["sensor-b"].id
     assert bc0[1] is world.nodes["sensor-b"].id
     assert wired[1] is world.hosts["wired-host"].id and wired[2] is world.nodes["sensor-a"].id
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_the_load_leaves_the_collector_as_it_found_it(collecting):
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        load_scenario("[node a]\nshort = 1\n")
+        assert gc.isenabled() is collecting
+        with pytest.raises(ScenarioError):
+            load_scenario("[node a]\nshort = 0x10000\n")
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_state(monkeypatch):
+    text = _workloads()["mesh-900"](1, small=True)
+    at_first_link = []
+    add_link = netsim.World.add_link
+
+    def watched_add_link(world, *args):
+        if not at_first_link:  # the sections alive once the nodes are built, and the collector's state
+            alive = [obj.kind for obj in gc.get_objects() if isinstance(obj, scenario._Section)]
+            at_first_link.append((sorted(set(alive)), gc.isenabled()))
+        return add_link(world, *args)
+
+    monkeypatch.setattr(netsim.World, "add_link", watched_add_link)
+    gc.collect()  # no garbage left by earlier tests
+    world, _ = load_scenario(text)
+    # node, host and gateway sections are released as they are built; the collector pauses for the load
+    assert at_first_link == [(["general", "link", "traffic"], False)]
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, scenario._Section)]
+
+    links = {id(link): link for ends in world.neighbors.values() for link in ends.values()}
+    assert len(links) == text.count("[link ")
+    for link in links.values():  # one record per pair, reachable from both ends, keyed by the world's ids
+        assert world.neighbors[link.a][link.b] is link is world.neighbors[link.b][link.a]
+        assert link.a is world.nodes[link.a].id and link.b is world.nodes[link.b].id
+    for node_id, ends in world.neighbors.items():
+        assert list(ends) == sorted(ends), node_id
+        assert all(other is world.nodes[other].id for other in ends)
+    # no node has flooded or fragmented yet
+    assert all(node.bc0_seen is None and node.frag_ctx is None for node in world.nodes.values())
