@@ -272,7 +272,7 @@ def _check_vectors(path: Path, pan: int) -> int:
         return EXIT_SCENARIO
     failures = 0
     checked = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(path.read_text().split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,9 +2,11 @@
 
 A world holds WPAN nodes, point-to-point radio links inside one PAN,
 optional gateways and wired IPv6 hosts.  The radio graph is one map per
-node, in id order, from each neighbour's id to the `SimLink` the two share:
-one link record per pair, reachable from both ends.  Nodes, gateways and
-links are added before `World.prepare`; a prepared world refuses more.
+node from each neighbour's id to the `SimLink` the two share: one link
+record per pair, reachable from both ends.  Nodes, gateways and links are
+added before `World.prepare`; a prepared world refuses more, so `prepare`
+puts each map in neighbour id order once, the order floods and routing
+walk.
 
 Events are processed in (time, sequence) order from a single queue of
 `(t, seq, (method, *args))` entries, where `method` is a bound method of
@@ -314,8 +316,9 @@ class World:
         self.nodes: dict[str, SimNode] = {}
         self.by_addr: dict[tuple[int, int], SimNode] = {}
         self.by_iid: dict[tuple[int, bytes], SimNode] = {}
-        # the radio graph: node id -> {neighbour id: the link they share}, in
-        # neighbour id order for floods and routing; one SimLink per pair
+        # the radio graph: node id -> {neighbour id: the link they share}, one
+        # SimLink per pair; in insertion order until `prepare` sorts each map
+        # by neighbour id for floods and routing
         self.neighbors: dict[str, dict[str, SimLink]] = {}
         self.gateways: dict[str, Gateway] = {}
         self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> lowest short (prepare)
@@ -414,7 +417,11 @@ class World:
     def add_link(
         self, a: str, b: str, band: PhyBand = PhyBand.B2450, loss: float = 0.0
     ) -> SimLink:
-        """Join two different nodes of one PAN, once; PANs meet only through a gateway."""
+        """Join two different nodes of one PAN, once; PANs meet only through a gateway.
+
+        The link is stored at both ends as given; `prepare` puts each
+        node's neighbours in id order.
+        """
         if self._prepared:
             raise ValueError(f"cannot link {a!r} and {b!r}: the world is prepared")
         node_a, node_b = self.nodes.get(a), self.nodes.get(b)
@@ -432,12 +439,7 @@ class World:
         if b in self.neighbors[a]:
             raise ValueError(f"{a!r} and {b!r} are already linked")
         link = SimLink(a, b, band, loss)
-        for end, other in ((a, b), (b, a)):
-            ends = self.neighbors[end]
-            in_order = not ends or next(reversed(ends)) < other
-            ends[other] = link
-            if not in_order:
-                self.neighbors[end] = dict(sorted(ends.items()))
+        self.neighbors[a][b] = self.neighbors[b][a] = link
         return link
 
     def node(self, node_id: str) -> SimNode:
@@ -454,8 +456,9 @@ class World:
         return None if gw_id is None else (self.nodes[gw_id], self.gateways[gw_id])
 
     def prepare(self):
-        """Give each node its receive stack, note the forwarders routing may
-        use and index the nodes of each zigbee PAN by EUI-64.
+        """Put each node's neighbours in id order, give each node its receive
+        stack, note the forwarders routing may use and index the nodes of each
+        zigbee PAN by EUI-64.
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
@@ -464,6 +467,9 @@ class World:
         if self._prepared:
             return
         self._prepared = True
+        neighbors = self.neighbors
+        for node_id, ends in neighbors.items():  # a prepared world takes no more links
+            neighbors[node_id] = dict(sorted(ends.items()))
         for gw_id, gw in self.gateways.items():  # bridge mode tunnels NWK frames verbatim
             if gw.mode is GatewayMode.ZIGBEE:
                 self.zigbee_shorts[self.nodes[gw_id].pan_id] = {}

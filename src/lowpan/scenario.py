@@ -1,9 +1,9 @@
 """Line-oriented scenario files for the simulator.
 
-A scenario is a sequence of sections.  Every non-blank, non-comment
-line is either a `[section ...]` header or a `key = value` pair
-(`key=value` tokens on one line inside `[traffic]`).  Keys before a `;`
-are required, and bracketed traffic tokens are optional:
+A scenario is a sequence of sections.  Lines end only at a line feed.
+Every non-blank, non-comment line is either a `[section ...]` header or
+a `key = value` pair (`key=value` tokens on one line inside `[traffic]`).
+Keys before a `;` are required, and bracketed traffic tokens are optional:
 
     [general]            seed, t_end, pan, hops
     [node ID]            short; role, eui, sleep, security, devid, pan
@@ -64,7 +64,9 @@ _SECTIONS = {
     "route": (1, (), None),
     "traffic": (0, (), None),
 }
-_KEYS = {kind: {*required, *optional} for kind, (_, required, optional) in _SECTIONS.items() if optional}
+# section kind -> {key: key}: a parsed key is the table's own string
+_KEYS = {kind: {key: key for key in (*required, *optional)}
+         for kind, (_, required, optional) in _SECTIONS.items() if optional}
 # traffic kind -> (required tokens, optional tokens) besides at=, kind=, from=
 # and one of size=/hex=; only udp may start at a wired host
 _TRAFFIC = {
@@ -111,12 +113,18 @@ def _drain(items: list) -> Iterator:
 
 
 def _parse_sections(text: str) -> dict[str, list[_Section]]:
-    """The sections of each kind in file order, checked against `_SECTIONS`."""
+    """The sections of each kind in file order, checked against `_SECTIONS`.
+
+    Lines end only at a line feed: a form feed or another break that
+    `str.splitlines` honours stays inside its line.  The sections share one
+    string object per distinct kind, id and value text, and take each key
+    from `_KEYS`, so a thousand links hold no thousand copies of `loss`."""
     sections: dict[str, list[_Section]] = {kind: [] for kind in _SECTIONS}
+    share = {}.setdefault  # text -> its first copy, for this parse only
     # the open section's kind, key dict and allowed keys (None: any key), and
     # its event list if it is a traffic section
     kind = keys = allowed = events = None
-    for lineno, raw in enumerate(_drain(text.splitlines()), 1):
+    for lineno, raw in enumerate(_drain(text.split("\n")), 1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
         line = raw.strip()
@@ -130,7 +138,8 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
                 raise ScenarioError(f"line {lineno}: unknown section {line}")
             if len(ids) != _SECTIONS[kind][0]:
                 raise ScenarioError(f"line {lineno}: a {kind} section takes {_SECTIONS[kind][0]} id(s)")
-            section = _Section(lineno, kind, ids)
+            kind = share(kind, kind)
+            section = _Section(lineno, kind, list(map(share, ids, ids)))
             sections[kind].append(section)
             keys, allowed = section.keys, _KEYS.get(kind)
             events = section.events
@@ -143,11 +152,16 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
             if not equals:
                 raise ScenarioError(f"line {lineno}: expected key = value")
             key = key.strip()
-            if allowed is not None and key not in allowed:
+            if allowed is None:  # a route section takes any key
+                key = share(key, key)
+            elif key in allowed:
+                key = allowed[key]
+            else:
                 raise ScenarioError(f"line {lineno}: unknown {kind} key {key!r}")
             if key in keys:
                 raise ScenarioError(f"line {lineno}: {key!r} is already set at line {keys[key][0]}")
-            keys[key] = (lineno, value.strip())
+            value = value.strip()
+            keys[key] = (lineno, share(value, value))
     for kind, (_, required, _) in _SECTIONS.items():
         for section in sections[kind]:
             for key in required:

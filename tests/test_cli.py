@@ -90,6 +90,7 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
     ("[host n1]\naddr = fd00::1\n[node n1]\nshort = 1\n", 3),  # a node reuses a host id
     ("[node a]\nshort = 1\n[node b]\nshort = 0x0001\n", 3),  # duplicate short in a PAN
     ("[node a]\nshort = 0x10000\n", 2),
+    ("[general]\nseed = 1 # page\x0cbreak\n[node a]\nshort = 0x10000\n", 4),  # a form feed ends no line
     ("[node a]\nshort = -1\n", 2),
     ("[general]\npan = 0x10000\n[node a]\nshort = 1\n", 2),
     ("[node a]\nshort = 1\npan = 0x1BEEF\n", 3),
@@ -317,6 +318,20 @@ def test_codec_check_catches_corruption(golden_dir, tmp_path, capsys):
     bad.write_text(lines.replace("5000aabb bc0 5000aabb", "5000aabb bc0 5000aabc"))
     code, _, err = run_cli("codec", "check", str(bad), capsys=capsys)
     assert code == 3
+
+
+def test_codec_check_ends_lines_only_at_line_feeds(golden_dir, tmp_path, capsys):
+    golden = (golden_dir / "codec_vectors.txt").read_text()
+    _, ok, _ = run_cli("codec", "check", str(golden_dir / "codec_vectors.txt"), capsys=capsys)
+    paged = tmp_path / "paged.txt"
+    paged.write_text("# vectors\x0c page two\x1c\x1d\x1e\n" + golden)
+    code, out, _ = run_cli("codec", "check", str(paged), capsys=capsys)
+    assert (code, out) == (0, ok)
+    paged.write_text("# vectors\x0c page two\n" + golden + "4zz hc1 00\n")
+    code, _, err = run_cli("codec", "check", str(paged), capsys=capsys)
+    last = golden.count("\n") + 2
+    assert code == 3
+    assert err.startswith(f"{paged}:{last}: non-hexadecimal number")
 
 
 def test_codec_check_reports_a_non_hex_input_at_its_line(tmp_path, capsys):

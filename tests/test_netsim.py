@@ -116,6 +116,23 @@ def test_neighbour_order_ignores_link_insertion_order():
     assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
 
 
+def test_prepare_puts_each_neighbour_map_in_id_order_once():
+    world = World(seed=0)
+    ids = ["a", "b", "c", "d"]
+    for short, node_id in enumerate(ids, 1):
+        world.add_node(node_id, NodeRole.FFD, short)
+    for a, b in [("d", "c"), ("d", "b"), ("c", "b"), ("d", "a"), ("c", "a"), ("b", "a")]:  # reverse id order
+        world.add_link(a, b)
+    assert list(world.neighbors["a"]) == ["d", "c", "b"]  # as added, until prepare
+    world.prepare()
+    assert {node_id: list(ends) for node_id, ends in world.neighbors.items()} == {
+        node_id: [other for other in ids if other != node_id] for node_id in ids
+    }
+    maps = dict(world.neighbors)
+    world.prepare()  # a second prepare changes nothing
+    assert all(world.neighbors[node_id] is maps[node_id] for node_id in ids)
+
+
 def test_node_link_and_section_records_have_no_instance_dict():
     world = make_line()
     link = world.neighbors["a"]["b"]

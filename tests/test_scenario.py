@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 import re
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -202,6 +203,9 @@ SPELLINGS = {  # the same scenario, spelled another way
     "no-spaces": lambda text: _key_lines(text, "="),
     "trailing-comments": lambda text: re.sub(r"(?m)^(\S.*)$", r"\1  # a=b [note] # again", text),
     "spaced-link-ids": lambda text: re.sub(r"\[link (\S+) (\S+)\]", r"[link  \1  \2]", text),
+    "reversed-link-ends": lambda text: re.sub(r"\[link (\S+) (\S+)\]", r"[link \2 \1]", text),
+    # str.splitlines would break these comments at each of the four characters
+    "form-feed-in-comments": lambda text: re.sub(r"(?m)^(\S.*)$", lambda m: m[1] + "  # \x0c\x1c\x1d\x1e a", text),
 }
 
 
@@ -287,8 +291,31 @@ def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_
     for link in links.values():  # one record per pair, reachable from both ends, keyed by the world's ids
         assert world.neighbors[link.a][link.b] is link is world.neighbors[link.b][link.a]
         assert link.a is world.nodes[link.a].id and link.b is world.nodes[link.b].id
-    for node_id, ends in world.neighbors.items():
-        assert list(ends) == sorted(ends), node_id
+    for ends in world.neighbors.values():
         assert all(other is world.nodes[other].id for other in ends)
     # no node has flooded or fragmented yet
     assert all(node.bc0_seen is None and node.frag_ctx is None for node in world.nodes.values())
+    world.prepare()  # puts each neighbour map in id order
+    for node_id, ends in world.neighbors.items():
+        assert list(ends) == sorted(ends), node_id
+
+
+def test_a_parsed_section_shares_its_texts_and_costs_under_400_octets():
+    text = _workloads()["mesh-900"](1, small=True)
+    scenario._parse_sections(text)  # refills the free lists, so the count does not hang on earlier tests
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sections = scenario._parse_sections(text)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    parsed = [section for kind in sections.values() for section in kind]
+    assert len(parsed) == text.count("[")
+    # the record, its id list, key dict and (line, value) pairs, and its share of the traffic lines
+    assert grown / len(parsed) < 400
+    texts: dict[str, str] = {}  # each kind, id, key and value text is one object across all sections
+    for section in parsed:
+        values = [value for _, value in section.keys.values()]
+        for piece in (section.kind, *section.ids, *section.keys, *values):
+            assert texts.setdefault(piece, piece) is piece, (section.lineno, piece)
