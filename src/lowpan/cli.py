@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from ipaddress import IPv6Address
+from ipaddress import AddressValueError, IPv6Address
 from pathlib import Path
 
 from . import addressing, codec
@@ -59,30 +59,87 @@ def _build_parser() -> _Parser:
     direction = cod.add_subparsers(dest="direction", required=True)
     dec = direction.add_parser("decode", help="decode a 6LoWPAN stream")
     dec.add_argument("hex")
-    dec.add_argument("--l2-src", default=DEFAULT_L2_SRC)
-    dec.add_argument("--l2-dst", default=DEFAULT_L2_DST)
-    dec.add_argument("--pan", type=lambda v: int(v, 0), default=0xBEEF)
+    dec.add_argument("--l2-src", type=_l2_address, default=DEFAULT_L2_SRC)
+    dec.add_argument("--l2-dst", type=_l2_address, default=DEFAULT_L2_DST)
+    dec.add_argument("--pan", type=_u16, default=0xBEEF)
     com = direction.add_parser("compress", help="compress a raw IPv6 packet")
     com.add_argument("hex")
-    com.add_argument("--l2-src", default=DEFAULT_L2_SRC)
-    com.add_argument("--l2-dst", default=DEFAULT_L2_DST)
+    com.add_argument("--l2-src", type=_l2_address, default=DEFAULT_L2_SRC)
+    com.add_argument("--l2-dst", type=_l2_address, default=DEFAULT_L2_DST)
     ppe = direction.add_parser("ppdu-encode", help="wrap a PSDU in a PPDU")
     ppe.add_argument("hex")
     ppd = direction.add_parser("ppdu-decode", help="unwrap a PPDU")
     ppd.add_argument("hex")
     chk = direction.add_parser("check", help="verify a golden vector file")
     chk.add_argument("file")
-    chk.add_argument("--pan", type=lambda v: int(v, 0), default=0xBEEF)
+    chk.add_argument("--pan", type=_u16, default=0xBEEF)
 
     sub.add_parser("budget", help="print payload budgets and airtimes")
 
     addr = sub.add_parser("addr", help="derive interface identifiers and addresses")
     group = addr.add_mutually_exclusive_group(required=True)
-    group.add_argument("--eui", help="EUI-64 as 16 hex digits")
-    group.add_argument("--short", type=lambda v: int(v, 0), help="16-bit short address")
-    addr.add_argument("--pan", type=lambda v: int(v, 0), default=0xBEEF)
-    addr.add_argument("--prefix", default=None, help="64-bit prefix for a global address")
+    group.add_argument("--eui", type=_eui, help="EUI-64 as 16 hex digits")
+    group.add_argument("--short", type=_u16, help="16-bit short address")
+    addr.add_argument("--pan", type=_u16, default=0xBEEF)
+    addr.add_argument("--prefix", type=_ipv6, default=None, help="64-bit prefix for a global address")
     return parser
+
+
+# option converters: a value they refuse is a usage error (exit 1), before any output
+
+def _u16(text: str) -> int:
+    """A PAN or short address: a number in 0..0xFFFF, 0x prefix accepted."""
+    try:
+        number = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= number <= 0xFFFF:
+        raise argparse.ArgumentTypeError(f"{text!r} is outside 0..0xFFFF")
+    return number
+
+
+def _eui(text: str) -> bytes:
+    """An EUI-64 as 16 hex digits, colons allowed."""
+    try:
+        eui = bytes.fromhex(text.replace(":", ""))
+    except ValueError:
+        eui = b""
+    if len(eui) != 8:
+        raise argparse.ArgumentTypeError(f"not an EUI-64 of 8 octets: {text!r}")
+    return eui
+
+
+def _ipv6(text: str) -> IPv6Address:
+    try:
+        return IPv6Address(text)
+    except AddressValueError:
+        raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
+
+
+def _l2_address(spec: str):
+    """A link address spec, `short:PAN:SHORT` or `eui:HEX`."""
+    kind, _, rest = spec.partition(":")
+    pan, _, short = rest.partition(":")
+    try:
+        if kind == "short" and short:
+            return Short16(_u16(pan), _u16(short))
+        if kind == "eui":
+            return Eui64(_eui(rest))
+    except argparse.ArgumentTypeError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad link address spec: {spec!r}")
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of `path`; a file that cannot be read as text is a scenario error (exit 2)."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text at byte {exc.start}"
+    print(f"error: cannot read {what} {path}: {reason}", file=sys.stderr)
+    raise SystemExit(EXIT_SCENARIO)
 
 
 def _hex_bytes(text: str) -> bytes:
@@ -95,17 +152,6 @@ def _hex_bytes(text: str) -> bytes:
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _l2_address(spec: str):
-    parts = spec.split(":")
-    if parts[0] == "short" and len(parts) == 3:
-        return Short16(int(parts[1], 0), int(parts[2], 0))
-    if parts[0] == "eui" and len(parts) == 2:
-        raw = bytes.fromhex(parts[1])
-        if len(raw) == 8:
-            return Eui64(raw)
-    raise SystemExit(_usage_error(f"bad link address spec: {spec!r}"))
 
 
 def _dump_ipv6(pkt) -> list[str]:
@@ -197,13 +243,10 @@ def _fmt_addr(addr) -> str:
 
 
 def cmd_run(args) -> int:
-    path = Path(args.scenario)
-    if not path.exists():
-        print(f"error: no such scenario: {path}", file=sys.stderr)
-        return EXIT_SCENARIO
+    text = _read_text(Path(args.scenario), "scenario")
     try:
         world, t_end = load_scenario(
-            path.read_text(),
+            text,
             seed_override=args.seed,
             t_end_override=args.t_end,
             mode_override=args.mode_override,
@@ -233,11 +276,11 @@ def cmd_codec(args) -> int:
         if args.direction == "decode":
             if not data:
                 return _usage_error("empty input")
-            for line in _dump_stream(data, _l2_address(args.l2_src), _l2_address(args.l2_dst), args.pan):
+            for line in _dump_stream(data, args.l2_src, args.l2_dst, args.pan):
                 print(line)
         elif args.direction == "compress":
             pkt = decode_ipv6(data)
-            stream = codec.compress_ipv6(pkt, _l2_address(args.l2_src), _l2_address(args.l2_dst))
+            stream = codec.compress_ipv6(pkt, args.l2_src, args.l2_dst)
             print(f"compressed-hex: {stream.hex()}")
             enc = codec.Hc1Encoding.from_byte(stream[1])
             print(
@@ -267,12 +310,10 @@ def _check_vectors(path: Path, pan: int) -> int:
     Header records re-encode to the expected output; hc1/ipv6 records
     decompress to the expected raw IPv6 packet (default link context).
     """
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return EXIT_SCENARIO
+    text = _read_text(path, "vector file")
     failures = 0
     checked = 0
-    for lineno, raw in enumerate(path.read_text().split("\n"), 1):
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -347,11 +388,8 @@ def cmd_budget(_args) -> int:
 
 def cmd_addr(args) -> int:
     if args.eui is not None:
-        eui = bytes.fromhex(args.eui.replace(":", ""))
-        if len(eui) != 8:
-            return _usage_error("EUI-64 must be 8 octets")
-        iid = addressing.iid_from_eui64(eui)
-        print(f"eui: {eui.hex()}")
+        iid = addressing.iid_from_eui64(args.eui)
+        print(f"eui: {args.eui.hex()}")
     else:
         p48 = addressing.pseudo48(args.pan, args.short)
         iid = addressing.iid_from_pseudo48(p48)
@@ -359,8 +397,7 @@ def cmd_addr(args) -> int:
     print(f"iid: {iid.hex()}")
     print(f"link-local: {addressing.link_local(iid)}")
     if args.prefix is not None:
-        prefix = IPv6Address(args.prefix)
-        print(f"global: {addressing.global_unicast(prefix, iid)}")
+        print(f"global: {addressing.global_unicast(args.prefix, iid)}")
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address
 
@@ -321,15 +321,15 @@ class Gateway:
 
     mode: GatewayMode
     wired_addr: IPv6Address
-    prefix: IPv6Address | None = None
+    prefix: InitVar[IPv6Address | None] = None  # kept in `mapping` only
     subscribers: tuple[IPv6Address, ...] = ()
     tunnel_peer: IPv6Address | None = None
 
     registry: DevidRegistry = field(init=False, default_factory=dict)
     mapping: MappingTable = field(init=False)
 
-    def __post_init__(self):
-        self.mapping = MappingTable(prefix=self.prefix)
+    def __post_init__(self, prefix: IPv6Address | None):
+        self.mapping = MappingTable(prefix=prefix)
 
     def owns_prefix(self, address: IPv6Address) -> bool:
         return address.packed[:8] == self.mapping.prefix64  # never equal to None

@@ -308,6 +308,10 @@ def synth_eui(pan_id: int, short: int) -> bytes:
 
 
 class World:
+    """Nodes, links, gateways and hosts, each address with one owner: the `add_*`
+    methods raise `ValueError`, storing nothing, for an id, short, interface
+    identifier, wired address or prefix already taken, or a second gateway in a PAN."""
+
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
         self.rng = random.Random(seed)
         self.pan_id = pan_id
@@ -321,15 +325,13 @@ class World:
         # by neighbour id for floods and routing
         self.neighbors: dict[str, dict[str, SimLink]] = {}
         self.gateways: dict[str, Gateway] = {}
-        self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> lowest short (prepare)
-        self._pan_gateway: dict[int, str] = {}  # PAN id -> its lowest gateway id
-        # where a wired packet goes: its destination address, or that address's
-        # first 8 octets, -> the lowest id of a gateway with that wired address
-        # or delegated prefix
-        self._wired_gateway: dict[IPv6Address, str] = {}
+        self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> short (prepare)
+        self._pan_gateway: dict[int, str] = {}  # PAN id -> its gateway's id
+        # a wired address -> its host's or gateway's id, and a prefix's first 8
+        # octets -> its gateway's id; IPv6Address keys compare scope ids, as `==` does
+        self._wired_owner: dict[IPv6Address, str] = {}
         self._prefix_gateway: dict[bytes, str] = {}
         self.hosts: dict[str, WiredHost] = {}
-        self.host_by_addr: dict[IPv6Address, WiredHost] = {}
         self.trace = Trace()
         self._addr_text = _Memo(str)  # IPv6Address -> its text
         self._rx_text = _Memo("src=0x%04X".__mod__)  # a frame's source short -> rx detail
@@ -368,12 +370,13 @@ class World:
             eui if eui is not None else synth_eui(pan, short),
             sleep, security,
         )
-        self.nodes[node_id] = node
-        self.by_addr[(pan, short)] = node
-        for iid in (node.iid, addressing.iid_from_eui64(node.eui)):
+        eui_iid = addressing.iid_from_eui64(node.eui)
+        for iid in (node.iid, eui_iid):
             held = self.by_iid.get((pan, iid))
-            if held is None or short < held.short:  # a shared IID resolves to the lower short
-                self.by_iid[(pan, iid)] = node
+            if held is not None:
+                raise ValueError(f"interface identifier {iid.hex()} already names {held.id!r} in PAN 0x{pan:04X}")
+        self.nodes[node_id] = node
+        self.by_addr[(pan, short)] = self.by_iid[(pan, node.iid)] = self.by_iid[(pan, eui_iid)] = node
         self.neighbors[node_id] = {}
         return node
 
@@ -390,7 +393,10 @@ class World:
         tunnel_peer: IPv6Address | None = None,
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
-        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)  # refuses a prepared world
+        if pan in self._pan_gateway:
+            raise ValueError(f"PAN 0x{pan:04X} already has gateway {self._pan_gateway[pan]!r}")
+        if wired_addr in self._wired_owner:
+            raise ValueError(f"wired address {wired_addr} already belongs to {self._wired_owner[wired_addr]!r}")
         gw = Gateway(
             mode=mode,
             wired_addr=wired_addr,
@@ -398,20 +404,24 @@ class World:
             subscribers=subscribers,
             tunnel_peer=tunnel_peer,
         )
+        prefix64 = gw.mapping.prefix64
+        if prefix64 in self._prefix_gateway:
+            raise ValueError(f"prefix {prefix} is already delegated to {self._prefix_gateway[prefix64]!r}")
+        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)  # refuses a prepared world
         self.gateways[node_id] = gw
-        self._pan_gateway[pan] = min(node_id, self._pan_gateway.get(pan, node_id))
-        # IPv6Address keys compare scope ids too, as `==` does
-        self._wired_gateway[wired_addr] = min(node_id, self._wired_gateway.get(wired_addr, node_id))
-        if (prefix64 := gw.mapping.prefix64) is not None:
-            self._prefix_gateway[prefix64] = min(node_id, self._prefix_gateway.get(prefix64, node_id))
+        self._pan_gateway[pan] = self._wired_owner[wired_addr] = node_id
+        if prefix64 is not None:
+            self._prefix_gateway[prefix64] = node_id
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
         if host_id in self.hosts or host_id in self.nodes:
             raise ValueError(f"duplicate id {host_id!r}")
+        if addr in self._wired_owner:
+            raise ValueError(f"wired address {addr} already belongs to {self._wired_owner[addr]!r}")
         host = WiredHost(host_id, addr)
         self.hosts[host_id] = host
-        self.host_by_addr[addr] = host
+        self._wired_owner[addr] = host_id
         return host
 
     def add_link(
@@ -451,7 +461,7 @@ class World:
     # --- routing ----------------------------------------------------------
 
     def segment_gateway(self, pan_id: int) -> tuple[SimNode, Gateway] | None:
-        """The lowest-id gateway on PAN `pan_id` with its node, or None."""
+        """The gateway on PAN `pan_id` with its node, or None; a PAN has at most one."""
         gw_id = self._pan_gateway.get(pan_id)
         return None if gw_id is None else (self.nodes[gw_id], self.gateways[gw_id])
 
@@ -462,7 +472,7 @@ class World:
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
-        Nodes sharing an EUI-64 resolve to the lowest short (as `by_iid` does).
+        No two nodes of a PAN share an EUI-64, so each index entry names one.
         """
         if self._prepared:
             return
@@ -474,11 +484,11 @@ class World:
             if gw.mode is GatewayMode.ZIGBEE:
                 self.zigbee_shorts[self.nodes[gw_id].pan_id] = {}
         for node_id, node in self.nodes.items():
-            gw_id = node_id if node_id in self.gateways else self._pan_gateway.get(node.pan_id)
+            gw_id = self._pan_gateway.get(node.pan_id)  # a gateway is its PAN's only one
             if gw_id is not None:
                 node.stack = self.gateways[gw_id].mode.stack
             shorts = self.zigbee_shorts.get(node.pan_id)  # gw_id == node_id at a gateway, left out
-            if shorts is not None and gw_id != node_id and node.short < shorts.get(node.eui, 0x10000):
+            if shorts is not None and gw_id != node_id:
                 shorts[node.eui] = node.short
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
 
@@ -539,9 +549,9 @@ class World:
         """Delegated-prefix global address of a node (short-derived IID)."""
         node = self.nodes[node_id]
         entry = self.segment_gateway(node.pan_id)
-        if entry is None or entry[1].prefix is None:
+        if entry is None or entry[1].mapping.prefix is None:
             raise NoPrefix(f"segment of {node_id!r} has no delegated prefix")
-        return addressing.global_unicast(entry[1].prefix, node.iid)
+        return addressing.global_unicast(entry[1].mapping.prefix, node.iid)
 
     # --- event loop -------------------------------------------------------
 
@@ -959,22 +969,18 @@ class World:
         self.schedule(self.now + WIRED_DELAY, (self._wired_rx, pkt))
 
     def _wired_rx(self, pkt: Ipv6Packet):
-        host = self.host_by_addr.get(pkt.dst)
-        src = self._addr_text[pkt.src]
-        if host is not None:
-            self.record(host.id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
-            self._deliver(host.id, f"kind=ipv6 from={src}", pkt.payload_length, pkt)
-            return
-        # the lowest-id gateway whose wired address is, or whose prefix holds, the destination
-        gw_id = self._wired_gateway.get(pkt.dst)
-        by_prefix = self._prefix_gateway.get(pkt.dst.packed[:8])
-        if by_prefix is not None and (gw_id is None or by_prefix < gw_id):
-            gw_id = by_prefix
-        if gw_id is None:
+        owner = self._wired_owner.get(pkt.dst)
+        if owner is None:  # an exact address beats a delegated prefix
+            owner = self._prefix_gateway.get(pkt.dst.packed[:8])
+        if owner is None:
             self._drop("wired", "no-wired-route", f"dst={self._addr_text[pkt.dst]}")
             return
-        self.record(gw_id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
-        self._gateway_downlink(gw_id, self.gateways[gw_id], pkt)
+        src = self._addr_text[pkt.src]
+        self.record(owner, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
+        if owner in self.hosts:
+            self._deliver(owner, f"kind=ipv6 from={src}", pkt.payload_length, pkt)
+        else:
+            self._gateway_downlink(owner, self.gateways[owner], pkt)
 
     def _gateway_downlink(self, gw_id: str, gw: Gateway, pkt: Ipv6Packet):
         node = self.nodes[gw_id]

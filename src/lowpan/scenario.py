@@ -24,10 +24,12 @@ Numbers accept 0x prefixes.  Times (`at`, `t_end`, both parts of
 PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
 generates a deterministic payload pattern and `hex=` gives it verbatim;
 either is at most 65,527 octets, what one UDP datagram carries.  A link
-joins two different nodes of one PAN, once.  Unknown sections, keys and
-tokens, a wrong number of ids, a key given twice in a section, a link
-that breaks that rule and out-of-range values are a `ScenarioError`
-naming their line.
+joins two different nodes of one PAN, once.  An address has one owner:
+a PAN one gateway, a short or EUI-64 one node of its PAN, a wired address
+one host or gateway, a prefix one gateway.  Unknown sections, keys and
+tokens, a wrong number of ids, a key given twice in a section, a host
+named twice in `subscribers`, a link or address that breaks these rules
+and out-of-range values are a `ScenarioError` naming their line.
 Routes not pinned by a [route] section are hop-count shortest paths,
 computed on first use.
 """
@@ -207,7 +209,7 @@ def _choice(value: str, lineno: int, table: dict, what: str):
 
 
 class _at:
-    """Report a rejected world-building step (duplicate id, short, devid, link, sleep period) at its line."""
+    """Report a rejected world-building step (an id, address or devid already owned, a link, a sleep period) at its line."""
 
     __slots__ = ("lineno",)
 
@@ -330,8 +332,6 @@ def _build(
     for section in _drain(sections["gateway"]):
         kv = section.keys
         gw_pan = _get(kv, "pan", _int, pan, U16)
-        if world.segment_gateway(gw_pan) is not None:
-            raise ScenarioError(f"line {section.lineno}: PAN 0x{gw_pan:04X} already has a gateway")
         mode = _get(kv, "mode", _choice, None, _MODES, "gateway mode")
         subscribers = []
         if "subscribers" in kv:
@@ -340,6 +340,8 @@ def _build(
                 host = world.hosts.get(host_id.strip())
                 if host is None:
                     raise ScenarioError(f"line {lineno}: unknown host {host_id.strip()!r}")
+                if host.addr in subscribers:
+                    raise ScenarioError(f"line {lineno}: host {host.id!r} is already a subscriber")
                 subscribers.append(host.addr)
         with _at(section.lineno):
             world.add_gateway(

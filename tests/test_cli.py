@@ -139,6 +139,32 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
         "[node a]\nshort = 1\n[node b]\nshort = 2\n[node c]\nshort = 2\npan = 0x0002\n"
         "[link a b]\n[link a c]\n", 9,
     ),
+    # each address has one owner
+    ("[host h1]\naddr = fd00::99\n[host h2]\naddr = fd00::99\n", 3),  # a host address twice
+    ("[gateway g]\nmode = border\nshort = 1\nwired = fd00::a\n[host h1]\naddr = fd00::a\n", 1),  # host on g's wired
+    (  # two gateways on one wired address
+        "[gateway g1]\nmode = border\nshort = 1\nwired = fd00::a\n"
+        "[gateway g2]\nmode = border\nshort = 1\nwired = fd00::a\npan = 0x0002\n", 5,
+    ),
+    (  # two gateways with one prefix
+        "[gateway g1]\nmode = border\nshort = 1\nwired = fd00::a\nprefix = 2001:db8:a::\n"
+        "[gateway g2]\nmode = border\nshort = 1\nwired = fd00::b\nprefix = 2001:db8:a::\npan = 0x0002\n", 6,
+    ),
+    (  # two gateways in one PAN
+        "[gateway g1]\nmode = border\nshort = 1\nwired = fd00::a\n"
+        "[gateway g2]\nmode = border\nshort = 2\nwired = fd00::b\n", 5,
+    ),
+    (  # two nodes of a PAN pinning one EUI-64
+        "[node a]\nshort = 1\neui = 00:12:4b:00:00:00:00:77\n[node b]\nshort = 2\neui = 00124b0000000077\n", 4,
+    ),
+    (  # a node pinning its gateway's EUI-64, the one synthesized from PAN 0xBEEF and short 0x00FE
+        "[gateway g]\nmode = border\nshort = 0x00FE\nwired = fd00::a\n[node n]\nshort = 1\n"
+        "eui = 00:12:4b:00:be:ef:00:fe\n", 5,
+    ),
+    (  # a subscriber named twice
+        "[host h1]\naddr = fd00::99\n[gateway g]\nmode = border\nshort = 1\nwired = fd00::a\n"
+        "subscribers = h1, h1\n", 7,
+    ),
     (  # a zigbee gateway's pool holds 64 shorts, so a 65th wired apl destination cannot load
         "[node z1]\nshort = 1\n[gateway gw]\nmode = zigbee\nshort = 2\nwired = fd00::a\n[link z1 gw]\n"
         + "".join(f"[host x{n}]\naddr = fd01::{n + 1:x}\n" for n in range(65))
@@ -160,6 +186,26 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
         code, _, err = run_cli("run", str(bad), "--out", str(tmp_path / "out"), capsys=capsys)
         assert code == 2, (text, err)
         assert f"line {line}:" in err, (text, err)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["addr", "--eui", "zz"], 1),
+    (["addr", "--eui", "0011223344556677", "--prefix", "nope"], 1),
+    (["addr", "--short", "0x1FFFF"], 1),
+    (["codec", "decode", "42fb", "--l2-src", "short:0xBEEF:zz"], 1),
+    (["run", "{latin1}", "--out", "{out}"], 2),
+    (["run", "{directory}", "--out", "{out}"], 2),
+    (["codec", "check", "{latin1}"], 2),
+], ids=["eui", "prefix", "short", "l2-src", "run-non-utf8", "run-directory", "check-non-utf8"])
+def test_input_errors_exit_with_their_code_before_any_output(tmp_path, capsys, argv, code):
+    latin1 = tmp_path / "latin1.scn"
+    latin1.write_bytes("[node a]\nshort = 1  # caf\u00e9\n".encode("latin-1"))
+    (tmp_path / "directory").mkdir()
+    argv = [arg.format(latin1=latin1, directory=tmp_path / "directory", out=tmp_path / "out") for arg in argv]
+    got, out, err = run_cli(*argv, capsys=capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith("usage: " if code == 1 else "error: cannot read ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_drops_a_zero_size_first_fragment(tmp_path, capsys):

@@ -34,7 +34,7 @@ from lowpan.gateway import (
 from lowpan.ipv6 import Ipv6Packet, UdpDatagram, decode_udp, encode_udp, udp_packet
 from lowpan.netsim import NodeRole, World
 from lowpan.reassembly import FragmentationContext
-from lowpan.scenario import load_scenario
+from lowpan.scenario import ScenarioError, load_scenario
 
 PREFIX_A = IPv6Address("2001:db8:a::")
 PREFIX_B = IPv6Address("2001:db8:b::")
@@ -417,9 +417,13 @@ def test_cross_region_zigbee_passes():
     assert frames[0][1].dst_short == 0x0020
 
 
+def line_of(text: str, header: str) -> int:
+    """The line number of `header` in `text`."""
+    return text.count("\n", 0, text.index(header)) + 1
+
+
 @pytest.mark.parametrize("target", ["y1", "y2"])
-def test_zigbee_downlink_to_a_shared_eui_picks_the_lowest_short(target):
-    # the world's index holds the lowest short, whichever node the apl line names
+def test_zigbee_downlink_reaches_the_one_owner_of_an_eui(target):
     text = f"""
 [gateway ga]
 mode = zigbee
@@ -450,14 +454,19 @@ eui = 00:12:4b:00:00:00:00:77
 [traffic]
 at=0.5 kind=apl from=x to={target} size=8
 """
-    world, t_end = load_scenario(text)
+    # y2 pins y1's EUI-64 in y1's PAN: refused at y2's header, whichever node the apl line names
+    with pytest.raises(ScenarioError, match=rf"line {line_of(text, '[node y2]')}: interface identifier "
+                       r"02124b0000000077 already names 'y1' in PAN 0x000B"):
+        load_scenario(text)
+    world, t_end = load_scenario(text.replace("00:00:00:77\n[link", "00:00:00:78\n[link"))
     seen = watch(world)
     world.run_until(t_end)
-    ext = world.node("y1").eui
+    y1, y2 = world.node("y1"), world.node("y2")
     # the only zigbee PANs are indexed, and only by their non-gateway nodes
-    assert world.zigbee_shorts == {0x000A: {world.node("x").eui: 0x0010}, 0x000B: {ext: 0x0020}}
-    assert [frame.dst_short for _, frame in seen["y1", "nwk"]] == [0x0020]
-    assert seen["y2", "nwk"] == []
+    assert world.zigbee_shorts == {0x000A: {world.node("x").eui: 0x0010}, 0x000B: {y1.eui: 0x0020, y2.eui: 0x0030}}
+    other = "y2" if target == "y1" else "y1"
+    assert [frame.dst_short for _, frame in seen[target, "nwk"]] == [world.node(target).short]
+    assert seen[other, "nwk"] == []
 
 
 TWO_ZIGBEE_PANS = """
@@ -527,9 +536,8 @@ def test_translator_refusals_are_traced_drops(text, line, drop):
     assert not any(seen.values())
 
 
-def test_zigbee_downlink_reaches_a_node_sharing_its_gateways_eui():
-    # y2 pins gb's EUI-64 with a short above gb's: were gateways indexed, the
-    # lower short 0x00FE would take the pseudo address and the frame
+def test_a_node_pinning_its_gateways_eui_is_refused():
+    # y2 pins gb's EUI-64, so gb's pseudo address would name two nodes
     text = f"""{TWO_ZIGBEE_PANS}[node y2]
 short = 0x0100
 pan = 0x000B
@@ -538,8 +546,11 @@ eui = 00:12:4b:00:00:0b:00:fe
 [traffic]
 at=0.5 kind=apl from=x to=y2 size=8
 """
-    world, t_end = load_scenario(text)
-    assert world.node("gb").eui == world.node("y2").eui
+    with pytest.raises(ScenarioError, match=rf"line {line_of(text, '[node y2]')}: interface identifier "
+                       r"02124b00000b00fe already names 'gb' in PAN 0x000B"):
+        load_scenario(text)
+    world, t_end = load_scenario(text.replace("eui = 00:12:4b:00:00:0b:00:fe\n", ""))  # y2 keeps its own
+    assert world.node("gb").eui != world.node("y2").eui
     seen = watch(world)
     world.run_until(t_end)
     assert [frame.dst_short for _, frame in seen["y2", "nwk"]] == [0x0100]

@@ -85,21 +85,32 @@ def test_zero_hop_budget_is_exhausted_at_the_first_forwarder():
     assert len(exhausted) == 1 and exhausted[0].node == "b"
 
 
-def test_shared_iid_resolves_to_the_lower_short():
+def indexes(world) -> dict:
+    """A copy of every dict the world holds: its nodes, hosts, gateways and their indexes."""
+    return {name: dict(value) for name, value in vars(world).items() if isinstance(value, dict)}
+
+
+@pytest.mark.parametrize("hi_eui, lo_eui", [
+    (bytes.fromhex("00124b00000000aa"), bytes.fromhex("00124b00000000aa")),  # pinned on both
+    (None, netsim.synth_eui(0xBEEF, 0x0009)),  # lo pins the EUI-64 hi was given
+    (bytes.fromhex("0000beff feef0005"), None),  # hi's EUI-64 IID is lo's short-derived one
+], ids=["pinned-twice", "pinned-to-a-synthesized-eui", "eui-iid-of-a-short"])
+def test_a_shared_iid_is_refused_and_its_first_owner_keeps_it(hi_eui, lo_eui):
     world = World(seed=0)
-    eui = bytes.fromhex("00124b00000000aa")  # pinned on two nodes of one PAN
     world.add_node("a", NodeRole.COORDINATOR, 0x0001)
-    world.add_node("hi", NodeRole.FFD, 0x0009, eui=eui)  # the higher short is added first
-    world.add_node("lo", NodeRole.FFD, 0x0005, eui=eui)
+    hi = world.add_node("hi", NodeRole.FFD, 0x0009, eui=hi_eui)  # the higher short is added first
+    iid = addressing.iid_from_eui64(hi.eui)
+    before = indexes(world)
+    with pytest.raises(ValueError, match=f"interface identifier {iid.hex()} already names 'hi' in PAN 0xBEEF"):
+        world.add_node("lo", NodeRole.FFD, 0x0005, eui=lo_eui)
+    assert indexes(world) == before  # nothing of lo is stored
     world.add_link("a", "hi")
-    world.add_link("a", "lo")
-    dst = addressing.link_local(addressing.iid_from_eui64(eui))
+    dst = addressing.link_local(iid)
     seen = watch(world)
     a = world.node("a")
     world.schedule(0.0, (world._node_send_ipv6, a, udp_packet(a.link_local, dst, 1, 2, b"shared")))
     world.run()
-    assert len(seen["lo", "ipv6"]) == 1
-    assert seen["hi", "ipv6"] == []
+    assert len(seen["hi", "ipv6"]) == 1
 
 
 def test_neighbour_order_ignores_link_insertion_order():
@@ -612,47 +623,98 @@ def test_udp_needing_a_missing_prefix_is_dropped(build):
 
 
 @pytest.mark.parametrize("order", [("gz", "gy", "gx"), ("gy", "gx", "gz")], ids=["reverse", "mixed"])
-def test_gateway_lookups_pick_the_lowest_id_whatever_the_insertion_order(order):
+def test_gateway_lookups_answer_the_first_owner_whatever_the_insertion_order(order):
     world = make_line()
     prefix = IPv6Address("2001:db8:a::")
-    gateways = {  # gz and gx share the default PAN and its prefix
+    gateways = {  # gz and gx claim the default PAN and its prefix
         "gz": dict(short=0x00FD, wired_addr=IPv6Address("fd00::c"), prefix=prefix),
         "gy": dict(short=0x00FE, wired_addr=IPv6Address("fd00::b"), pan_id=0x1234),
         "gx": dict(short=0x00FC, wired_addr=IPv6Address("fd00::a"), prefix=prefix),
     }
+    owner, refused = [gw_id for gw_id in order if gw_id != "gy"]  # the first of gz and gx keeps the PAN
     for gw_id in order:
-        world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
+        if gw_id == refused:
+            with pytest.raises(ValueError, match=f"PAN 0xBEEF already has gateway '{owner}'"):
+                world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
+        else:
+            world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
+    assert refused not in world.nodes and refused not in world.gateways
     world.add_host("h", IPv6Address("fd00::99"))
-    assert world.segment_gateway(world.pan_id)[0].id == "gx"
+    assert world.segment_gateway(world.pan_id)[0].id == owner
     assert world.segment_gateway(0x1234)[0].id == "gy"
     assert world.segment_gateway(0x4321) is None
-    world.send_udp(0.0, "h", "a", 1, 2, b"x")  # to a's global address, in both gz's and gx's prefix
+    world.send_udp(0.0, "h", "a", 1, 2, b"x")  # to a's global address, in the owner's prefix
     world.run()
-    assert [r.node for r in world.trace if r.kind == "wired-rx"] == ["gx"]
+    assert [r.node for r in world.trace if r.kind == "wired-rx"] == [owner]
+
+
+def _owners_world() -> World:
+    """g1 owns the default PAN, fd00::a and 2001:db8:a::; h owns fd00::99; x and y sit in PAN 0x1234."""
+    world = make_line()
+    world.add_gateway("g1", 0x00FE, GatewayMode.BORDER, IPv6Address("fd00::a"), prefix=IPv6Address("2001:db8:a::"))
+    world.add_host("h", IPv6Address("fd00::99"))
+    world.add_node("x", NodeRole.FFD, 0x0001, pan_id=0x1234)
+    world.add_node("y", NodeRole.FFD, 0x0002, pan_id=0x1234, eui=netsim.synth_eui(0x1234, 0x00FD))
+    return world
+
+
+FREE = dict(wired_addr=IPv6Address("fd00::c"), pan_id=0x1234)  # a gateway of PAN 0x1234 at short 0x00FD
+
+
+@pytest.mark.parametrize("add, message", [
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, IPv6Address("fd00::c")),
+     "PAN 0xBEEF already has gateway 'g1'"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, **{**FREE, "wired_addr": IPv6Address("fd00::99")}),
+     "wired address fd00::99 already belongs to 'h'"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, **{**FREE, "wired_addr": IPv6Address("fd00::a")}),
+     "wired address fd00::a already belongs to 'g1'"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, prefix=IPv6Address("2001:db8:a::1"), **FREE),
+     "prefix 2001:db8:a::1 is already delegated to 'g1'"),
+    (lambda w: w.add_gateway("g2", 0x0001, GatewayMode.BORDER, **FREE), "short 0x0001 already used in PAN 0x1234"),
+    (lambda w: w.add_gateway("x", 0x00FC, GatewayMode.BORDER, **FREE), "duplicate id 'x'"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, **FREE),  # y pins g2's EUI-64
+     "interface identifier 02124b00123400fd already names 'y' in PAN 0x1234"),
+    (lambda w: w.add_host("h2", IPv6Address("fd00::99")), "wired address fd00::99 already belongs to 'h'"),
+    (lambda w: w.add_host("h2", IPv6Address("fd00::a")), "wired address fd00::a already belongs to 'g1'"),
+], ids=["second-gateway-in-a-pan", "wired-of-a-host", "wired-of-a-gateway", "prefix-delegated", "short-taken",
+        "id-taken", "eui-taken", "host-on-a-host", "host-on-a-gateway"])
+def test_a_refused_claim_leaves_no_node_or_index_entry_behind(add, message):
+    world = _owners_world()
+    before = indexes(world)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        add(world)
+    assert indexes(world) == before
+    assert "g2" not in world.nodes and "h2" not in world.hosts
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-id-order", "reverse"])
-def test_wired_delivery_takes_the_lowest_id_of_address_and_prefix_matches(reverse):
+def test_wired_delivery_takes_the_exact_address_before_a_prefix(reverse):
     world = make_line()
     gateways = [  # (id, short, wired address, keyword arguments)
         ("g1", 0x00FE, IPv6Address("fd00::b%eth0"), dict(pan_id=0x2345)),
         ("g2", 0x00FE, IPv6Address("fd00::b"), dict(pan_id=0x3456)),
-        ("g3", 0x00FE, IPv6Address("fd00::b"), dict(pan_id=0x4567)),  # shares g2's address
+        ("g3", 0x00FE, IPv6Address("fd00::b"), dict(pan_id=0x4567)),  # claims g2's address
         ("gx", 0x00FC, IPv6Address("fd00::a"), dict(prefix=IPv6Address("2001:db8:a::"))),
-        # gy's wired address lies inside lower-id gx's prefix
+        # gy's wired address lies inside gx's prefix
         ("gy", 0x00FD, IPv6Address("2001:db8:a::ff"), dict(pan_id=0x1234)),
     ]
+    owner = "g3" if reverse else "g2"  # the first of g2 and g3 added owns fd00::b
     for gw_id, short, wired, kwargs in reversed(gateways) if reverse else gateways:
-        world.add_gateway(gw_id, short, GatewayMode.BORDER, wired, **kwargs)
+        if gw_id in ("g2", "g3") and gw_id != owner:
+            with pytest.raises(ValueError, match=f"wired address fd00::b already belongs to '{owner}'"):
+                world.add_gateway(gw_id, short, GatewayMode.BORDER, wired, **kwargs)
+        else:
+            world.add_gateway(gw_id, short, GatewayMode.BORDER, wired, **kwargs)
     world.add_host("h", IPv6Address("fd00::99"))
-    world.send_udp(0.0, "h", "gy", 1, 2, b"x")
+    world.send_udp(0.0, "h", "gy", 1, 2, b"x")  # to 2001:db8:a::ff: gy's own address, not gx's prefix
     world.send_udp(1.0, "h", "g1", 1, 2, b"x")  # to fd00::b%eth0: only g1's scoped address matches
-    world.send_udp(2.0, "h", "g3", 1, 2, b"x")  # to fd00::b: g2, not the lower-id g1 nor g3
+    world.send_udp(2.0, "h", owner, 1, 2, b"x")  # to fd00::b: its one owner, not g1
     scoped = udp_packet(IPv6Address("fd00::99"), IPv6Address("fd00::b%eth1"), 1, 2, b"x")
     world.schedule(3.0, (world.wired_send, "h", scoped))
+    world.send_udp(4.0, "h", "a", 1, 2, b"x")  # to a's global address, in gx's prefix
     world.run()
     assert [(r.time, r.node) for r in world.trace if r.kind == "wired-rx"] == [
-        (0.001, "gx"), (1.001, "g1"), (2.001, "g2"),
+        (0.001, "gy"), (1.001, "g1"), (2.001, owner), (4.001, "gx"),
     ]
     assert [r.detail for r in drops_of(world, "no-wired-route")] == ["reason=no-wired-route dst=fd00::b%eth1"]
 

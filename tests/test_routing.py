@@ -52,14 +52,19 @@ def all_pairs_routes(world: World) -> dict[str, tuple[dict[int, int], int | None
 
 @st.composite
 def worlds(draw) -> World:
-    """Up to 16 nodes of mixed roles in two PANs, random same-PAN links, pins and gateways."""
+    """Up to 16 nodes of mixed roles in two PANs, random same-PAN links, pins and at most one gateway per PAN."""
     addrs = draw(st.lists(
         st.tuples(st.sampled_from(PANS), st.integers(1, MAX_SHORT)),
         min_size=2, max_size=16, unique=True,
     ))
     n = len(addrs)
     names = draw(st.permutations([f"n{i:02d}" for i in range(n)]))  # id order is not short order
-    gateways = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    gateways = set()
+    for pan in PANS:
+        members = [i for i, (member_pan, _) in enumerate(addrs) if member_pan == pan]
+        gateway = draw(st.none() | st.sampled_from(members)) if members else None
+        if gateway is not None:
+            gateways.add(gateway)
     world = World(seed=0)
     for i, (pan, short) in enumerate(addrs):
         if i in gateways:

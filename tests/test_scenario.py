@@ -35,16 +35,17 @@ VALUES = {  # legal values of each key and traffic token
     "hops": ["0", "1", "2", "8", "15"],
     "role": ["coordinator", "ffd", "ffd", "ffd", "rfd", "rfd"],
     "short": list(SHORTS.values()) + ["0xFFFF", "0"],
-    "eui": ["00:12:4b:00:00:00:00:01", "00124b0000000002"],
+    # one per node; no synthesized EUI-64 (00:12:4b:00, PAN, short) starts 00:50:c2
+    "eui": ["00:50:c2:00:00:00:00:01", "0050c20000000002", "00-50-c2-00-00-00-00-03", "00:50:c2:00:00:00:00:04",
+            "0050c20000000005"],
     "sleep": ["1/1", "0.5/0.5", "0/1", "1/0", "0.25/1e-9"],
     "security": ["none", "aes-ccm-32", "aes-ccm-64", "aes-ccm-128"],
     "devid": DEVIDS,
     "mode": ["border", "devid", "zigbee", "bridge"],
-    "wired": ["fd00::a", "fd00::b", "fd00::99"],
+    "wired": ["fd00::a", "fd00::b", "fd00::99", "fd00::98"],  # one per host and gateway
     "prefix": ["2001:db8:a::", "2001:db8:b::"],
     "subscribers": ["h0", "h0,h1", "h1"],
     "peer": ["fd00::a", "fd00::b"],
-    "addr": ["fd00::99", "fd00::98", "fd00::a"],
     "band": ["868", "915", "2450"],
     "loss": ["0", "0", "0.2", "1"],
     "at": ["0", "0.1", "0.5", "1", "4.9", "6"],
@@ -56,6 +57,7 @@ VALUES = {  # legal values of each key and traffic token
     "size": SIZES,
     "hex": ["", "00", "0000a5a5", "0009000aa5a5", "a5" * 90, "a5" * 98, "a5" * 103],
 }
+OWNED = {"addr": "wired", "wired": "wired", "prefix": "prefix", "eui": "eui"}  # key -> its pool of distinct values
 BAD = ["nan", "inf", "-inf", "-1", "0x10000", "", "zz", "1e308", "99999999999", "65528", "16", "1.5",
        "0/0", "1", "queen", "ghost", "0011"]
 SECTION_FAULTS = ["[nodes n9]", "[general x]", "[traffic x]", "[link n0]", "[route]", "[gateway]"]
@@ -64,17 +66,31 @@ SECTION_FAULTS = ["[nodes n9]", "[general x]", "[traffic x]", "[link n0]", "[rou
 def scenario_text(rnd: random.Random) -> str:
     """A scenario over a few nodes, gateways and hosts with every section kind and traffic kind.
 
-    Values are legal but for an occasional out-of-range, unknown or repeated one.
+    Values are legal but for an occasional out-of-range, unknown or repeated one.  Wired
+    addresses, prefixes and EUI-64s are drawn without repeats, but for one repeated on
+    purpose about 2% of the time, which the loader refuses where it shares an owner.
     """
     hosts = rnd.sample(HOSTS, rnd.randint(0, 2))
     gateways = rnd.sample(GATEWAYS, rnd.randint(0, 2))
     nodes = rnd.sample(NODES, rnd.randint(1, 5))
     pans = {"g0": "0xBEEF", "g1": "0x1000"}
+    fresh = {pool: rnd.sample(VALUES[pool], len(VALUES[pool])) for pool in dict.fromkeys(OWNED.values())}
+    drawn = {pool: [] for pool in fresh}
+
+    def owned(key):
+        """A value of `key` no section has drawn yet, or about 2% of the time one it has."""
+        pool = OWNED[key]
+        if drawn[pool] and rnd.random() < 0.02:
+            return rnd.choice(drawn[pool])
+        drawn[pool].append(fresh[pool].pop())
+        return drawn[pool][-1]
 
     def value(key, usual=None):
         if rnd.random() < 0.01:
             return rnd.choice(BAD)
-        return usual if usual is not None and rnd.random() < 0.95 else rnd.choice(VALUES.get(key, ["1"]))
+        if usual is not None and (key in OWNED or rnd.random() < 0.95):
+            return usual
+        return rnd.choice(VALUES.get(key, ["1"]))
 
     def section(kind, ids, **usual):
         """Required keys, keys with a usual value and a random share of the others."""
@@ -102,17 +118,18 @@ def scenario_text(rnd: random.Random) -> str:
 
     lines = section("general", [], pan="0xBEEF") if rnd.random() < 0.7 else []
     for host in hosts:
-        lines += section("host", [host])
+        lines += section("host", [host], addr=owned("addr"))
     pan_of = {gateway: pans[gateway] for gateway in gateways}
     for gateway in gateways:
         subscribers = ",".join(rnd.sample(hosts, rnd.randint(1, len(hosts)))) if hosts else None
         subscribers = subscribers if rnd.random() < 0.5 else None
-        lines += section("gateway", [gateway], short=SHORTS[gateway], pan=pans[gateway],
-                         subscribers=subscribers)
+        lines += section("gateway", [gateway], short=SHORTS[gateway], pan=pans[gateway], wired=owned("wired"),
+                         prefix=owned("prefix") if rnd.random() < 0.4 else None, subscribers=subscribers)
     for node in nodes:
         pan = rnd.choice([pans[gateway] for gateway in gateways] or [None])
         devid = rnd.choice(DEVIDS) if pan and rnd.random() < 0.3 else None
-        lines += section("node", [node], short=SHORTS[node], pan=pan, devid=devid)
+        eui = owned("eui") if rnd.random() < 0.4 else None
+        lines += section("node", [node], short=SHORTS[node], pan=pan, devid=devid, eui=eui)
         pan_of[node] = pan or "0xBEEF"
     radios = nodes + gateways
     pan_groups = [group for pan in sorted(set(pan_of.values()))
