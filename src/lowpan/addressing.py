@@ -13,7 +13,8 @@ Both yield the low 64 bits of a link-local (fe80::/64) or delegated
 global address.  `iid_for` packs the short-address form in one step,
 0x0200 | PAN high | 0xFFFE | PAN low | short, the same eight octets as
 `iid_from_pseudo48(pseudo48(pan_id, short))`; `Short16` has already
-range-checked both fields.
+range-checked both fields.  `eui64_from_text` is the one reading of an
+EUI-64 written as text, for the scenario loader and the command line alike.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def iid_from_eui64(eui: bytes) -> bytes:
     if len(eui) != 8:
         raise ValueError(f"EUI-64 must be 8 octets, got {len(eui)}")
     return bytes([eui[0] ^ UNIVERSAL_LOCAL_BIT]) + eui[1:]
+
+
+def eui64_from_text(text: str) -> bytes:
+    """An EUI-64 written as 16 hex digits, its octets optionally split by colons or dashes."""
+    try:
+        eui = bytes.fromhex(text.replace(":", "").replace("-", ""))
+    except ValueError:
+        eui = b""
+    if len(eui) != 8:
+        raise ValueError(f"not an EUI-64 of 8 octets: {text!r}")
+    return eui
 
 
 def pseudo48(pan_id: int, short: int) -> bytes:

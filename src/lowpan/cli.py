@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from ipaddress import AddressValueError, IPv6Address
+from functools import partial
+from ipaddress import IPv6Address
 from pathlib import Path
 
 from . import addressing, codec
@@ -21,7 +22,6 @@ from .frame import (
     decode_ppdu,
     encode_ppdu,
     frame_airtime,
-    mac_payload_budget,
 )
 from .ipv6 import decode_ipv6, decode_udp, encode_ipv6
 from .scenario import ScenarioError, load_scenario
@@ -49,34 +49,41 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a scenario file")
+    run.set_defaults(handler=cmd_run)
     run.add_argument("scenario", help="scenario file path")
-    run.add_argument("--out", default="out", help="output directory (default: out)")
-    run.add_argument("--seed", type=lambda v: int(v, 0), default=None)
+    run.add_argument("--out", type=_out_dir, default="out", help="output directory (default: out)")
+    run.add_argument("--seed", type=_number, default=None)
     run.add_argument("--t-end", type=float, default=None)
     run.add_argument("--mode-override", default=None, help="force every gateway mode")
 
     cod = sub.add_parser("codec", help="encode/decode adaptation-layer streams")
     direction = cod.add_subparsers(dest="direction", required=True)
     dec = direction.add_parser("decode", help="decode a 6LoWPAN stream")
-    dec.add_argument("hex")
+    dec.set_defaults(handler=cmd_codec, lines=lambda args: _dump_stream(args.hex, args.l2_src, args.l2_dst, args.pan))
+    dec.add_argument("hex", type=_stream)
     dec.add_argument("--l2-src", type=_l2_address, default=DEFAULT_L2_SRC)
     dec.add_argument("--l2-dst", type=_l2_address, default=DEFAULT_L2_DST)
     dec.add_argument("--pan", type=_u16, default=0xBEEF)
     com = direction.add_parser("compress", help="compress a raw IPv6 packet")
-    com.add_argument("hex")
+    com.set_defaults(handler=cmd_codec, lines=_compress_lines)
+    com.add_argument("hex", type=_hex)
     com.add_argument("--l2-src", type=_l2_address, default=DEFAULT_L2_SRC)
     com.add_argument("--l2-dst", type=_l2_address, default=DEFAULT_L2_DST)
     ppe = direction.add_parser("ppdu-encode", help="wrap a PSDU in a PPDU")
-    ppe.add_argument("hex")
+    ppe.set_defaults(handler=cmd_codec, lines=lambda args: [encode_ppdu(args.hex).hex()])
+    ppe.add_argument("hex", type=_hex)
     ppd = direction.add_parser("ppdu-decode", help="unwrap a PPDU")
-    ppd.add_argument("hex")
+    ppd.set_defaults(handler=cmd_codec, lines=_ppdu_decode_lines)
+    ppd.add_argument("hex", type=_hex)
     chk = direction.add_parser("check", help="verify a golden vector file")
-    chk.add_argument("file")
+    chk.set_defaults(handler=cmd_check)
+    chk.add_argument("file", type=Path)
     chk.add_argument("--pan", type=_u16, default=0xBEEF)
 
-    sub.add_parser("budget", help="print payload budgets and airtimes")
+    sub.add_parser("budget", help="print payload budgets and airtimes").set_defaults(handler=cmd_budget)
 
     addr = sub.add_parser("addr", help="derive interface identifiers and addresses")
+    addr.set_defaults(handler=cmd_addr)
     group = addr.add_mutually_exclusive_group(required=True)
     group.add_argument("--eui", type=_eui, help="EUI-64 as 16 hex digits")
     group.add_argument("--short", type=_u16, help="16-bit short address")
@@ -87,33 +94,45 @@ def _build_parser() -> _Parser:
 
 # option converters: a value they refuse is a usage error (exit 1), before any output
 
+def _converter(parse, what: str):
+    """An argparse `type` that returns `parse(text)` and reports its ValueError as `not <what>`."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {what}: {text!r}") from None
+    return convert
+
+
+_number = _converter(partial(int, base=0), "a number")  # 0x / 0o / 0b prefixes accepted
+_eui = _converter(addressing.eui64_from_text, "an EUI-64 of 8 octets")
+_ipv6 = _converter(IPv6Address, "an IPv6 address")
+_hex = _converter(bytes.fromhex, "a hex string")
+
+
 def _u16(text: str) -> int:
-    """A PAN or short address: a number in 0..0xFFFF, 0x prefix accepted."""
-    try:
-        number = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    """A PAN or short address: a number in 0..0xFFFF."""
+    number = _number(text)
     if not 0 <= number <= 0xFFFF:
         raise argparse.ArgumentTypeError(f"{text!r} is outside 0..0xFFFF")
     return number
 
 
-def _eui(text: str) -> bytes:
-    """An EUI-64 as 16 hex digits, colons allowed."""
-    try:
-        eui = bytes.fromhex(text.replace(":", ""))
-    except ValueError:
-        eui = b""
-    if len(eui) != 8:
-        raise argparse.ArgumentTypeError(f"not an EUI-64 of 8 octets: {text!r}")
-    return eui
+def _stream(text: str) -> bytes:
+    """A stream to decode: hex of at least one octet."""
+    data = _hex(text)
+    if not data:
+        raise argparse.ArgumentTypeError("empty input")
+    return data
 
 
-def _ipv6(text: str) -> IPv6Address:
-    try:
-        return IPv6Address(text)
-    except AddressValueError:
-        raise argparse.ArgumentTypeError(f"not an IPv6 address: {text!r}") from None
+def _out_dir(text: str) -> Path:
+    """An output directory that `cmd_run` can make: its nearest existing ancestor, itself included, is one."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"not a directory: {str(existing)!r}")
+    return path
 
 
 def _l2_address(spec: str):
@@ -142,18 +161,6 @@ def _read_text(path: Path, what: str) -> str:
     raise SystemExit(EXIT_SCENARIO)
 
 
-def _hex_bytes(text: str) -> bytes:
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise SystemExit(_usage_error(f"not a hex string: {text!r}"))
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def _dump_ipv6(pkt) -> list[str]:
     lines = [
         "version: 6",
@@ -178,49 +185,40 @@ def _dump_ipv6(pkt) -> list[str]:
     return lines
 
 
-def _dump_stream(data: bytes, l2_src, l2_dst, pan: int) -> list[str]:
+def _dump_stream(data: bytes, orig, final, pan: int | None) -> list[str]:
     """Walk the header stack of one adaptation-layer payload.
 
-    A `CodecError`'s offset counts from the start of `data`, also for a
-    header that follows a mesh header.
+    A mesh header is read only at the top level, where `pan` is given; a
+    nested mesh dispatch prints as payload.  A `CodecError`'s offset counts
+    from the start of the input, also for a header after a mesh header.
     """
     kind = codec.parse_dispatch(data[0])
-    if kind is not codec.DispatchKind.MESH:
-        return _dump_headers(data, l2_src, l2_dst)
-    mesh, consumed = codec.decode_mesh(data, pan)
-    lines = [
-        f"dispatch: 0x{data[0]:02X} {kind.value}",
-        f"mesh: orig={_fmt_addr(mesh.originator)} final={_fmt_addr(mesh.final)} "
-        f"hops-left={mesh.hops_left}",
-    ]
-    if consumed == len(data):
-        raise codec.MalformedMesh("no payload after the mesh header", offset=consumed)
-    try:
-        return lines + _dump_headers(data[consumed:], mesh.originator, mesh.final)
-    except codec.CodecError as exc:
-        if exc.offset is not None:
-            exc.offset += consumed
-        raise
-
-
-def _dump_headers(data: bytes, orig, final) -> list[str]:
-    """The dispatch and the headers after it, for a payload with no mesh header."""
-    kind = codec.parse_dispatch(data[0])
     lines = [f"dispatch: 0x{data[0]:02X} {kind.value}"]
-    if kind is codec.DispatchKind.BC0:
+    if kind is codec.DispatchKind.MESH and pan is not None:
+        mesh, consumed = codec.decode_mesh(data, pan)
+        lines.append(
+            f"mesh: orig={_fmt_addr(mesh.originator)} final={_fmt_addr(mesh.final)} "
+            f"hops-left={mesh.hops_left}"
+        )
+        if consumed == len(data):
+            raise codec.MalformedMesh("no payload after the mesh header", offset=consumed)
+        try:
+            return lines + _dump_stream(data[consumed:], mesh.originator, mesh.final, None)
+        except codec.CodecError as exc:
+            if exc.offset is not None:
+                exc.offset += consumed
+            raise
+    elif kind is codec.DispatchKind.BC0:
         seq, consumed = codec.decode_bc0(data)
-        lines.append(f"bc0: seq={seq}")
-        lines.append(f"payload-hex: {data[consumed:].hex()}")
-        return lines
-    if kind in (codec.DispatchKind.FRAG_FIRST, codec.DispatchKind.FRAG_SUBSEQUENT):
+        lines += [f"bc0: seq={seq}", f"payload-hex: {data[consumed:].hex()}"]
+    elif kind in (codec.DispatchKind.FRAG_FIRST, codec.DispatchKind.FRAG_SUBSEQUENT):
         header, consumed = codec.decode_frag(data)
         lines.append(
             f"frag: size={header.datagram_size} tag=0x{header.tag:04X} "
             f"offset={header.offset * 8}"
         )
         lines.append(f"fragment-hex: {data[consumed:].hex()}")
-        return lines
-    if kind in (codec.DispatchKind.HC1, codec.DispatchKind.UNCOMPRESSED_IPV6):
+    elif kind in (codec.DispatchKind.HC1, codec.DispatchKind.UNCOMPRESSED_IPV6):
         pkt = codec.decompress_ipv6(data, orig, final)
         if kind is codec.DispatchKind.HC1:
             enc = codec.Hc1Encoding.from_byte(data[1])
@@ -230,9 +228,9 @@ def _dump_headers(data: bytes, orig, final) -> list[str]:
                 f"tcfl-zero={int(enc.tcfl_zero)} next-header={nh_name} hc2={int(enc.hc2_follows)}"
             )
             lines.append(f"hop-limit: {data[2]}")
-        lines.extend(_dump_ipv6(pkt))
-        return lines
-    lines.append("payload-hex: " + data[1:].hex())
+        lines += _dump_ipv6(pkt)
+    else:
+        lines.append("payload-hex: " + data[1:].hex())
     return lines
 
 
@@ -244,21 +242,13 @@ def _fmt_addr(addr) -> str:
 
 def cmd_run(args) -> int:
     text = _read_text(Path(args.scenario), "scenario")
-    try:
-        world, t_end = load_scenario(
-            text,
-            seed_override=args.seed,
-            t_end_override=args.t_end,
-            mode_override=args.mode_override,
-        )
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    world, t_end = load_scenario(
+        text, seed_override=args.seed, t_end_override=args.t_end, mode_override=args.mode_override
+    )
     world.run_until(t_end)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.tsv"
-    metrics_path = out / "metrics.txt"
+    args.out.mkdir(parents=True, exist_ok=True)
+    trace_path = args.out / "trace.tsv"
+    metrics_path = args.out / "metrics.txt"
     # streamed line by line: no whole-file string or encoded copy is built
     for dest, lines in ((trace_path, world.trace_lines()), (metrics_path, world.metrics_lines())):
         with dest.open("w", encoding="utf-8", newline="\n") as stream:
@@ -269,31 +259,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_codec(args) -> int:
-    if args.direction == "check":
-        return _check_vectors(Path(args.file), args.pan)
-    data = _hex_bytes(args.hex)
+    """Print the lines `args.lines` makes of the hex input; a decoder error exits 3 with no output."""
     try:
-        if args.direction == "decode":
-            if not data:
-                return _usage_error("empty input")
-            for line in _dump_stream(data, args.l2_src, args.l2_dst, args.pan):
-                print(line)
-        elif args.direction == "compress":
-            pkt = decode_ipv6(data)
-            stream = codec.compress_ipv6(pkt, args.l2_src, args.l2_dst)
-            print(f"compressed-hex: {stream.hex()}")
-            enc = codec.Hc1Encoding.from_byte(stream[1])
-            print(
-                f"hc1: src-mode={enc.src_mode} dst-mode={enc.dst_mode} "
-                f"tcfl-zero={int(enc.tcfl_zero)} hc2={int(enc.hc2_follows)}"
-            )
-            print(f"octets: {len(stream)} (raw would be {1 + 40 + pkt.payload_length})")
-        elif args.direction == "ppdu-encode":
-            print(encode_ppdu(data).hex())
-        elif args.direction == "ppdu-decode":
-            ppdu = decode_ppdu(data)
-            print(f"frame-length: {ppdu.frame_length}")
-            print(f"psdu-hex: {ppdu.psdu.hex()}")
+        lines = args.lines(args)
     except codec.CodecError as exc:
         where = f" at byte {exc.offset}" if exc.offset is not None else ""
         print(f"decode error{where}: {exc}", file=sys.stderr)
@@ -301,15 +269,34 @@ def cmd_codec(args) -> int:
     except (FrameError, ValueError) as exc:
         print(f"decode error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(*lines, sep="\n")
     return EXIT_OK
 
 
-def _check_vectors(path: Path, pan: int) -> int:
+def _compress_lines(args) -> list[str]:
+    pkt = decode_ipv6(args.hex)
+    stream = codec.compress_ipv6(pkt, args.l2_src, args.l2_dst)
+    enc = codec.Hc1Encoding.from_byte(stream[1])
+    return [
+        f"compressed-hex: {stream.hex()}",
+        f"hc1: src-mode={enc.src_mode} dst-mode={enc.dst_mode} "
+        f"tcfl-zero={int(enc.tcfl_zero)} hc2={int(enc.hc2_follows)}",
+        f"octets: {len(stream)} (raw would be {1 + 40 + pkt.payload_length})",
+    ]
+
+
+def _ppdu_decode_lines(args) -> list[str]:
+    ppdu = decode_ppdu(args.hex)
+    return [f"frame-length: {ppdu.frame_length}", f"psdu-hex: {ppdu.psdu.hex()}"]
+
+
+def cmd_check(args) -> int:
     """Verify `<hex-input> <expected-kind> <hex-output>` golden records.
 
     Header records re-encode to the expected output; hc1/ipv6 records
     decompress to the expected raw IPv6 packet (default link context).
     """
+    path = args.file
     text = _read_text(path, "vector file")
     failures = 0
     checked = 0
@@ -326,7 +313,7 @@ def _check_vectors(path: Path, pan: int) -> int:
         checked += 1
         try:
             data = bytes.fromhex(parts[0])
-            actual = _vector_result(data, pan)
+            actual = _vector_result(data, args.pan)
         except ValueError as exc:
             print(f"{path}:{lineno}: {exc}", file=sys.stderr)
             failures += 1
@@ -371,18 +358,13 @@ def _vector_result(data: bytes, pan: int) -> bytes:
 
 def cmd_budget(_args) -> int:
     print("security      overhead  mac-payload-budget")
-    for mode, label in (
-        (SecurityMode.NONE, "none"),
-        (SecurityMode.AES_CCM_32, "aes-ccm-32"),
-        (SecurityMode.AES_CCM_64, "aes-ccm-64"),
-        (SecurityMode.AES_CCM_128, "aes-ccm-128"),
-    ):
-        print(f"{label:<13} {mode.overhead:<9} {mac_payload_budget(mode)}")
+    for mode in SecurityMode:
+        print(f"{mode.label:<13} {mode.overhead:<9} {mode.budget}")
     print()
     print("band   bit-rate-bps  ppdu-octets  airtime")
-    for band, label in ((PhyBand.B2450, "2450"), (PhyBand.B915, "915"), (PhyBand.B868, "868")):
+    for band in reversed(PhyBand):
         airtime = frame_airtime(band, PPDU_MAX)
-        print(f"{label:<6} {band.bit_rate:<13} {PPDU_MAX:<12} {airtime * 1000:.3f} ms")
+        print(f"{band.label:<6} {band.bit_rate:<13} {PPDU_MAX:<12} {airtime * 1000:.3f} ms")
     return EXIT_OK
 
 
@@ -404,17 +386,7 @@ def cmd_addr(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "codec":
-            return cmd_codec(args)
-        if args.command == "budget":
-            return cmd_budget(args)
-        if args.command == "addr":
-            return cmd_addr(args)
+        return args.handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ScenarioError as exc:
@@ -423,7 +395,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures map to a stable exit code
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

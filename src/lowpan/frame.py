@@ -38,7 +38,9 @@ stand-in).  Each enum carries what the codec reads from it as a plain
 member attribute set in its `__init__`: `FrameType.code` and
 `SecurityMode.code` (the two-bit wire codes), `SecurityMode.overhead`,
 `SecurityMode.budget` (what `mac_payload_budget` returns) and
-`PhyBand.bit_rate`.  Decoding maps the codes to their members by
+`PhyBand.bit_rate`.  `SecurityMode.label` and `PhyBand.label` are the
+names a scenario and `lowpan budget` write (`aes-ccm-32`, `2450`),
+derived from the member names.  Decoding maps the codes to their members by
 indexing a tuple of the members.  The FCS is CRC-16/XMODEM (polynomial
 0x1021, init 0x0000, MSB first, no final XOR) over everything that
 precedes it; that is the stdlib's `binascii.crc_hqx(data, 0)`.  The
@@ -111,6 +113,7 @@ class PhyBand(Enum):
     B2450 = (250_000, 11, 26)
 
     def __init__(self, bit_rate: int, first_channel: int, last_channel: int):
+        self.label: str = self.name[1:]  # "868", "915", "2450"
         self.bit_rate: int = bit_rate
         self.channel_range: tuple[int, int] = (first_channel, last_channel)
 
@@ -125,6 +128,7 @@ class SecurityMode(Enum):
 
     def __init__(self, code: int):
         self.code: int = code
+        self.label: str = self.name.lower().replace("_", "-")  # "none", "aes-ccm-32", ...
         # octets of auxiliary security header plus MIC, by suite code
         self.overhead: int = (0, 9, 13, 21)[code]
         # octets left to the MAC payload under the worst-case header

@@ -32,9 +32,9 @@ Node behaviour:
     fragmented after compression and reassembled only at the mesh
     final destination, under the 60-second window; a datagram still
     incomplete 60 s after its first fragment is discarded then.
-  * A node's flood dedup cache (`bc0_seen`) and fragment tag context
-    (`frag_ctx`) are made on first use, when it first sees a flood or
-    splits a datagram; most nodes of a large mesh never need them.
+  * A node's flood dedup cache (`bc0_seen`) is made on first use, when it
+    first sees a flood; most nodes of a large mesh never need it.  Its
+    fragment tag (`frag_tag`) is a plain counter, like its sequence numbers.
 
 Trace records are one line each: time, node, event kind, detail and a
 byte count, tab separated.  Only `World._deliver` writes `deliver` records
@@ -99,7 +99,6 @@ from .ipv6 import UDP_HEADER_OCTETS, Ipv6Packet, PacketError, udp_packet
 from .reassembly import (
     REASSEMBLY_TIMEOUT,
     FragmentOutcome,
-    FragmentationContext,
     ReassemblyError,
     accept_fragment,
 )
@@ -226,7 +225,7 @@ class Trace:
 class SimNode:
     __slots__ = (
         "id", "role", "pan_id", "short", "wpan_address", "iid", "eui", "sleep", "security", "stack",
-        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "frag_ctx",
+        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "frag_tag",
         "reassembly",
     )
 
@@ -257,7 +256,7 @@ class SimNode:
         self.bc0_seq = 0
         self.bc0_seen: OrderedDict | None = None  # made by the first note_broadcast
         self.tx_free_at = 0.0
-        self.frag_ctx: FragmentationContext | None = None  # made by the first take_tag
+        self.frag_tag = 0  # the tag of the next datagram this node fragments
         self.reassembly: dict = {}
 
     @property
@@ -287,13 +286,12 @@ class SimNode:
     def take_tag(self) -> int:
         """The next fragment tag of this node's datagrams.
 
-        The node stands in for its `FragmentationContext`, which `fragment`
-        asks for a tag only when a datagram is split, so a node that never
-        fragments holds none.
+        The node stands in for `fragment`'s `FragmentationContext`, which
+        is asked for a tag only when a datagram is split.
         """
-        if self.frag_ctx is None:
-            self.frag_ctx = FragmentationContext()
-        return self.frag_ctx.take_tag()
+        tag = self.frag_tag
+        self.frag_tag = (tag + 1) & 0xFFFF
+        return tag
 
 
 @dataclass

@@ -41,6 +41,7 @@ import math
 from collections.abc import Iterator
 from ipaddress import AddressValueError, IPv6Address
 
+from .addressing import eui64_from_text
 from .frame import PhyBand, SecurityMode
 from .gateway import GatewayMode, register_devid
 from .netsim import NodeRole, SleepSchedule, World
@@ -84,8 +85,8 @@ _TOKENS = {kind: {"at", "kind", "from", "size", "hex", *required, *optional}
 _NEEDS = {kind: ("at", "from", *required) for kind, (required, _) in _TRAFFIC.items()}
 _ROLES = {role.value: role for role in NodeRole}
 _MODES = {mode.value: mode for mode in GatewayMode}
-_BANDS = {band.name[1:]: band for band in PhyBand}  # "868", "915", "2450"
-_SECURITY = {suite.name.lower().replace("_", "-"): suite for suite in SecurityMode}  # "aes-ccm-32", ...
+_BANDS = {band.label: band for band in PhyBand}
+_SECURITY = {suite.label: suite for suite in SecurityMode}
 
 
 _PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(256))  # pattern payloads repeat every 256 octets
@@ -233,14 +234,8 @@ def _addr(value: str, lineno: int) -> IPv6Address:
 
 
 def _eui(value: str, lineno: int) -> bytes:
-    raw = value.replace(":", "").replace("-", "")
-    try:
-        eui = bytes.fromhex(raw)
-    except ValueError:
-        raise ScenarioError(f"line {lineno}: not an EUI-64: {value!r}") from None
-    if len(eui) != 8:
-        raise ScenarioError(f"line {lineno}: EUI-64 must be 8 octets: {value!r}")
-    return eui
+    with _at(lineno):
+        return eui64_from_text(value)
 
 
 def _sleep(value: str, lineno: int) -> SleepSchedule:

@@ -98,3 +98,12 @@ def test_length_validation():
         addressing.iid_from_pseudo48(b"toolong" * 2)
     with pytest.raises(ValueError):
         addressing.link_local(b"bad")
+
+
+def test_eui64_text_takes_colons_dashes_or_neither():
+    plain = bytes.fromhex("00124b0001020304")
+    for text in ("00:12:4b:00:01:02:03:04", "00-12-4b-00-01-02-03-04", "00124b0001020304"):
+        assert addressing.eui64_from_text(text) == plain
+    for text in ("zz", "00:12:4b", "00124b000102030405"):
+        with pytest.raises(ValueError, match="not an EUI-64 of 8 octets"):
+            addressing.eui64_from_text(text)

@@ -4,7 +4,9 @@ import re
 import pytest
 from test_digests import SCENARIO_DIGESTS
 
+from lowpan import cli
 from lowpan.cli import main
+from lowpan.frame import PhyBand, SecurityMode
 from lowpan.scenario import ScenarioError, load_scenario, pattern_payload
 
 
@@ -193,10 +195,15 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
     (["addr", "--eui", "0011223344556677", "--prefix", "nope"], 1),
     (["addr", "--short", "0x1FFFF"], 1),
     (["codec", "decode", "42fb", "--l2-src", "short:0xBEEF:zz"], 1),
+    (["codec", "decode", "zz"], 1),
+    (["run", "{latin1}", "--seed", "0x", "--out", "{out}"], 1),
+    (["run", "{latin1}", "--out", "{latin1}"], 1),
     (["run", "{latin1}", "--out", "{out}"], 2),
     (["run", "{directory}", "--out", "{out}"], 2),
     (["codec", "check", "{latin1}"], 2),
-], ids=["eui", "prefix", "short", "l2-src", "run-non-utf8", "run-directory", "check-non-utf8"])
+], ids=[
+    "eui", "prefix", "short", "l2-src", "hex", "seed", "out-file", "run-non-utf8", "run-directory", "check-non-utf8",
+])
 def test_input_errors_exit_with_their_code_before_any_output(tmp_path, capsys, argv, code):
     latin1 = tmp_path / "latin1.scn"
     latin1.write_bytes("[node a]\nshort = 1  # caf\u00e9\n".encode("latin-1"))
@@ -206,6 +213,31 @@ def test_input_errors_exit_with_their_code_before_any_output(tmp_path, capsys, a
     assert (got, out) == (code, "")
     assert err.startswith("usage: " if code == 1 else "error: cannot read ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "x.scn", "--seed", "0x"], "argument --seed: not a number: '0x'"),
+    (["codec", "decode", "zz"], "argument hex: not a hex string: 'zz'"),
+    (["codec", "decode", ""], "argument hex: empty input"),
+    (["addr", "--eui", "00:12:4b"], "argument --eui: not an EUI-64 of 8 octets: '00:12:4b'"),
+])
+def test_usage_errors_say_what_is_wrong(capsys, argv, message):
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 1
+    assert err.startswith("usage: ") and err.endswith(f"error: {message}\n")
+
+
+def test_run_refuses_an_out_file_before_loading(monkeypatch, scenario_dir, tmp_path, capsys):
+    loads = []
+    monkeypatch.setattr(cli, "load_scenario", lambda *args, **kwargs: loads.append(args))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (taken, taken / "sub"):
+        code, stdout, err = run_cli("run", str(scenario_dir / "demo.scn"), "--out", str(out), capsys=capsys)
+        assert (code, stdout) == (1, "")
+        assert err.endswith(f"error: argument --out: not a directory: {str(taken)!r}\n")
+    assert loads == []
+    assert taken.read_text() == "kept"
 
 
 def test_run_drops_a_zero_size_first_fragment(tmp_path, capsys):
@@ -313,6 +345,17 @@ def test_codec_decode_error_reports_offset(capsys):
     assert "byte" in err
 
 
+def test_codec_decode_reads_a_mesh_header_only_at_the_top(capsys):
+    code, out, _ = run_cli("codec", "decode", "bf0001000280aa", capsys=capsys)
+    assert code == 0
+    assert out == (
+        "dispatch: 0xBF mesh\n"
+        "mesh: orig=short:0xBEEF:0x0001 final=short:0xBEEF:0x0002 hops-left=15\n"
+        "dispatch: 0x80 mesh\n"
+        "payload-hex: aa\n"
+    )
+
+
 def test_codec_decode_mesh_header_without_payload(capsys):
     code, _, err = run_cli("codec", "decode", "bf00010002", capsys=capsys)
     assert code == 3
@@ -394,6 +437,11 @@ def test_codec_check_reports_a_non_hex_input_at_its_line(tmp_path, capsys):
 def test_budget_output(capsys):
     code, out, _ = run_cli("budget", capsys=capsys)
     assert code == 0
+    suites, bands = ([row.split() for row in block.splitlines()[1:]] for block in out.split("\n\n"))
+    assert [row[0] for row in suites] == ["none", "aes-ccm-32", "aes-ccm-64", "aes-ccm-128"]
+    assert suites == [[suite.label, str(suite.overhead), str(suite.budget)] for suite in SecurityMode]
+    assert [row[:3] for row in bands] == [[band.label, str(band.bit_rate), "133"] for band in reversed(PhyBand)]
+    assert [row[0] for row in bands] == ["2450", "915", "868"]
     assert "102" in out
     assert "81" in out
     assert "4.256 ms" in out
@@ -416,6 +464,16 @@ def test_addr_eui_path(capsys):
     code, out, _ = run_cli("addr", "--eui", "00:12:4b:00:01:02:03:04", capsys=capsys)
     assert code == 0
     assert "iid: 02124b0001020304" in out
+
+
+def test_addr_eui_separators_give_one_iid(capsys):
+    outs = {run_cli("addr", "--eui", eui, capsys=capsys) for eui in ("00:12:4b:00:01:02:03:04", "00-12-4b-00-01-02-03-04")}
+    assert outs == {(0, "eui: 00124b0001020304\niid: 02124b0001020304\nlink-local: fe80::212:4b00:102:304\n", "")}
+    decoded = {
+        run_cli("codec", "decode", "42fb40e03f39196869", "--l2-src", f"eui:{eui}", capsys=capsys)
+        for eui in ("00:12:4b:00:01:02:03:04", "00-12-4b-00-01-02-03-04")
+    }
+    assert len(decoded) == 1 and "src: fe80::212:4b00:102:304\n" in decoded.pop()[1]
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,6 +1,7 @@
 """Every name a module of the package, a demo or a bench script imports is
-used in that file, and every function, method and class the package defines
-is named outside the tests; a method only by being read as an attribute."""
+used in that file and is not another module's `_`-prefixed name, and every
+function, method and class the package defines is named outside the tests;
+a method only by being read as an attribute."""
 
 import ast
 from pathlib import Path
@@ -39,6 +40,25 @@ def test_unused_imports_finds_a_name_never_referenced():
 @pytest.mark.parametrize("module", SOURCES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports(SOURCES[module].read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """The `_`-prefixed names `source` imports from another module, with their lines."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+
+
+def test_private_imports_finds_an_underscored_name():
+    source = "from __future__ import annotations\nimport _thread\nfrom .m import _a, b\nfrom .n import __doc__\n"
+    assert private_imports(source) == ["_a (line 3)"]
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_module_imports_no_private_name(module):
+    assert private_imports(SOURCES[module].read_text()) == []
 
 
 def named(source: str) -> tuple[set[str], set[str]]:

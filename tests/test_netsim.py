@@ -212,12 +212,12 @@ def test_flood_and_fragment_state_is_made_on_first_use():
     world = make_line()  # a - b - c - d
     world.send_udp(0.0, "a", "c", 0xF0B0, 0xF0B1, b"x" * 8)
     world.run()
-    assert all(node.bc0_seen is None and node.frag_ctx is None for node in world.nodes.values())
+    assert all(node.bc0_seen is None and node.frag_tag == 0 for node in world.nodes.values())
     for at in (1.0, 2.0):
         world.send_udp(at, "a", "c", 0xF0B0, 0xF0B1, b"x" * 300)
     world.run()
-    assert [node.id for node in world.nodes.values() if node.frag_ctx is not None] == ["a"]
-    assert world.node("a").frag_ctx.next_tag == 2  # tags 0 and 1, one per fragmented datagram
+    assert [node.id for node in world.nodes.values() if node.frag_tag] == ["a"]
+    assert world.node("a").frag_tag == 2  # tags 0 and 1, one per fragmented datagram
     assert all(node.bc0_seen is None for node in world.nodes.values())
     world.broadcast(3.0, "b", b"flood")
     world.run()

@@ -311,7 +311,7 @@ def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_
     for ends in world.neighbors.values():
         assert all(other is world.nodes[other].id for other in ends)
     # no node has flooded or fragmented yet
-    assert all(node.bc0_seen is None and node.frag_ctx is None for node in world.nodes.values())
+    assert all(node.bc0_seen is None and node.frag_tag == 0 for node in world.nodes.values())
     world.prepare()  # puts each neighbour map in id order
     for node_id, ends in world.neighbors.items():
         assert list(ends) == sorted(ends), node_id
