@@ -1,7 +1,8 @@
 """Deterministic discrete-event simulation of LoWPAN segments.
 
 A world holds WPAN nodes, point-to-point radio links inside one PAN,
-optional gateways and wired IPv6 hosts.  The radio graph is one map per
+optional gateways and wired IPv6 hosts.  A gateway is a node whose
+`gateway` slot holds its translator.  The radio graph is one map per
 node from each neighbour's id to the `SimLink` the two share: one link
 record per pair, reachable from both ends.  Nodes, gateways and links are
 added before `World.prepare`; a prepared world refuses more, so `prepare`
@@ -226,7 +227,7 @@ class SimNode:
     __slots__ = (
         "id", "role", "pan_id", "short", "wpan_address", "iid", "eui", "sleep", "security", "stack",
         "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "frag_tag",
-        "reassembly",
+        "reassembly", "gateway",
     )
 
     def __init__(
@@ -258,6 +259,7 @@ class SimNode:
         self.tx_free_at = 0.0
         self.frag_tag = 0  # the tag of the next datagram this node fragments
         self.reassembly: dict = {}
+        self.gateway: Gateway | None = None  # the translator of a gateway node (World.add_gateway)
 
     @property
     def link_local(self) -> IPv6Address:
@@ -322,13 +324,12 @@ class World:
         # SimLink per pair; in insertion order until `prepare` sorts each map
         # by neighbour id for floods and routing
         self.neighbors: dict[str, dict[str, SimLink]] = {}
-        self.gateways: dict[str, Gateway] = {}
         self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> short (prepare)
-        self._pan_gateway: dict[int, str] = {}  # PAN id -> its gateway's id
-        # a wired address -> its host's or gateway's id, and a prefix's first 8
-        # octets -> its gateway's id; IPv6Address keys compare scope ids, as `==` does
-        self._wired_owner: dict[IPv6Address, str] = {}
-        self._prefix_gateway: dict[bytes, str] = {}
+        self._pan_gateway: dict[int, SimNode] = {}  # PAN id -> its gateway's node
+        # a wired address -> its host or gateway node, and a prefix's first 8
+        # octets -> its gateway node; IPv6Address keys compare scope ids, as `==` does
+        self._wired_owner: dict[IPv6Address, SimNode | WiredHost] = {}
+        self._prefix_gateway: dict[bytes, SimNode] = {}
         self.hosts: dict[str, WiredHost] = {}
         self.trace = Trace()
         self._addr_text = _Memo(str)  # IPv6Address -> its text
@@ -392,9 +393,9 @@ class World:
     ) -> Gateway:
         pan = self.pan_id if pan_id is None else pan_id
         if pan in self._pan_gateway:
-            raise ValueError(f"PAN 0x{pan:04X} already has gateway {self._pan_gateway[pan]!r}")
+            raise ValueError(f"PAN 0x{pan:04X} already has gateway {self._pan_gateway[pan].id!r}")
         if wired_addr in self._wired_owner:
-            raise ValueError(f"wired address {wired_addr} already belongs to {self._wired_owner[wired_addr]!r}")
+            raise ValueError(f"wired address {wired_addr} already belongs to {self._wired_owner[wired_addr].id!r}")
         gw = Gateway(
             mode=mode,
             wired_addr=wired_addr,
@@ -404,22 +405,21 @@ class World:
         )
         prefix64 = gw.mapping.prefix64
         if prefix64 in self._prefix_gateway:
-            raise ValueError(f"prefix {prefix} is already delegated to {self._prefix_gateway[prefix64]!r}")
-        self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)  # refuses a prepared world
-        self.gateways[node_id] = gw
-        self._pan_gateway[pan] = self._wired_owner[wired_addr] = node_id
+            raise ValueError(f"prefix {prefix} is already delegated to {self._prefix_gateway[prefix64].id!r}")
+        node = self.add_node(node_id, NodeRole.FFD, short, pan_id=pan)  # refuses a prepared world
+        node.gateway = gw
+        self._pan_gateway[pan] = self._wired_owner[wired_addr] = node
         if prefix64 is not None:
-            self._prefix_gateway[prefix64] = node_id
+            self._prefix_gateway[prefix64] = node
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
         if host_id in self.hosts or host_id in self.nodes:
             raise ValueError(f"duplicate id {host_id!r}")
         if addr in self._wired_owner:
-            raise ValueError(f"wired address {addr} already belongs to {self._wired_owner[addr]!r}")
+            raise ValueError(f"wired address {addr} already belongs to {self._wired_owner[addr].id!r}")
         host = WiredHost(host_id, addr)
-        self.hosts[host_id] = host
-        self._wired_owner[addr] = host_id
+        self.hosts[host_id] = self._wired_owner[addr] = host
         return host
 
     def add_link(
@@ -453,15 +453,15 @@ class World:
     def node(self, node_id: str) -> SimNode:
         return self.nodes[node_id]
 
-    def gateway(self, node_id: str) -> Gateway:
-        return self.gateways[node_id]
+    def gateway(self, node_id: str) -> Gateway | None:
+        """The translator of node `node_id`, or None at a node that is no gateway."""
+        return self.nodes[node_id].gateway
 
     # --- routing ----------------------------------------------------------
 
-    def segment_gateway(self, pan_id: int) -> tuple[SimNode, Gateway] | None:
-        """The gateway on PAN `pan_id` with its node, or None; a PAN has at most one."""
-        gw_id = self._pan_gateway.get(pan_id)
-        return None if gw_id is None else (self.nodes[gw_id], self.gateways[gw_id])
+    def segment_gateway(self, pan_id: int) -> SimNode | None:
+        """The gateway node of PAN `pan_id`, or None; a PAN has at most one."""
+        return self._pan_gateway.get(pan_id)
 
     def prepare(self):
         """Put each node's neighbours in id order, give each node its receive
@@ -478,15 +478,15 @@ class World:
         neighbors = self.neighbors
         for node_id, ends in neighbors.items():  # a prepared world takes no more links
             neighbors[node_id] = dict(sorted(ends.items()))
-        for gw_id, gw in self.gateways.items():  # bridge mode tunnels NWK frames verbatim
-            if gw.mode is GatewayMode.ZIGBEE:
-                self.zigbee_shorts[self.nodes[gw_id].pan_id] = {}
-        for node_id, node in self.nodes.items():
-            gw_id = self._pan_gateway.get(node.pan_id)  # a gateway is its PAN's only one
-            if gw_id is not None:
-                node.stack = self.gateways[gw_id].mode.stack
-            shorts = self.zigbee_shorts.get(node.pan_id)  # gw_id == node_id at a gateway, left out
-            if shorts is not None and gw_id != node_id:
+        for pan, gw_node in self._pan_gateway.items():  # bridge mode tunnels NWK frames verbatim
+            if gw_node.gateway.mode is GatewayMode.ZIGBEE:
+                self.zigbee_shorts[pan] = {}
+        for node in self.nodes.values():
+            gw_node = self._pan_gateway.get(node.pan_id)  # a gateway is its PAN's only one
+            if gw_node is not None:
+                node.stack = gw_node.gateway.mode.stack
+            shorts = self.zigbee_shorts.get(node.pan_id)  # the gateway itself is left out
+            if shorts is not None and gw_node is not node:
                 shorts[node.eui] = node.short
         self._relays = {node_id for node_id, node in self.nodes.items() if node.role.forwards}
 
@@ -501,9 +501,9 @@ class World:
         if hop is None:
             hop = node.default_route
         if hop is None:
-            entry = self.segment_gateway(node.pan_id)
-            if entry is not None and entry[0] is not node:
-                hop = self._route(node, entry[0].short)
+            gw_node = self.segment_gateway(node.pan_id)
+            if gw_node is not None and gw_node is not node:
+                hop = self._route(node, gw_node.short)
         return hop
 
     def _route(self, node: SimNode, final_short: int) -> int | None:
@@ -546,10 +546,10 @@ class World:
     def node_global(self, node_id: str) -> IPv6Address:
         """Delegated-prefix global address of a node (short-derived IID)."""
         node = self.nodes[node_id]
-        entry = self.segment_gateway(node.pan_id)
-        if entry is None or entry[1].mapping.prefix is None:
+        gw_node = self.segment_gateway(node.pan_id)
+        if gw_node is None or gw_node.gateway.mapping.prefix is None:
             raise NoPrefix(f"segment of {node_id!r} has no delegated prefix")
-        return addressing.global_unicast(entry[1].mapping.prefix, node.iid)
+        return addressing.global_unicast(gw_node.gateway.mapping.prefix, node.iid)
 
     # --- event loop -------------------------------------------------------
 
@@ -607,21 +607,22 @@ class World:
         self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops))
 
     def _pick_addresses(self, src_id: str, dst_id: str) -> tuple[IPv6Address, IPv6Address]:
-        wired_dst = dst_id in self.hosts or dst_id in self.gateways
+        dst_node = self.nodes.get(dst_id)  # None at a wired host
+        wired_dst = dst_node is None or dst_node.gateway is not None
         if src_id in self.hosts:
             src = self.hosts[src_id].addr
-        elif wired_dst or self.nodes[dst_id].pan_id != self.nodes[src_id].pan_id:
+        elif wired_dst or dst_node.pan_id != self.nodes[src_id].pan_id:
             src = self.node_global(src_id)
         else:
             src = self.nodes[src_id].link_local
-        if dst_id in self.hosts:
+        if dst_node is None:
             dst = self.hosts[dst_id].addr
-        elif dst_id in self.gateways:
-            dst = self.gateways[dst_id].wired_addr
-        elif src_id in self.hosts or self.nodes[src_id].pan_id != self.nodes[dst_id].pan_id:
+        elif dst_node.gateway is not None:
+            dst = dst_node.gateway.wired_addr
+        elif src_id in self.hosts or self.nodes[src_id].pan_id != dst_node.pan_id:
             dst = self.node_global(dst_id)
         else:
-            dst = self.nodes[dst_id].link_local
+            dst = dst_node.link_local
         return src, dst
 
     def _do_send_udp(self, src_id, dst_id, sport, dport, payload, hops):
@@ -652,11 +653,11 @@ class World:
     # --- 6LoWPAN node stack --------------------------------------------------
 
     def _resolve_final_short(self, node: SimNode, dst: IPv6Address) -> int | None:
-        entry = self.segment_gateway(node.pan_id)
-        if addressing.is_link_local(dst) or (entry is not None and entry[1].owns_prefix(dst)):
+        gw_node = self.segment_gateway(node.pan_id)
+        if addressing.is_link_local(dst) or (gw_node is not None and gw_node.gateway.owns_prefix(dst)):
             target = self.by_iid.get((node.pan_id, addressing.iid_of(dst)))
             return target.short if target is not None else None
-        return entry[0].short if entry is not None else None
+        return gw_node.short if gw_node is not None else None
 
     def _node_send_ipv6(self, node: SimNode, pkt: Ipv6Packet, hops: int | None = None):
         final_short = self._resolve_final_short(node, pkt.dst)
@@ -716,11 +717,11 @@ class World:
         payload = AppHeader(src_devid, dst_devid).encode() + data
         self.bump("sent")
         self.record(src_id, "send", f"kind=app devid={dst_devid}", len(data))
-        entry = self.segment_gateway(node.pan_id)
-        if entry is None:
+        gw_node = self.segment_gateway(node.pan_id)
+        if gw_node is None:
             self._drop(src_id, "no-route", "detail=no-translator")
             return
-        self._transmit(node, entry[0].short, payload)
+        self._transmit(node, gw_node.short, payload)
 
     def _do_send_nwk(self, src_id: str, dst_short: int, payload: bytes):
         node = self.nodes[src_id]
@@ -738,11 +739,11 @@ class World:
         if local is not None and local.id in self.neighbors[src_id]:
             self._transmit(node, dst_short, frame.encode())
             return
-        entry = self.segment_gateway(node.pan_id)
-        if entry is None:
+        gw_node = self.segment_gateway(node.pan_id)
+        if gw_node is None:
             self._drop(src_id, "no-route", f"dst=0x{dst_short:04X}")
             return
-        self._transmit(node, entry[0].short, frame.encode())
+        self._transmit(node, gw_node.short, frame.encode())
 
     # --- radio -----------------------------------------------------------------
 
@@ -902,7 +903,7 @@ class World:
             self._drop(node.id, "duplicate", f"seq={seq}")
             return
         self._deliver(node.id, f"kind=bc0 seq={seq}", len(payload), payload, "bcast_delivered")
-        gw = self.gateways.get(node.id)
+        gw = node.gateway
         if gw is not None and gw.subscribers:
             for pkt in gw.relay_broadcast(payload):
                 dst = self._addr_text[pkt.dst]
@@ -913,17 +914,16 @@ class World:
             self._flood(node, decrement_hops(data))
 
     def _deliver_packet(self, node: SimNode, pkt: Ipv6Packet):
-        gw = self.gateways.get(node.id)
-        if gw is not None:
-            self._uplink(node, gw, pkt)  # a border gateway: the packet crosses as is
+        if node.gateway is not None:
+            self._uplink(node, pkt)  # a border gateway: the packet crosses as is
             return
         self._deliver(node.id, f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length, pkt)
 
     def _rx_app(self, node: SimNode, frame: MacFrame):
-        gw = self.gateways.get(node.id)
+        gw = node.gateway
         if gw is None:
-            entry = self.segment_gateway(node.pan_id)
-            if entry is None or frame.src != entry[0].wpan_address:
+            gw_node = self.segment_gateway(node.pan_id)
+            if gw_node is None or frame.src != gw_node.wpan_address:
                 self._drop(node.id, "stack-mismatch")  # app frames come only from the translator
                 return
             self._deliver(node.id, "kind=app", len(frame.payload), frame.payload)
@@ -933,7 +933,7 @@ class World:
         except GatewayError as exc:
             self._drop(node.id, exc.reason)
             return
-        self._uplink(node, gw, pkt)
+        self._uplink(node, pkt)
 
     def _rx_nwk(self, node: SimNode, frame: MacFrame):
         try:
@@ -941,7 +941,7 @@ class World:
         except GatewayError:
             self._drop(node.id, "malformed-nwk")
             return
-        gw = self.gateways.get(node.id)
+        gw = node.gateway
         if gw is None:
             if nwk.dst_short in (node.short, NWK_BROADCAST_SHORT):
                 self._deliver(node.id, f"kind=nwk src=0x{nwk.src_short:04X}", len(nwk.payload), nwk)
@@ -956,7 +956,7 @@ class World:
             self._drop(node.id, exc.reason)
             return
         for pkt in pkts:
-            self._uplink(node, gw, pkt)
+            self._uplink(node, pkt)
 
     # --- wired domain ---------------------------------------------------------
 
@@ -974,50 +974,48 @@ class World:
             self._drop("wired", "no-wired-route", f"dst={self._addr_text[pkt.dst]}")
             return
         src = self._addr_text[pkt.src]
-        self.record(owner, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
-        if owner in self.hosts:
-            self._deliver(owner, f"kind=ipv6 from={src}", pkt.payload_length, pkt)
+        self.record(owner.id, "wired-rx", f"src={src} nh={pkt.next_header}", pkt.payload_length)
+        if isinstance(owner, WiredHost):
+            self._deliver(owner.id, f"kind=ipv6 from={src}", pkt.payload_length, pkt)
         else:
-            self._gateway_downlink(owner, self.gateways[owner], pkt)
+            self._gateway_downlink(owner, pkt)
 
-    def _gateway_downlink(self, gw_id: str, gw: Gateway, pkt: Ipv6Packet):
-        node = self.nodes[gw_id]
+    def _gateway_downlink(self, node: SimNode, pkt: Ipv6Packet):
+        gw = node.gateway
         try:
             if gw.mode is GatewayMode.BORDER:
                 if gw.owns_prefix(pkt.dst):
-                    self._downlink(node, gw, pkt)
+                    self._downlink(node, pkt)
                 else:
-                    self._drop(gw_id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
+                    self._drop(node.id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
             elif gw.mode is GatewayMode.DEVID:
                 endpoint, payload = gw.devid_downlink(pkt, node.security)
-                self._downlink(node, gw, pkt, endpoint.short, payload)
+                self._downlink(node, pkt, endpoint.short, payload)
             else:
                 if gw.mode is GatewayMode.ZIGBEE:
                     nwk = gw.zigbee_downlink(pkt, self.zigbee_shorts[node.pan_id], node.nwk_seq)
                     node.nwk_seq = (node.nwk_seq + 1) & 0xFF
                 else:
                     nwk = gw.bridge_downlink(pkt)
-                self._downlink(node, gw, pkt, nwk.dst_short, nwk.encode())
+                self._downlink(node, pkt, nwk.dst_short, nwk.encode())
         except (GatewayError, PacketError) as exc:
-            self._drop(gw_id, exc.reason)
+            self._drop(node.id, exc.reason)
 
-    def _uplink(self, node: SimNode, gw: Gateway, pkt: Ipv6Packet):
-        """Trace and count one translated packet, then send it on the wire."""
+    def _uplink(self, node: SimNode, pkt: Ipv6Packet):
+        """Trace and count one packet gateway `node` translated, then send it on the wire."""
         dst = self._addr_text[pkt.dst]
-        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=up dst={dst}")
+        self.record(node.id, "gw-translate", f"mode={node.gateway.mode.value} dir=up dst={dst}")
         self.bump("gw_translations")
         self.wired_send(node.id, pkt)
 
-    def _downlink(
-        self, node: SimNode, gw: Gateway, pkt: Ipv6Packet, dst_short: int | None = None, payload: bytes = b""
-    ):
-        """Trace and count one translation of `pkt`, then send it into the PAN.
+    def _downlink(self, node: SimNode, pkt: Ipv6Packet, dst_short: int | None = None, payload: bytes = b""):
+        """Trace and count gateway `node`'s translation of `pkt`, then send it into the PAN.
 
         Border mode sends `pkt` itself through the 6LoWPAN stack; the other
         modes send their translated MAC payload to `dst_short`.
         """
         dst = self._addr_text[pkt.dst] if dst_short is None else f"0x{dst_short:04X}"
-        self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=down dst={dst}")
+        self.record(node.id, "gw-translate", f"mode={node.gateway.mode.value} dir=down dst={dst}")
         self.bump("gw_translations")
         if dst_short is None:
             self._node_send_ipv6(node, pkt)

@@ -364,11 +364,11 @@ def _build(
             )
         if "devid" in kv:  # registered at the node's segment gateway; hosts register below
             lineno = kv["devid"][0]
-            entry = world.segment_gateway(node_pan)
-            if entry is None:
+            gw_node = world.segment_gateway(node_pan)
+            if gw_node is None:
                 raise ScenarioError(f"line {lineno}: node {node_id!r} has a devid but its PAN has no gateway")
             with _at(lineno):
-                register_devid(entry[1].registry, _get(kv, "devid", _int, None, U16), node.wpan_address)
+                register_devid(gw_node.gateway.registry, _get(kv, "devid", _int, None, U16), node.wpan_address)
 
     for section in _drain(sections["link"]):
         band = _get(section.keys, "band", _choice, PhyBand.B2450, _BANDS, "band")
@@ -387,7 +387,8 @@ def _build(
                 node.routes[_int(key, lineno, U16)] = _int(value, lineno, U16)
 
     # host devids register at every devid gateway
-    devid_gateways = [gw for _, gw in sorted(world.gateways.items()) if gw.mode is GatewayMode.DEVID]
+    devid_gateways = [node.gateway for node in world.nodes.values()
+                      if node.gateway is not None and node.gateway.mode is GatewayMode.DEVID]
     for addr, (lineno, value) in host_devids:
         devid = _int(value, lineno, U16)
         for gw in devid_gateways:
@@ -462,10 +463,9 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
     remote PAN's nodes by EUI-64.
     """
     node = world.nodes[src]
-    entry = world.segment_gateway(node.pan_id)
-    if entry is None:
+    gw_node = world.segment_gateway(node.pan_id)
+    if gw_node is None:
         raise ScenarioError(f"line {lineno}: segment of {src!r} has no gateway")
-    gateway = entry[1]
     if dst in world.hosts:
         peer = world.hosts[dst].addr
     elif dst in world.nodes:
@@ -476,8 +476,8 @@ def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> i
         if remote is None:
             raise ScenarioError(f"line {lineno}: segment of {dst!r} has no gateway")
         with _at(lineno):  # the remote gateway may have no prefix
-            peer = remote[1].mapping.assign_pseudo(target.eui)
+            peer = remote.gateway.mapping.assign_pseudo(target.eui)
     else:
         raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
     with _at(lineno):  # the pool may be exhausted
-        return gateway.mapping.assign_short(peer)
+        return gw_node.gateway.mapping.assign_short(peer)

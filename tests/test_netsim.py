@@ -204,7 +204,7 @@ def test_a_prepared_world_refuses_new_nodes_gateways_and_links():
                 lambda: world.add_link("a", "e")):
         with pytest.raises(ValueError, match="the world is prepared"):
             add()
-    assert list(world.nodes) == list("abcde") and not world.gateways and "e" not in world.neighbors["a"]
+    assert list(world.nodes) == list("abcde") and world.segment_gateway(world.pan_id) is None and "e" not in world.neighbors["a"]
     assert world.next_hop(world.node("a"), 5) == 2
 
 
@@ -638,10 +638,10 @@ def test_gateway_lookups_answer_the_first_owner_whatever_the_insertion_order(ord
                 world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
         else:
             world.add_gateway(gw_id, mode=GatewayMode.BORDER, **gateways[gw_id])
-    assert refused not in world.nodes and refused not in world.gateways
+    assert refused not in world.nodes
     world.add_host("h", IPv6Address("fd00::99"))
-    assert world.segment_gateway(world.pan_id)[0].id == owner
-    assert world.segment_gateway(0x1234)[0].id == "gy"
+    assert world.segment_gateway(world.pan_id).id == owner
+    assert world.segment_gateway(0x1234).id == "gy"
     assert world.segment_gateway(0x4321) is None
     world.send_udp(0.0, "h", "a", 1, 2, b"x")  # to a's global address, in the owner's prefix
     world.run()

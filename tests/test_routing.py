@@ -43,9 +43,9 @@ def all_pairs_routes(world: World) -> dict[str, tuple[dict[int, int], int | None
         for dst_id, hop_id in first_hop.items():
             routes.setdefault(world.nodes[dst_id].short, world.nodes[hop_id].short)
         default = src.default_route
-        entry = world.segment_gateway(src.pan_id)
-        if entry is not None and default is None and entry[0].id != src_id:
-            default = routes.get(entry[0].short)
+        gw_node = world.segment_gateway(src.pan_id)
+        if gw_node is not None and default is None and gw_node.id != src_id:
+            default = routes.get(gw_node.short)
         table[src_id] = (routes, default)
     return table
 
