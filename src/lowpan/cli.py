@@ -23,6 +23,7 @@ from .frame import (
     encode_ppdu,
     frame_airtime,
 )
+from .gateway import GatewayMode
 from .ipv6 import decode_ipv6, decode_udp, encode_ipv6
 from .scenario import ScenarioError, load_scenario
 
@@ -54,7 +55,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", type=_out_dir, default="out", help="output directory (default: out)")
     run.add_argument("--seed", type=_number, default=None)
     run.add_argument("--t-end", type=float, default=None)
-    run.add_argument("--mode-override", default=None, help="force every gateway mode")
+    run.add_argument("--mode-override", type=_mode, default=None, help="force every gateway mode")
 
     cod = sub.add_parser("codec", help="encode/decode adaptation-layer streams")
     direction = cod.add_subparsers(dest="direction", required=True)
@@ -108,6 +109,7 @@ _number = _converter(partial(int, base=0), "a number")  # 0x / 0o / 0b prefixes 
 _eui = _converter(addressing.eui64_from_text, "an EUI-64 of 8 octets")
 _ipv6 = _converter(IPv6Address, "an IPv6 address")
 _hex = _converter(bytes.fromhex, "a hex string")
+_mode = _converter(lambda text: GatewayMode(text).value, "a gateway mode")  # the name, as load_scenario takes it
 
 
 def _u16(text: str) -> int:
@@ -305,12 +307,12 @@ def cmd_check(args) -> int:
         if not line:
             continue
         parts = line.split()
+        checked += 1
         if len(parts) != 3:
             print(f"{path}:{lineno}: expected three fields", file=sys.stderr)
             failures += 1
             continue
         expected_kind, expected_hex = parts[1], parts[2]
-        checked += 1
         try:
             data = bytes.fromhex(parts[0])
             actual = _vector_result(data, args.pan)

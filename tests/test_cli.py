@@ -85,7 +85,7 @@ def test_run_missing_scenario(tmp_path, capsys):
     assert code == 2
 
 
-BAD_SCENARIOS = [  # (scenario text, line the error must name)
+BAD_SCENARIOS = [  # (scenario text, line the error must name[, text the error must hold])
     ("[general]\nseed = 1\n[node n1]\nrole = queen\nshort = 1\n", 4),
     ("[node n1]\nshort = 1\n[node n1]\nshort = 2\n", 3),  # duplicate node id
     ("[host h1]\naddr = fd00::1\n[host h1]\naddr = fd00::2\n", 3),  # duplicate host id
@@ -178,16 +178,43 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name)
         "[gateway gb]\nmode = zigbee\nshort = 1\nwired = fd00::b\npan = 0x0002\n[node y]\nshort = 2\npan = 0x0002\n"
         "[traffic]\nat=0.5 kind=apl from=x to=y size=1\n", 17,
     ),
+    ("[node a\nshort = 1\n", 1, "unterminated section header"),
+    ("short = 1\n[node a]\n", 1, "entry before any section header"),
+    ("[node a]\nshort 1\n", 2, "expected key = value"),
+    ("[node a]\nrole = ffd\n", 1, "node needs short ="),
+    ("[gateway g]\nmode = border\nshort = 1\nwired = fd00::a\nsubscribers = h9\n", 5, "unknown host 'h9'"),
+    ("[node a]\nshort = 1\n[route b]\n1 = 2\n", 3, "route section needs a node id"),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a size=1 hops\n", 4, "traffic tokens must be key=value"),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=udp from=a size=1\n", 4, "udp traffic needs to="),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=zap from=a size=1\n", 4, "unknown traffic kind 'zap'"),
+    ("[node a]\nshort = one\n", 2, "not a number: 'one'"),
+    ("[general]\nt_end = soon\n", 2, "not a number: 'soon'"),
+    ("[host h]\naddr = fd00::zz\n", 2, "not an IPv6 address: 'fd00::zz'"),
+    ("[node a]\nshort = 1\nsleep = 5\n", 3, "sleep needs awake/asleep"),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=broadcast from=a hex=zz\n", 4, "bad hex payload"),
+    ("[node a]\nshort = 1\ndevid = 3\n", 3, "node 'a' has a devid but its PAN has no gateway"),
+    ("[node a]\nshort = 1\n[traffic]\nat=0 kind=udp from=a to=b size=1\n", 4, "unknown udp destination 'b'"),
+    ("[node x]\nshort = 1\n[traffic]\nat=0 kind=apl from=x to=x size=1\n", 4, "segment of 'x' has no gateway"),
+    (
+        "[gateway g]\nmode = zigbee\nshort = 1\nwired = fd00::a\n[node x]\nshort = 2\n"
+        "[traffic]\nat=0 kind=apl from=x to=q size=1\n", 8, "unknown apl destination 'q'",
+    ),
+    (  # an apl destination in a PAN without a gateway
+        "[gateway ga]\nmode = zigbee\nshort = 1\nwired = fd00::a\n[node x]\nshort = 2\n"
+        "[node y]\nshort = 2\npan = 0x0002\n[traffic]\nat=0 kind=apl from=x to=y size=1\n", 11,
+        "segment of 'y' has no gateway",
+    ),
 ]
 
 
 def test_run_bad_scenario_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
-    for text, line in BAD_SCENARIOS:
+    for text, line, *expected in BAD_SCENARIOS:
         bad.write_text(text)
         code, _, err = run_cli("run", str(bad), "--out", str(tmp_path / "out"), capsys=capsys)
         assert code == 2, (text, err)
         assert f"line {line}:" in err, (text, err)
+        assert all(part in err for part in expected), (text, err)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -198,11 +225,13 @@ def test_run_bad_scenario_reports_line(tmp_path, capsys):
     (["codec", "decode", "zz"], 1),
     (["run", "{latin1}", "--seed", "0x", "--out", "{out}"], 1),
     (["run", "{latin1}", "--out", "{latin1}"], 1),
+    (["run", "{latin1}", "--mode-override", "bogus", "--out", "{out}"], 1),  # refused before the file is read
     (["run", "{latin1}", "--out", "{out}"], 2),
     (["run", "{directory}", "--out", "{out}"], 2),
     (["codec", "check", "{latin1}"], 2),
 ], ids=[
-    "eui", "prefix", "short", "l2-src", "hex", "seed", "out-file", "run-non-utf8", "run-directory", "check-non-utf8",
+    "eui", "prefix", "short", "l2-src", "hex", "seed", "out-file", "mode-override",
+    "run-non-utf8", "run-directory", "check-non-utf8",
 ])
 def test_input_errors_exit_with_their_code_before_any_output(tmp_path, capsys, argv, code):
     latin1 = tmp_path / "latin1.scn"
@@ -220,6 +249,7 @@ def test_input_errors_exit_with_their_code_before_any_output(tmp_path, capsys, a
     (["codec", "decode", "zz"], "argument hex: not a hex string: 'zz'"),
     (["codec", "decode", ""], "argument hex: empty input"),
     (["addr", "--eui", "00:12:4b"], "argument --eui: not an EUI-64 of 8 octets: '00:12:4b'"),
+    (["run", "x.scn", "--mode-override", "bogus"], "argument --mode-override: not a gateway mode: 'bogus'"),
 ])
 def test_usage_errors_say_what_is_wrong(capsys, argv, message):
     code, _, err = run_cli(*argv, capsys=capsys)
@@ -238,6 +268,14 @@ def test_run_refuses_an_out_file_before_loading(monkeypatch, scenario_dir, tmp_p
         assert err.endswith(f"error: argument --out: not a directory: {str(taken)!r}\n")
     assert loads == []
     assert taken.read_text() == "kept"
+
+
+def test_run_reports_an_unexpected_failure_as_a_runtime_error(monkeypatch, scenario_dir, tmp_path, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    code, out, err = run_cli("run", str(scenario_dir / "demo.scn"), "--out", str(tmp_path), capsys=capsys)
+    assert (code, out, err) == (3, "", "runtime error: boom\n")
 
 
 def test_run_drops_a_zero_size_first_fragment(tmp_path, capsys):
@@ -262,6 +300,21 @@ def test_run_rejects_bad_t_end_override(scenario_dir, tmp_path, capsys, t_end):
     assert code == 2, err  # the rule `t_end =` follows in a scenario
     assert "t_end" in err
     assert not (tmp_path / "trace.tsv").exists()
+
+
+def test_run_t_end_override_is_the_scenarios_t_end(scenario_dir, tmp_path, capsys):
+    demo = (scenario_dir / "demo.scn").read_text()
+    assert "\nt_end = 30\n" in demo
+    short = tmp_path / "short.scn"
+    short.write_text(demo.replace("\nt_end = 30\n", "\nt_end = 3\n"))
+    outputs = []
+    for argv in ([str(scenario_dir / "demo.scn"), "--t-end", "3"], [str(short)]):
+        out = tmp_path / f"out{len(outputs)}"
+        code, _, err = run_cli("run", *argv, "--out", str(out), capsys=capsys)
+        assert code == 0, err
+        outputs.append([(out / name).read_bytes() for name in ("trace.tsv", "metrics.txt")])
+    assert outputs[0] == outputs[1]
+    assert max(float(line.split(b"\t")[0]) for line in outputs[0][0].splitlines()) == 3.0  # not 30
 
 
 @pytest.mark.parametrize("mode", ["border", "devid", "zigbee", "bridge"])
@@ -334,9 +387,18 @@ def test_codec_compress_then_decode_roundtrip(capsys):
     assert "compressed-hex: 42fb40e03f39196869" in out
 
 
-def test_codec_invalid_hex_is_usage_error(capsys):
-    code, _, _ = run_cli("codec", "decode", "zz", capsys=capsys)
-    assert code == 1
+@pytest.mark.parametrize("stream, lines", [
+    ("5007aabb", ["dispatch: 0x50 bc0", "bc0: seq=7", "payload-hex: aabb"]),
+    ("c0500001aabbccdd", ["dispatch: 0xC0 frag-first", "frag: size=80 tag=0x0001 offset=0", "fragment-hex: aabbccdd"]),
+    ("e050000102aabb", ["dispatch: 0xE0 frag-subsequent", "frag: size=80 tag=0x0001 offset=16", "fragment-hex: aabb"]),
+    ("8500124b000000000100124b00000000025001aa", [  # EUI-64 originator and final, then a BC0 header
+        "dispatch: 0x85 mesh", "mesh: orig=eui:00124b0000000001 final=eui:00124b0000000002 hops-left=5",
+        "dispatch: 0x50 bc0", "bc0: seq=1", "payload-hex: aa",
+    ]),
+], ids=["bc0", "frag-first", "frag-subsequent", "mesh-eui64"])
+def test_codec_decode_prints_each_header(capsys, stream, lines):
+    code, out, err = run_cli("codec", "decode", stream, capsys=capsys)
+    assert (code, out, err) == (0, "".join(line + "\n" for line in lines), "")
 
 
 def test_codec_decode_error_reports_offset(capsys):
@@ -395,6 +457,11 @@ def test_codec_ppdu_roundtrip(capsys):
     assert "psdu-hex: 0102" in out
 
 
+def test_codec_ppdu_decode_refuses_a_short_ppdu(capsys):
+    code, out, err = run_cli("codec", "ppdu-decode", "00", capsys=capsys)
+    assert (code, out, err) == (3, "", "decode error: PPDU shorter than 6 octets\n")
+
+
 def test_codec_check_golden(golden_dir, capsys):
     code, out, _ = run_cli("codec", "check", str(golden_dir / "codec_vectors.txt"), capsys=capsys)
     assert code == 0
@@ -430,6 +497,18 @@ def test_codec_check_reports_a_non_hex_input_at_its_line(tmp_path, capsys):
     assert code == 3
     assert err.startswith(f"{bad}:1: non-hexadecimal number")
     assert err.endswith("1 of 1 vectors failed\n")
+
+
+def test_codec_check_counts_every_record_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# a comment and a blank line are no records\n\n00ff x\n00ff x 00ff\n")
+    code, out, err = run_cli("codec", "check", str(bad), capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"{bad}:3: expected three fields\n"
+        f"{bad}:4: vector kind not-lowpan is not checkable\n"
+        "2 of 2 vectors failed\n"
+    )
 
 
 # --- budget / addr -----------------------------------------------------------
@@ -483,6 +562,22 @@ def test_usage_errors_exit_1(capsys):
 
 
 # --- scenario loader details ---------------------------------------------------
+
+def test_load_scenario_refuses_an_unknown_mode_override():
+    with pytest.raises(ScenarioError, match="unknown gateway mode override: 'bogus'"):
+        load_scenario("[node a]\nshort = 1\n", mode_override="bogus")
+
+
+def test_an_apl_send_in_its_own_pan_names_the_destination_short():
+    world, t_end = load_scenario(
+        "[gateway g]\nmode = zigbee\nshort = 1\nwired = fd00::a\n[node x]\nshort = 2\n[node y]\nshort = 3\n"
+        "[link x y]\n[traffic]\nat=0 kind=apl from=x to=y size=1\n"
+    )
+    world.run_until(t_end)
+    assert [(r.node, r.kind, r.detail) for r in world.trace if r.kind in ("send", "deliver")] == [
+        ("x", "send", "kind=nwk dst=0x0003"), ("y", "deliver", "kind=nwk src=0x0002"),
+    ]
+
 
 def test_pattern_payload_deterministic():
     assert pattern_payload(4) == pattern_payload(4)
