@@ -387,6 +387,12 @@ def test_codec_compress_then_decode_roundtrip(capsys):
     assert "compressed-hex: 42fb40e03f39196869" in out
 
 
+def test_codec_invalid_hex_is_usage_error(capsys):
+    code, out, err = run_cli("codec", "decode", "zz", capsys=capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: ")
+
+
 @pytest.mark.parametrize("stream, lines", [
     ("5007aabb", ["dispatch: 0x50 bc0", "bc0: seq=7", "payload-hex: aabb"]),
     ("c0500001aabbccdd", ["dispatch: 0xC0 frag-first", "frag: size=80 tag=0x0001 offset=0", "fragment-hex: aabbccdd"]),
