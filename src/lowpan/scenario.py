@@ -26,19 +26,28 @@ generates a deterministic payload pattern and `hex=` gives it verbatim;
 either is at most 65,527 octets, what one UDP datagram carries.  A link
 joins two different nodes of one PAN, once.  An address has one owner:
 a PAN one gateway, a short or EUI-64 one node of its PAN, a wired address
-one host or gateway, a prefix one gateway.  Unknown sections, keys and
-tokens, a wrong number of ids, a key given twice in a section, a host
-named twice in `subscribers`, a link or address that breaks these rules
-and out-of-range values are a `ScenarioError` naming their line.
-Routes not pinned by a [route] section are hop-count shortest paths,
-computed on first use.
+one host or gateway, a prefix one gateway.  A node pins the route to a
+final short, and its default route, once: `2` and `0x2` name one short,
+and a second pin, in the same route section or another, names the first
+pin's line.  Unknown sections, keys and tokens, a wrong number of ids, a
+key given twice in a section, a host named twice in `subscribers`, a link,
+address or route that breaks these rules and out-of-range values are a
+`ScenarioError` naming their line.  Routes not pinned by a [route]
+section are hop-count shortest paths, computed on first use.
+
+The whole file is read before anything is built: an unknown section or
+key, a key given twice and then a missing required key are found first,
+wherever they are.  The world is then built one kind at a time, whatever
+the file order: general, hosts, gateways, nodes, links, routes, host
+devids, traffic.  So a link, route or traffic line may come before the
+nodes it names, and of two faults in values the one in the kind built
+first is reported.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from collections.abc import Iterator
 from ipaddress import AddressValueError, IPv6Address
 
 from .addressing import eui64_from_text
@@ -67,9 +76,12 @@ _SECTIONS = {
     "route": (1, (), None),
     "traffic": (0, (), None),
 }
-# section kind -> {key: key}: a parsed key is the table's own string
-_KEYS = {kind: {key: key for key in (*required, *optional)}
-         for kind, (_, required, optional) in _SECTIONS.items() if optional}
+# section kind -> {key: the slot of its value in a parsed record}, for the
+# kinds `_parse_sections` lays out flat; the key's line is the next slot
+_SLOTS = {kind: {key: 1 + ids + 2 * i for i, key in enumerate((*required, *optional))}
+          for kind, (ids, required, optional) in _SECTIONS.items() if optional is not None}
+# section kind -> its parsed record with no key given
+_BLANK = {kind: [None] * (1 + _SECTIONS[kind][0] + 2 * len(slots)) for kind, slots in _SLOTS.items()}
 # traffic kind -> (required tokens, optional tokens) besides at=, kind=, from=
 # and one of size=/hex=; only udp may start at a wired host
 _TRAFFIC = {
@@ -97,37 +109,28 @@ def pattern_payload(size: int) -> bytes:
     return (_PATTERN * (size // 256 + 1))[:size]
 
 
-class _Section:
-    __slots__ = ("lineno", "kind", "ids", "keys", "events")
-
-    def __init__(self, lineno: int, kind: str, ids: list[str]):
-        self.lineno = lineno
-        self.kind = kind
-        self.ids = ids
-        self.keys: dict[str, tuple[int, str]] = {}  # key -> (line, value)
-        self.events: list[tuple[int, str]] | None = [] if kind == "traffic" else None  # traffic lines
-
-
-def _drain(items: list) -> Iterator:
-    """The items of `items` in order, each removed from the list as it is handed out."""
-    items.reverse()
-    while items:
-        yield items.pop()
-
-
-def _parse_sections(text: str) -> dict[str, list[_Section]]:
+def _parse_sections(text: str) -> dict[str, list]:
     """The sections of each kind in file order, checked against `_SECTIONS`.
 
+    A general, node, gateway, host or link section is one flat list laid
+    out by its kind's `_SLOTS`: `[header line, *ids, value₀, line₀, value₁,
+    line₁, …]`, a value and its line for each key of `_SECTIONS` in order,
+    both None for a key the section does not give.  A route section is
+    `[header line, id, {key: (line, value)}]`.  `"traffic"` holds one
+    `(line, text)` pair per traffic line, of every traffic section.
+
     Lines end only at a line feed: a form feed or another break that
-    `str.splitlines` honours stays inside its line.  The sections share one
-    string object per distinct kind, id and value text, and take each key
-    from `_KEYS`, so a thousand links hold no thousand copies of `loss`."""
-    sections: dict[str, list[_Section]] = {kind: [] for kind in _SECTIONS}
+    `str.splitlines` honours stays inside its line.  The records share one
+    string object per distinct id, key and value text, so a thousand links
+    hold no thousand copies of one `loss`."""
+    sections: dict[str, list] = {kind: [] for kind in _SECTIONS}
+    events = sections["traffic"]
     share = {}.setdefault  # text -> its first copy, for this parse only
-    # the open section's kind, key dict and allowed keys (None: any key), and
-    # its event list if it is a traffic section
-    kind = keys = allowed = events = None
-    for lineno, raw in enumerate(_drain(text.split("\n")), 1):
+    # the open section's kind and record, and its key slots (None in a
+    # route section, whose keys go to `pins`); `traffic` in a traffic section
+    kind = record = slots = pins = None
+    traffic = False
+    for lineno, raw in enumerate(text.split("\n"), 1):
         if "#" in raw:
             raw = raw[:raw.index("#")]
         line = raw.strip()
@@ -141,35 +144,45 @@ def _parse_sections(text: str) -> dict[str, list[_Section]]:
                 raise ScenarioError(f"line {lineno}: unknown section {line}")
             if len(ids) != _SECTIONS[kind][0]:
                 raise ScenarioError(f"line {lineno}: a {kind} section takes {_SECTIONS[kind][0]} id(s)")
-            kind = share(kind, kind)
-            section = _Section(lineno, kind, list(map(share, ids, ids)))
-            sections[kind].append(section)
-            keys, allowed = section.keys, _KEYS.get(kind)
-            events = section.events
-        elif events is not None:
+            traffic = kind == "traffic"
+            slots = _SLOTS.get(kind)
+            if slots is not None:
+                record = _BLANK[kind].copy()
+                record[0] = lineno
+                record[1:1 + len(ids)] = map(share, ids, ids)
+                sections[kind].append(record)
+            elif kind == "route":
+                pins = {}
+                sections[kind].append([lineno, share(ids[0], ids[0]), pins])
+        elif traffic:
             events.append((lineno, line))
-        elif keys is None:
+        elif kind is None:
             raise ScenarioError(f"line {lineno}: entry before any section header")
         else:
             key, equals, value = line.partition("=")
             if not equals:
                 raise ScenarioError(f"line {lineno}: expected key = value")
             key = key.strip()
-            if allowed is None:  # a route section takes any key
-                key = share(key, key)
-            elif key in allowed:
-                key = allowed[key]
-            else:
-                raise ScenarioError(f"line {lineno}: unknown {kind} key {key!r}")
-            if key in keys:
-                raise ScenarioError(f"line {lineno}: {key!r} is already set at line {keys[key][0]}")
             value = value.strip()
-            keys[key] = (lineno, share(value, value))
+            if slots is None:  # a route section takes any key
+                if key in pins:
+                    raise ScenarioError(f"line {lineno}: {key!r} is already set at line {pins[key][0]}")
+                pins[share(key, key)] = (lineno, share(value, value))
+                continue
+            slot = slots.get(key)
+            if slot is None:
+                raise ScenarioError(f"line {lineno}: unknown {kind} key {key!r}")
+            if record[slot] is not None:
+                raise ScenarioError(f"line {lineno}: {key!r} is already set at line {record[slot + 1]}")
+            record[slot] = share(value, value)
+            record[slot + 1] = lineno
     for kind, (_, required, _) in _SECTIONS.items():
-        for section in sections[kind]:
-            for key in required:
-                if key not in section.keys:
-                    raise ScenarioError(f"line {section.lineno}: {kind} needs {key} =")
+        if required:
+            slots = _SLOTS[kind]
+            for record in sections[kind]:
+                for key in required:
+                    if record[slots[key]] is None:
+                        raise ScenarioError(f"line {record[0]}: {kind} needs {key} =")
     return sections
 
 
@@ -195,14 +208,6 @@ def _float(value: str, lineno: int, top: float = math.inf) -> float:
     return number
 
 
-def _get(kv: dict[str, tuple[int, str]], key: str, parse, default=None, *bounds):
-    """`parse(value, line, *bounds)` for `key`; `default` if the key is absent."""
-    if key not in kv:
-        return default
-    lineno, value = kv[key]
-    return parse(value, lineno, *bounds)
-
-
 def _choice(value: str, lineno: int, table: dict, what: str):
     if value not in table:
         raise ScenarioError(f"line {lineno}: unknown {what} {value!r}")
@@ -210,7 +215,9 @@ def _choice(value: str, lineno: int, table: dict, what: str):
 
 
 class _at:
-    """Report a rejected world-building step (an id, address or devid already owned, a link, a sleep period) at its line."""
+    """Report a rejected step at the line of its key or traffic line: an
+    EUI-64, a sleep period, a devid already owned, an apl peer with no pseudo
+    address or no short left in the pool."""
 
     __slots__ = ("lineno",)
 
@@ -289,27 +296,29 @@ def load_scenario(
 
 
 def _build(
-    sections: dict[str, list[_Section]],
+    sections: dict[str, list],
     seed_override: int | None,
     t_end_override: float | None,
     mode_override: str | None,
 ) -> tuple[World, float]:
-    """The world of `sections`; each kind's sections are built in file order
-    and released as they are built."""
-    if len(sections["general"]) > 1:
-        raise ScenarioError(f"line {sections['general'][1].lineno}: a second general section")
-    general = sections["general"][0].keys if sections["general"] else {}
+    """The world of `sections`, built kind by kind in the module docstring's
+    order.  Each loop unpacks its kind's records in the layout of
+    `_parse_sections`, and the records are released once their kind is built."""
+    general = sections.pop("general")
+    if len(general) > 1:
+        raise ScenarioError(f"line {general[1][0]}: a second general section")
+    _, seed, seed_at, t_end, t_end_at, pan, pan_at, hops, hops_at = general[0] if general else _BLANK["general"]
 
-    seed = _get(general, "seed", _int, 0)
+    seed = 0 if seed is None else _int(seed, seed_at)
     if seed_override is not None:
         seed = seed_override
-    t_end = _get(general, "t_end", _float, DEFAULT_T_END)
+    t_end = DEFAULT_T_END if t_end is None else _float(t_end, t_end_at)
     if t_end_override is not None:
         if not (0 <= t_end_override and math.isfinite(t_end_override)):  # the rule `_float` applies
             raise ScenarioError(f"t_end override {t_end_override!r} is not a finite number >= 0")
         t_end = t_end_override
-    pan = _get(general, "pan", _int, 0xBEEF, U16)
-    hops = _get(general, "hops", _int, 8, MAX_HOPS)
+    pan = 0xBEEF if pan is None else _int(pan, pan_at, U16)
+    hops = 8 if hops is None else _int(hops, hops_at, MAX_HOPS)
 
     if mode_override is not None and mode_override not in _MODES:
         raise ScenarioError(f"unknown gateway mode override: {mode_override!r}")
@@ -318,87 +327,101 @@ def _build(
 
     # hosts first: gateways may subscribe to them; their devids register last
     host_devids = []
-    for section in _drain(sections["host"]):
-        with _at(section.lineno):
-            host = world.add_host(section.ids[0], _get(section.keys, "addr", _addr))
-        if "devid" in section.keys:
-            host_devids.append((host.addr, section.keys["devid"]))
+    for at, host_id, addr, addr_at, devid, devid_at in sections.pop("host"):
+        addr = _addr(addr, addr_at)
+        try:
+            world.add_host(host_id, addr)
+        except ValueError as exc:
+            raise ScenarioError(f"line {at}: {exc}") from None
+        if devid is not None:
+            host_devids.append((addr, devid, devid_at))
 
-    for section in _drain(sections["gateway"]):
-        kv = section.keys
-        gw_pan = _get(kv, "pan", _int, pan, U16)
-        mode = _get(kv, "mode", _choice, None, _MODES, "gateway mode")
-        subscribers = []
-        if "subscribers" in kv:
-            lineno, value = kv["subscribers"]
-            for host_id in value.split(","):
+    for (at, gw_id, mode, mode_at, short, short_at, wired, wired_at, prefix, prefix_at, gw_pan, pan_at,
+         subscribers, subscribers_at, peer, peer_at) in sections.pop("gateway"):
+        gw_pan = pan if gw_pan is None else _int(gw_pan, pan_at, U16)
+        mode = _choice(mode, mode_at, _MODES, "gateway mode")
+        members = []  # the subscribers' addresses
+        if subscribers is not None:
+            for host_id in subscribers.split(","):
                 host = world.hosts.get(host_id.strip())
                 if host is None:
-                    raise ScenarioError(f"line {lineno}: unknown host {host_id.strip()!r}")
-                if host.addr in subscribers:
-                    raise ScenarioError(f"line {lineno}: host {host.id!r} is already a subscriber")
-                subscribers.append(host.addr)
-        with _at(section.lineno):
+                    raise ScenarioError(f"line {subscribers_at}: unknown host {host_id.strip()!r}")
+                if host.addr in members:
+                    raise ScenarioError(f"line {subscribers_at}: host {host.id!r} is already a subscriber")
+                members.append(host.addr)
+        short = _int(short, short_at, U16)
+        wired = _addr(wired, wired_at)
+        prefix = None if prefix is None else _addr(prefix, prefix_at)
+        peer = None if peer is None else _addr(peer, peer_at)
+        try:
             world.add_gateway(
-                section.ids[0], _get(kv, "short", _int, None, U16),
-                _MODES[mode_override] if mode_override is not None else mode,
-                _get(kv, "wired", _addr), prefix=_get(kv, "prefix", _addr), pan_id=gw_pan,
-                subscribers=tuple(subscribers), tunnel_peer=_get(kv, "peer", _addr),
+                gw_id, short, _MODES[mode_override] if mode_override is not None else mode, wired,
+                prefix=prefix, pan_id=gw_pan, subscribers=tuple(members), tunnel_peer=peer,
             )
+        except ValueError as exc:
+            raise ScenarioError(f"line {at}: {exc}") from None
 
     coordinators: dict[int, str] = {}
-    for section in _drain(sections["node"]):
-        kv, node_id = section.keys, section.ids[0]
-        role = _get(kv, "role", _choice, NodeRole.FFD, _ROLES, "role")
-        node_pan = _get(kv, "pan", _int, pan, U16)
+    for (at, node_id, short, short_at, role, role_at, eui, eui_at, sleep, sleep_at, security, security_at,
+         devid, devid_at, node_pan, pan_at) in sections.pop("node"):
+        role = NodeRole.FFD if role is None else _choice(role, role_at, _ROLES, "role")
+        node_pan = pan if node_pan is None else _int(node_pan, pan_at, U16)
         if role is NodeRole.COORDINATOR:
             held = coordinators.setdefault(node_pan, node_id)
             if held != node_id:
-                raise ScenarioError(f"line {section.lineno}: PAN 0x{node_pan:04X} has coordinator {held!r}")
-        sleep = _get(kv, "sleep", _sleep)
-        security = _get(kv, "security", _choice, SecurityMode.NONE, _SECURITY, "security suite")
-        with _at(section.lineno):
-            node = world.add_node(
-                node_id, role, _get(kv, "short", _int, None, U16), eui=_get(kv, "eui", _eui),
-                pan_id=node_pan, sleep=sleep, security=security,
-            )
-        if "devid" in kv:  # registered at the node's segment gateway; hosts register below
-            lineno = kv["devid"][0]
+                raise ScenarioError(f"line {at}: PAN 0x{node_pan:04X} has coordinator {held!r}")
+        sleep = None if sleep is None else _sleep(sleep, sleep_at)
+        security = SecurityMode.NONE if security is None else _choice(
+            security, security_at, _SECURITY, "security suite")
+        short = _int(short, short_at, U16)
+        eui = None if eui is None else _eui(eui, eui_at)
+        try:
+            node = world.add_node(node_id, role, short, eui=eui, pan_id=node_pan, sleep=sleep, security=security)
+        except ValueError as exc:
+            raise ScenarioError(f"line {at}: {exc}") from None
+        if devid is not None:  # registered at the node's segment gateway; hosts register below
             gw_node = world.segment_gateway(node_pan)
             if gw_node is None:
-                raise ScenarioError(f"line {lineno}: node {node_id!r} has a devid but its PAN has no gateway")
-            with _at(lineno):
-                register_devid(gw_node.gateway.registry, _get(kv, "devid", _int, None, U16), node.wpan_address)
+                raise ScenarioError(f"line {devid_at}: node {node_id!r} has a devid but its PAN has no gateway")
+            with _at(devid_at):
+                register_devid(gw_node.gateway.registry, _int(devid, devid_at, U16), node.wpan_address)
 
-    for section in _drain(sections["link"]):
-        band = _get(section.keys, "band", _choice, PhyBand.B2450, _BANDS, "band")
-        loss = _get(section.keys, "loss", _float, 0.0, 1.0)
-        with _at(section.lineno):  # an unknown node, a node to itself, two PANs, or a pair linked twice
-            world.add_link(*section.ids, band, loss)
+    for at, a, b, band, band_at, loss, loss_at in sections.pop("link"):
+        band = PhyBand.B2450 if band is None else _choice(band, band_at, _BANDS, "band")
+        loss = 0.0 if loss is None else _float(loss, loss_at, 1.0)
+        try:  # an unknown node, a node to itself, two PANs, or a pair linked twice
+            world.add_link(a, b, band, loss)
+        except ValueError as exc:
+            raise ScenarioError(f"line {at}: {exc}") from None
 
-    for section in _drain(sections["route"]):
-        node = world.nodes.get(section.ids[0])
+    pinned_at: dict[tuple[str, int | str], int] = {}  # (node id, final short or "default") -> its pin's line
+    for at, node_id, pins in sections.pop("route"):
+        node = world.nodes.get(node_id)
         if node is None:
-            raise ScenarioError(f"line {section.lineno}: route section needs a node id")
-        for key, (lineno, value) in section.keys.items():
+            raise ScenarioError(f"line {at}: route section needs a node id")
+        for key, (lineno, value) in pins.items():
+            final = key if key == "default" else _int(key, lineno, U16)
+            first = pinned_at.setdefault((node_id, final), lineno)
+            if first != lineno:
+                route = "a default route" if key == "default" else f"a route to 0x{final:04X}"
+                raise ScenarioError(f"line {lineno}: node {node_id!r} already has {route}, pinned at line {first}")
             if key == "default":
                 node.default_route = _int(value, lineno, U16)
             else:
-                node.routes[_int(key, lineno, U16)] = _int(value, lineno, U16)
+                node.routes[final] = _int(value, lineno, U16)
 
     # host devids register at every devid gateway
     devid_gateways = [node.gateway for node in world.nodes.values()
                       if node.gateway is not None and node.gateway.mode is GatewayMode.DEVID]
-    for addr, (lineno, value) in host_devids:
-        devid = _int(value, lineno, U16)
+    for addr, devid, lineno in host_devids:
+        devid = _int(devid, lineno, U16)
         for gw in devid_gateways:
             with _at(lineno):
                 register_devid(gw.registry, devid, addr)
 
     patterns: dict[int, bytes] = {}  # this load's only: a size= may be up to MAX_PAYLOAD octets
-    for section in _drain(sections["traffic"]):
-        for lineno, line in _drain(section.events):
-            _schedule_traffic(world, line, lineno, patterns)
+    for lineno, line in sections.pop("traffic"):
+        _schedule_traffic(world, line, lineno, patterns)
 
     return world, t_end
 

@@ -135,6 +135,12 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name[, text the error m
     ("[gateway g]\nmode = border\nshort = 1\nwired = fd00::a\nttl = -1\n", 5),
     ("[node a]\nshort = 1\n[route a]\n0x10000 = 1\n", 4),
     ("[node a]\nshort = 1\n[route a]\ndefault = -1\n", 4),
+    # a final short, or the default, is pinned once per node
+    ("[node a]\nshort = 1\n[route a]\n2 = 2\n2 = 3\n", 5, "'2' is already set at line 4"),  # one key twice
+    ("[node a]\nshort = 1\n[route a]\n2 = 2\n0x2 = 1\n", 5, "node 'a' already has a route to 0x0002, pinned at line 4"),
+    ("[node a]\nshort = 1\n[route a]\n2 = 2\n[route a]\n2 = 3\n", 6, "a route to 0x0002, pinned at line 4"),
+    ("[node a]\nshort = 1\n[route a]\ndefault = 2\n[route a]\ndefault = 3\n", 6,
+     "node 'a' already has a default route, pinned at line 4"),
     ("[node a]\nshort = 1\n[link a a]\n", 3),  # a node linked to itself
     ("[node a]\nshort = 1\n[node b]\nshort = 2\n[link a b]\nloss = 0.1\n[link b a]\nloss = 0.5\n", 7),  # linked twice
     (  # a link across two PANs

@@ -111,6 +111,14 @@ def test_hc1_best_case_two_octets_non_udp():
     assert stream[3:] == b"ping"
 
 
+def test_an_hc1_icmpv6_code_decompresses_to_next_header_58():
+    # addresses from L2, traffic class and flow label zero, next-header code 2 (ICMPv6), no HC2
+    stream = bytes([DISPATCH_HC1, 0b11111100, 64]) + b"ping"
+    pkt = decompress_ipv6(stream, L2_SRC, L2_DST)
+    assert pkt.next_header == 58  # a literal, not the imported constant, so a wrong constant fails
+    assert pkt.hop_limit == 64 and pkt.payload == b"ping"
+
+
 def test_global_source_carried_inline():
     pkt = _udp_packet(src=IPv6Address("2001:db8::1234"))
     stream = compress_ipv6(pkt, L2_SRC, L2_DST)

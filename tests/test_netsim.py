@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from test_digests import _workloads
 
 from lowpan import addressing, netsim, scenario
-from lowpan.frame import PhyBand, SecurityMode
-from lowpan.gateway import GatewayMode, wired_to_lowpan
+from lowpan.codec import MeshHeader, encode_mesh
+from lowpan.frame import Eui64, FrameType, MacFrame, PhyBand, SecurityMode, Short16, crc16, encode_mac_frame
+from lowpan.gateway import GatewayMode, NwkFrame, wired_to_lowpan
 from lowpan.ipv6 import decode_udp, udp_packet
 from lowpan.netsim import _TRACE_LINE, NodeRole, SleepSchedule, TraceRecord, World
 from lowpan.reassembly import REASSEMBLY_TIMEOUT, FragmentationContext
@@ -148,7 +149,8 @@ def test_node_link_and_section_records_have_no_instance_dict():
     world = make_line()
     link = world.neighbors["a"]["b"]
     assert world.neighbors["b"]["a"] is link  # one record per pair, reachable from both ends
-    section = scenario._Section(1, "node", ["a"])
+    section = scenario._parse_sections("[node a]\nshort = 1\n")["node"][0]  # a parsed section is a plain list
+    assert type(section) is list and section[:2] == [1, "a"]
     for record in (world.node("a"), link, section):
         assert not hasattr(record, "__dict__"), type(record).__name__
     with pytest.raises(AttributeError):
@@ -576,6 +578,82 @@ def test_drops_without_gateway_have_a_reason():
     assert metrics["sent"] == 2
     assert metrics["drops_no-route"] == 2
     assert metrics["drops"] == sum(v for k, v in metrics.items() if k.startswith("drops_"))
+
+
+# --- drop branches that need no random draw ----------------------------------
+
+def _drops(world):
+    """The drop records as (node, detail), and the drop counters."""
+    return ([(r.node, r.detail) for r in world.trace if r.kind == "drop"],
+            {key: value for key, value in world.metrics.items() if key.startswith("drops")})
+
+
+def _mesh(orig, final, payload=b"\x41data") -> bytes:
+    """A mesh-wrapped MAC payload from `orig` to `final`, 4 hops left."""
+    return encode_mesh(MeshHeader(orig.wpan_address, final, 4)) + payload
+
+
+@pytest.mark.parametrize("pin, reason, detail", [
+    ("0x0009", "no-such-node", "dst=0x0009"),  # no node has the pinned short
+    ("0x0003", "no-link", "dst=c"),  # c is no neighbour of a
+])
+def test_a_route_pinned_past_the_neighbours_drops_at_the_radio(pin, reason, detail):
+    world, _ = load_scenario(
+        "[node a]\nshort = 1\n[node b]\nshort = 2\n[node c]\nshort = 3\n[link a b]\n[link b c]\n"
+        f"[route a]\n0x0003 = {pin}\n[traffic]\nat=0 kind=udp from=a to=c size=4\n"
+    )
+    world.run()
+    assert _drops(world) == ([("a", f"reason={reason} {detail}")], {"drops": 1, f"drops_{reason}": 1})
+    assert not [r for r in world.trace if r.kind == "tx"]
+
+
+def test_a_frame_failing_its_fcs_is_a_malformed_frame_drop():
+    world = make_line()
+    a, b = world.node("a"), world.node("b")
+    psdu = bytearray(encode_mac_frame(MacFrame(FrameType.DATA, 0, a.wpan_address, b.wpan_address, payload=b"x")))
+    psdu[-1] ^= 0xFF
+    world.schedule(0.0, (world._rx_event, b, bytes(psdu)))
+    world.run()
+    fcs, computed = int.from_bytes(psdu[-2:], "big"), crc16(bytes(psdu[:-2]))
+    detail = f"reason=malformed-frame FCS 0x{fcs:04X} does not match computed 0x{computed:04X}"
+    assert _drops(world) == ([("b", detail)], {"drops": 1, "drops_malformed-frame": 1})
+    assert "frames_rx" not in world.metrics
+
+
+@pytest.mark.parametrize("payload, reason, detail", [
+    (lambda a: b"", "empty-payload", ""),  # no dispatch octet at all
+    # an EUI-64 final other than b's, which `SimNode.matches` tells apart; b forwards only toward shorts
+    (lambda a: _mesh(a, Eui64(bytes.fromhex("0050c20000000009"))), "no-route", " detail=eui-final"),
+    (lambda a: _mesh(a, Short16(a.pan_id, 0x0009)), "no-route", " final=0x0009"),  # no node has the short
+], ids=["empty-payload", "eui-final", "short-final"])
+def test_a_frame_b_cannot_take_or_pass_on_is_dropped(payload, reason, detail):
+    world = make_line()  # one PAN and no gateway: nothing to fall back to
+    a, b = world.node("a"), world.node("b")
+    world.schedule(0.0, (world._transmit, a, b.short, payload(a)))
+    world.run()
+    assert _drops(world) == ([("b", f"reason={reason}{detail}")], {"drops": 1, f"drops_{reason}": 1})
+    assert world.metrics["frames_rx"] == 1 and not forwards_of(world, "b")
+
+
+def test_a_final_short_with_no_node_goes_toward_the_gateway():
+    world = _receiver_world("border")  # n2 - n1 - gw
+    n1, n2 = world.node("n1"), world.node("n2")
+    world.schedule(0.0, (world._transmit, n2, n1.short, _mesh(n2, Short16(n2.pan_id, 0x0009))))
+    world.run()
+    assert [r.detail for r in forwards_of(world, "n1")] == ["final=0x0009 hops=3"]
+    assert [(r.node, r.detail) for r in world.trace if r.kind == "tx"] == [("n2", "dst=n1"), ("n1", "dst=gw")]
+    # the gateway has nowhere further to send it
+    assert _drops(world) == ([("gw", "reason=no-route final=0x0009")], {"drops": 1, "drops_no-route": 1})
+
+
+def test_a_nwk_frame_for_another_short_is_a_nwk_not_mine_drop():
+    world = _receiver_world("zigbee")  # n1 and n2 run the NWK stack of their zigbee gateway
+    n1, n2 = world.node("n1"), world.node("n2")
+    world.schedule(0.0, (world._transmit, n1, n2.short, NwkFrame(dst_short=0x0042, src_short=n1.short).encode()))
+    world.run()
+    assert n2.stack == "nwk"
+    assert _drops(world) == ([("n2", "reason=nwk-not-mine dst=0x0042")], {"drops": 1, "drops_nwk-not-mine": 1})
+    assert not [r for r in world.trace if r.kind == "deliver"]
 
 
 def test_oversized_mac_payloads_drop_at_the_radio():

@@ -57,6 +57,15 @@ def test_small_datagram_unfragmented():
     assert frames == [_pattern(80)]
 
 
+def test_a_datagram_exactly_filling_the_budget_is_sent_whole():
+    ctx = FragmentationContext()
+    # RFC 4944 §5.3: a datagram that fits the frame goes without a fragment header, and takes no tag
+    assert fragment(_pattern(102), 102, ctx) == [_pattern(102)] and ctx.next_tag == 0
+    frames = fragment(_pattern(103), 102, ctx)  # one octet more is split
+    assert len(frames) == 2 and ctx.next_tag == 1
+    assert decode_frag(frames[0])[0].datagram_size == 103 and all(len(frame) <= 102 for frame in frames)
+
+
 def test_datagram_too_large():
     with pytest.raises(DatagramTooLarge):
         fragment(bytes(2048), 102, FragmentationContext())

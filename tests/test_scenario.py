@@ -5,6 +5,8 @@ import hashlib
 import random
 import re
 import tracemalloc
+import weakref
+from ipaddress import IPv6Address
 from itertools import combinations
 from pathlib import Path
 
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 from test_digests import _workloads
 
 from lowpan import netsim, scenario
+from lowpan.frame import PhyBand, SecurityMode
+from lowpan.gateway import GatewayMode
+from lowpan.netsim import NodeRole, SleepSchedule
 from lowpan.scenario import ScenarioError, load_scenario
 
 NODES = ["n0", "n1", "n2", "n3", "n4"]
@@ -285,23 +290,98 @@ def test_the_load_leaves_the_collector_as_it_found_it(collecting):
         (gc.enable if was else gc.disable)()
 
 
+def test_each_key_lands_in_its_own_field():
+    world, t_end = load_scenario(
+        "[general]\nseed = 3\nt_end = 7\npan = 0x0042\nhops = 5\n"
+        "[host h]\naddr = fd00::99\ndevid = 9\n"
+        "[gateway g]\nmode = devid\nshort = 0x00FE\nwired = fd00::a\nprefix = 2001:db8:a::\npan = 0x0007\n"
+        "subscribers = h\npeer = fd00::b\n"
+        "[node n]\nshort = 2\nrole = rfd\neui = 00:50:c2:00:00:00:00:01\nsleep = 1/2\nsecurity = aes-ccm-64\n"
+        "devid = 4\npan = 0x0007\n"
+        "[node m]\nshort = 3\nrole = coordinator\npan = 0x0007\n"
+        "[link n m]\nband = 868\nloss = 0.25\n"
+        "[route m]\n2 = 2\ndefault = 0x00FE\n"
+    )
+    assert (t_end, world.pan_id, world.default_hops) == (7.0, 0x0042, 5)
+    assert world.rng.random() == random.Random(3).random()
+    gw, n, m = world.node("g"), world.node("n"), world.node("m")
+    assert (gw.gateway.mode, gw.gateway.wired_addr, gw.gateway.mapping.prefix, gw.pan_id, gw.short) == (
+        GatewayMode.DEVID, IPv6Address("fd00::a"), IPv6Address("2001:db8:a::"), 0x0007, 0x00FE)
+    h = world.hosts["h"].addr
+    assert (h, gw.gateway.subscribers, gw.gateway.tunnel_peer) == (IPv6Address("fd00::99"), (h,), IPv6Address("fd00::b"))
+    assert (n.short, n.role, n.eui, n.sleep, n.security, n.pan_id) == (
+        2, NodeRole.RFD, bytes.fromhex("0050c20000000001"), SleepSchedule(1.0, 2.0), SecurityMode.AES_CCM_64, 0x0007)
+    assert gw.gateway.registry == {4: n.wpan_address, 9: h}
+    assert (m.role, m.routes, m.default_route) == (NodeRole.COORDINATOR, {2: 2}, 0x00FE)
+    assert world.neighbors["n"]["m"] == netsim.SimLink("n", "m", PhyBand.B868, 0.25)
+
+
+@pytest.mark.parametrize("text, error", [
+    # the whole file is read before anything is built: line 5's unknown key, not line 2's range error
+    ("[node a]\nshort = 0x10000\n[node b]\nshort = 2\nbogus = 1\n", "line 5: unknown node key 'bogus'"),
+    # a missing required key is found after the whole file is read, and before anything is built
+    ("[node a]\nrole = ffd\n[node b]\nshort = 2\nbogus = 1\n", "line 5: unknown node key 'bogus'"),
+    ("[node a]\nshort = 0x10000\n[node b]\nrole = ffd\n", "line 3: node needs short ="),
+    # kinds are built in kind order whatever the file order: hosts before nodes
+    ("[node a]\nshort = 0x10000\n[host h]\naddr = nope\n", "line 4: not an IPv6 address: 'nope'"),
+], ids=["unknown-key-before-range", "unknown-key-before-missing-key", "missing-key-before-range",
+        "host-before-node"])
+def test_the_file_is_read_whole_then_built_kind_by_kind(text, error):
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(text)
+    assert str(raised.value) == error
+
+
+def test_links_routes_traffic_and_subscribers_may_precede_what_they_name():
+    world, _ = load_scenario(
+        "[traffic]\nat=0 kind=udp from=a to=b size=4\n[link a b]\nloss = 0\n[route a]\n2 = 2\n"
+        "[gateway g]\nmode = border\nshort = 9\nwired = fd00::a\npan = 0x0002\nsubscribers = h\n"
+        "[node a]\nshort = 1\n[node b]\nshort = 2\n[host h]\naddr = fd00::99\n"
+    )
+    assert world.neighbors["a"].keys() == {"b"} and world.node("a").routes == {2: 2}
+    assert world.gateway("g").subscribers == (world.hosts["h"].addr,)
+    world.run_until(1.0)
+    assert world.metrics["sent"] == world.metrics["delivered"] == 1
+
+
+class _Watched(list):
+    """A parsed record, or a kind's list of them, that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
 def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_state(monkeypatch):
     text = _workloads()["mesh-900"](1, small=True)
+    watched: dict[str, list[weakref.ref]] = {}  # kind -> its list and records, weakly
+    parse = scenario._parse_sections
+
+    def watched_parse(text):
+        sections = parse(text)
+        for kind, parsed in sections.items():
+            sections[kind] = _Watched(_Watched(record) if type(record) is list else record for record in parsed)
+            watched[kind] = [weakref.ref(sections[kind])]
+            watched[kind] += [weakref.ref(record) for record in sections[kind] if type(record) is _Watched]
+        return sections
+
+    def alive():
+        return sorted(kind for kind, refs in watched.items() if any(ref() is not None for ref in refs))
+
     at_first_link = []
     add_link = netsim.World.add_link
 
     def watched_add_link(world, *args):
         if not at_first_link:  # the sections alive once the nodes are built, and the collector's state
-            alive = [obj.kind for obj in gc.get_objects() if isinstance(obj, scenario._Section)]
-            at_first_link.append((sorted(set(alive)), gc.isenabled()))
+            at_first_link.append((alive(), gc.isenabled()))
         return add_link(world, *args)
 
+    monkeypatch.setattr(scenario, "_parse_sections", watched_parse)
     monkeypatch.setattr(netsim.World, "add_link", watched_add_link)
     gc.collect()  # no garbage left by earlier tests
     world, _ = load_scenario(text)
-    # node, host and gateway sections are released as they are built; the collector pauses for the load
-    assert at_first_link == [(["general", "link", "traffic"], False)]
-    assert not [obj for obj in gc.get_objects() if isinstance(obj, scenario._Section)]
+    # node, host and gateway sections are released as they are built, the routes and traffic
+    # wait their turn and the general section is read to the end; the collector pauses for the load
+    assert at_first_link == [(["general", "link", "route", "traffic"], False)]
+    assert watched.keys() == scenario._SECTIONS.keys() and alive() == []  # no parsed record outlives the load
 
     links = {id(link): link for ends in world.neighbors.values() for link in ends.values()}
     assert len(links) == text.count("[link ")
@@ -317,8 +397,8 @@ def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_
         assert list(ends) == sorted(ends), node_id
 
 
-def test_a_parsed_section_shares_its_texts_and_costs_under_400_octets():
-    text = _workloads()["mesh-900"](1, small=True)
+def test_a_parsed_section_shares_its_texts_and_costs_under_260_octets():
+    text = _workloads()["mesh-900"](1, small=True) + "[route n0_0]\n0x0002 = 0x0002\ndefault = 0x0007\n"
     scenario._parse_sections(text)  # refills the free lists, so the count does not hang on earlier tests
     tracemalloc.start()
     try:
@@ -327,12 +407,17 @@ def test_a_parsed_section_shares_its_texts_and_costs_under_400_octets():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    parsed = [section for kind in sections.values() for section in kind]
-    assert len(parsed) == text.count("[")
-    # the record, its id list, key dict and (line, value) pairs, and its share of the traffic lines
-    assert grown / len(parsed) < 400
-    texts: dict[str, str] = {}  # each kind, id, key and value text is one object across all sections
-    for section in parsed:
-        values = [value for _, value in section.keys.values()]
-        for piece in (section.kind, *section.ids, *section.keys, *values):
-            assert texts.setdefault(piece, piece) is piece, (section.lineno, piece)
+    records = [record for kind, parsed in sections.items() if kind != "traffic" for record in parsed]
+    assert all(type(record) is list for record in records)
+    assert len(records) == text.count("[") - text.count("[traffic]") and len(sections["route"]) == 1
+    assert sections["traffic"] and all(type(event) is tuple for event in sections["traffic"])
+    # the record and its line numbers, and its share of the traffic lines
+    assert grown / text.count("[") < 260
+    texts: dict[str, str] = {}  # each id, key and value text is one object across all sections
+    for record in records:
+        pieces = [piece for piece in record if type(piece) is str]
+        if type(record[-1]) is dict:  # a route section's pins
+            pieces += [*record[-1], *(value for _, value in record[-1].values())]
+        for piece in pieces:
+            assert texts.setdefault(piece, piece) is piece, (record[0], piece)
+    assert texts["0x0002"] is sections["route"][0][2]["0x0002"][1]  # a pin's key and value are one text
