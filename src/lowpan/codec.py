@@ -48,6 +48,10 @@ for a short (2-octet) rather than EUI-64 (8-octet) originator and final
 address, which follow in that order, and HHHH is the hops-left budget.
 `MeshHeader` is an immutable value type like `frame.Short16` (a
 `frame.CheckedTuple` whose constructor runs the hops-left range check).
+Like every decoder, `decode_mesh` builds directly only the fields its
+format bounds, the 4-bit hops left and the 16-bit shorts, and runs every
+check its input can fail: the caller's `pan_id` is range-checked when a
+short address takes it.
 `decode_mesh` reads both address widths from the first octet and parses
 the header straight through.  Because every bit of that octet is a
 header field, `encode_mesh(decode_mesh(h))` equals `h`, so a forwarder
@@ -254,8 +258,7 @@ def decompress_udp(data: bytes) -> UdpDatagram:
         dst_port = UDP_PORT_BASE + (field(1) & 0x0F) if hc2 & 0x40 else field(2)
     inline_length = None if hc2 & 0x20 else field(2)
     checksum = field(2)
-    payload = data[pos:]
-    udp = UdpDatagram(src_port, dst_port, checksum, payload)
+    udp = tuple.__new__(UdpDatagram, (src_port, dst_port, checksum, data[pos:]))
     if inline_length is not None and inline_length != udp.length:
         raise MalformedHc2(
             f"inline length {inline_length} but {udp.length} octets of datagram", offset=pos
@@ -418,9 +421,17 @@ def decode_mesh(data: bytes, pan_id: int = 0) -> tuple[MeshHeader, int]:
     end = mid + (2 if first & 0x10 else 8)
     if end > len(data):
         raise MalformedMesh("mesh address truncated", offset=1 if mid > len(data) else mid)
-    originator = Short16(pan_id, (data[1] << 8) | data[2]) if first & 0x20 else Eui64(data[1:9])
-    final = Short16(pan_id, (data[mid] << 8) | data[mid + 1]) if first & 0x10 else Eui64(data[mid:end])
-    return MeshHeader(originator, final, first & 0x0F), end
+    if first & 0x30 and not 0 <= pan_id <= 0xFFFF:
+        raise ValueError(f"pan_id out of range: {pan_id}")
+    originator = (
+        tuple.__new__(Short16, (pan_id, (data[1] << 8) | data[2])) if first & 0x20 else Eui64(data[1:9])
+    )
+    final = (
+        tuple.__new__(Short16, (pan_id, (data[mid] << 8) | data[mid + 1]))
+        if first & 0x10
+        else Eui64(data[mid:end])
+    )
+    return tuple.__new__(MeshHeader, (originator, final, first & 0x0F)), end
 
 
 def decrement_hops(data: bytes) -> bytes:

@@ -50,9 +50,15 @@ addressing makes the actual header smaller.
 `Short16` and `MacFrame` (and `codec.MeshHeader`, `ipv6.Ipv6Packet`,
 `ipv6.UdpDatagram` and `gateway.NwkFrame`) are immutable value types:
 `CheckedTuple` subclasses of a `namedtuple` whose `__new__` runs every
-range check once.  They compare equal only to an instance of the
-same class with equal fields, hash by value, and `_make` / `_replace`
-go through the same checks.
+check.  They compare equal only to an instance of the same class with
+equal fields, hash by value, and `_make` / `_replace` go through the same
+checks.  A decoder builds directly, with `tuple.__new__`, only the fields
+its format bounds (a `struct` octet or 16-bit field, a masked nibble), and
+runs every check its input can fail.  Such a check is written once, in a
+helper that `__new__` calls too: `decode_mac_frame` builds its `Short16`
+addresses and its `MacFrame` directly, since the sequence number and every
+PAN and short are wire-sized, and runs `_check_frame_content`, the ACK and
+payload-budget rules a received frame can break.
 """
 
 from __future__ import annotations
@@ -148,6 +154,7 @@ class FrameType(Enum):
 # members by their two-bit wire code, for decoding
 _FRAME_TYPES = tuple(FrameType)
 _SECURITY_MODES = tuple(SecurityMode)
+_ACK = FrameType.ACK  # a module global: a member read off its enum class is a slow lookup
 _SHORT_ADDRESS = struct.Struct(">HH")  # PAN id, short address
 # fc0, fc1, sequence, dst PAN + short, src PAN + short
 _SHORT_SHORT_HEADER = struct.Struct(">BBBHHHH")
@@ -258,6 +265,24 @@ def crc16(data: bytes) -> int:
     return binascii.crc_hqx(data, 0)
 
 
+def _check_frame_content(
+    frame_type: FrameType,
+    src: NodeAddress | None,
+    dst: NodeAddress | None,
+    security: SecurityMode,
+    payload: bytes,
+):
+    """The checks of a `MacFrame` that a decoded frame can fail too."""
+    if frame_type is _ACK:
+        if src is not None or dst is not None or payload:
+            raise FrameError("ACK frames carry no addressing and no payload")
+    budget = security.budget
+    if len(payload) > budget:
+        raise PayloadOverBudget(
+            f"payload {len(payload)} octets exceeds budget {budget} for {security.name}"
+        )
+
+
 class MacFrame(
     CheckedTuple, namedtuple("MacFrame", "frame_type sequence src dst security payload")
 ):
@@ -276,14 +301,7 @@ class MacFrame(
     ):
         if not 0 <= sequence <= 0xFF:
             raise ValueError(f"sequence out of range: {sequence}")
-        if frame_type is FrameType.ACK:
-            if src is not None or dst is not None or payload:
-                raise FrameError("ACK frames carry no addressing and no payload")
-        budget = security.budget
-        if len(payload) > budget:
-            raise PayloadOverBudget(
-                f"payload {len(payload)} octets exceeds budget {budget} for {security.name}"
-            )
+        _check_frame_content(frame_type, src, dst, security, payload)
         return tuple.__new__(cls, (frame_type, sequence, src, dst, security, payload))
 
 
@@ -316,7 +334,7 @@ def _decode_address(mode: int, data: bytes, pos: int) -> tuple[NodeAddress | Non
     if mode == 1:
         if pos + 4 > len(data):
             raise TruncatedFrame("short address truncated")
-        return Short16(*_SHORT_ADDRESS.unpack_from(data, pos)), pos + 4
+        return tuple.__new__(Short16, _SHORT_ADDRESS.unpack_from(data, pos)), pos + 4
     if mode == 2:
         if pos + 10 > len(data):
             raise TruncatedFrame("EUI-64 address truncated")
@@ -336,8 +354,8 @@ def decode_mac_frame(data: bytes) -> MacFrame:
     security = _SECURITY_MODES[(fc0 >> 2) & 0x03]
     if fc1 == _SHORT_SHORT_FC1 and len(body) >= _SHORT_SHORT_HEADER.size:
         _, _, _, dst_pan, dst_short, src_pan, src_short = _SHORT_SHORT_HEADER.unpack_from(body)
-        dst = Short16(dst_pan, dst_short)
-        src = Short16(src_pan, src_short)
+        dst = tuple.__new__(Short16, (dst_pan, dst_short))
+        src = tuple.__new__(Short16, (src_pan, src_short))
         pos = _SHORT_SHORT_HEADER.size
     else:
         dst, pos = _decode_address(fc1 & 0x03, body, 3)
@@ -345,4 +363,6 @@ def decode_mac_frame(data: bytes) -> MacFrame:
     end = len(body) - security.overhead
     if end < pos:
         raise TruncatedFrame("security filler truncated")
-    return MacFrame(frame_type, sequence, src, dst, security, body[pos:end])
+    payload = body[pos:end]
+    _check_frame_content(frame_type, src, dst, security, payload)
+    return tuple.__new__(MacFrame, (frame_type, sequence, src, dst, security, payload))

@@ -159,6 +159,12 @@ def resolve_devid(registry: DevidRegistry, devid: int) -> Endpoint:
 
 # --- zigbee network frames ------------------------------------------------
 
+def _check_frame_control(frame_control: int):
+    """Keep the leading octet of a NWK frame out of the 6LoWPAN dispatch space."""
+    if (frame_control >> 8) & 0xC0:
+        raise GatewayError("frame control would collide with 6LoWPAN dispatch space")
+
+
 class NwkFrame(
     CheckedTuple,
     namedtuple("NwkFrame", "dst_short src_short radius sequence frame_control payload"),
@@ -167,8 +173,9 @@ class NwkFrame(
 
     The high two bits of the leading frame-control octet are kept zero
     so the frame classifies as non-6LoWPAN under the dispatch table.
-    A `frame.CheckedTuple` value type: that check runs once, in `__new__`,
-    and `_make` / `_replace` run it too.
+    A `frame.CheckedTuple` value type: that check is `_check_frame_control`,
+    which `__new__` (and so `_make` / `_replace`) and `decode` run.  `decode`
+    builds the frame directly, since every other field is wire-sized.
     """
 
     __slots__ = ()
@@ -182,8 +189,7 @@ class NwkFrame(
         frame_control: int = 0x0900,
         payload: bytes = b"",
     ):
-        if (frame_control >> 8) & 0xC0:
-            raise GatewayError("frame control would collide with 6LoWPAN dispatch space")
+        _check_frame_control(frame_control)
         return tuple.__new__(cls, (dst_short, src_short, radius, sequence, frame_control, payload))
 
     def encode(self) -> bytes:
@@ -204,7 +210,8 @@ class NwkFrame(
         if len(data) < NWK_HEADER_OCTETS:
             raise GatewayError(f"NWK frame needs {NWK_HEADER_OCTETS} octets")
         fc, dst, src, radius, seq = struct.unpack("!HHHBB", data[:NWK_HEADER_OCTETS])
-        return cls(dst, src, radius, seq, fc, data[NWK_HEADER_OCTETS:])
+        _check_frame_control(fc)
+        return tuple.__new__(cls, (dst, src, radius, seq, fc, data[NWK_HEADER_OCTETS:]))
 
 
 # --- payload transforms ----------------------------------------------------

@@ -6,8 +6,13 @@ not modelled as a transport; it exists only as a next-header code and a
 
 `Ipv6Packet` and `UdpDatagram` are immutable value types built, like the
 MAC-layer ones, on `frame.CheckedTuple`: `__new__` runs every range check
-once (traffic class, flow label, next header, hop limit and payload size;
-each port and the checksum), and `_make` / `_replace` run them too.
+(traffic class, flow label, next header, hop limit and payload size; each
+port and the checksum), and `_make` / `_replace` run them too.  A decoder
+builds directly only the fields its format bounds, and runs every check
+its input can fail.  `decode_udp` (and `codec.decompress_udp`) read each
+port and the checksum as a 16-bit field, so they build the `UdpDatagram`
+directly, as `udp_packet` builds its checksummed copy of a datagram whose
+ports `__new__` has checked.  Every `Ipv6Packet` is built checked.
 """
 
 from __future__ import annotations
@@ -140,7 +145,7 @@ def decode_udp(data: bytes) -> UdpDatagram:
         raise PacketError(f"UDP length field {length} below header size")
     if length != len(data):
         raise PacketError(f"UDP length field {length} but {len(data)} octets present")
-    return UdpDatagram(src_port, dst_port, checksum, data[8:])
+    return tuple.__new__(UdpDatagram, (src_port, dst_port, checksum, data[8:]))
 
 
 def udp_checksum(src: IPv6Address, dst: IPv6Address, udp: UdpDatagram) -> int:
@@ -167,5 +172,5 @@ def udp_packet(
 ) -> Ipv6Packet:
     """An IPv6 packet carrying one UDP datagram with its checksum filled in."""
     udp = UdpDatagram(sport, dport, 0, payload)
-    udp = udp._replace(checksum=udp_checksum(src, dst, udp))
+    udp = tuple.__new__(UdpDatagram, (sport, dport, udp_checksum(src, dst, udp), payload))
     return Ipv6Packet(src=src, dst=dst, next_header=NEXT_HEADER_UDP, payload=encode_udp(udp))

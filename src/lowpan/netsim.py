@@ -758,12 +758,7 @@ class World:
             return
         try:
             frame = MacFrame(
-                FrameType.DATA,
-                node.mac_seq,
-                src=node.wpan_address,
-                dst=dst_node.wpan_address,
-                security=node.security,
-                payload=payload,
+                FrameType.DATA, node.mac_seq, node.wpan_address, dst_node.wpan_address, node.security, payload
             )
         except PayloadOverBudget as exc:
             self._drop(node.id, exc.reason, f"size={len(payload)}")

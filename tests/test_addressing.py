@@ -3,6 +3,7 @@ from ipaddress import IPv6Address
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from value_checks import raises_exactly
 
 from lowpan import addressing
 from lowpan.frame import Eui64, Short16
@@ -28,6 +29,10 @@ def test_iid_from_eui64_is_involution(eui):
 def test_pseudo48():
     assert addressing.pseudo48(0xABCD, 0x1234) == bytes.fromhex("0000abcd1234")
     assert addressing.pseudo48(0, 0) == bytes(6)
+    for pan_id, short in ((0x10000, 0), (0, -1)):
+        raises_exactly(
+            ValueError, "pan_id and short must be 16-bit values", lambda: addressing.pseudo48(pan_id, short)
+        )
 
 
 @example(0, 0)
@@ -69,6 +74,7 @@ def test_iid_for_both_forms_differ():
     short = Short16(0xBEEF, 0x0001)
     eui = Eui64(bytes.fromhex("00124b0000000001"))
     assert addressing.iid_for(short) != addressing.iid_for(eui)
+    raises_exactly(TypeError, "not a link address: b'\\x00\\x01'", lambda: addressing.iid_for(b"\x00\x01"))
 
 
 def test_link_local():
@@ -98,6 +104,10 @@ def test_length_validation():
         addressing.iid_from_pseudo48(b"toolong" * 2)
     with pytest.raises(ValueError):
         addressing.link_local(b"bad")
+    raises_exactly(
+        ValueError, "interface identifier must be 8 octets",
+        lambda: addressing.global_unicast(IPv6Address("2001:db8::"), b"bad"),
+    )
 
 
 def test_eui64_text_takes_colons_dashes_or_neither():

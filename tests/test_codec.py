@@ -4,6 +4,7 @@ from ipaddress import IPv6Address
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from value_checks import check_rebuild, raises_exactly
 
 from lowpan import addressing
 from lowpan.codec import (
@@ -78,6 +79,8 @@ def test_dispatch_exhaustive_against_golden(golden_dir):
 def test_dispatch_total():
     kinds = {parse_dispatch(b) for b in range(256)}
     assert kinds == set(DispatchKind)
+    for byte in (0x100, -1):
+        raises_exactly(ValueError, f"dispatch byte out of range: {byte}", lambda: parse_dispatch(byte))
 
 
 # --- HC1 ------------------------------------------------------------------
@@ -290,9 +293,10 @@ ANY_OCTET = st.integers(0, 0xFF)
        pan=st.integers(0, 0xFFFF))
 def test_decode_mesh_raises_only_codec_errors(first, rest, pan):
     try:
-        decode_mesh(bytes([first]) + rest, pan)
+        mesh, _ = decode_mesh(bytes([first]) + rest, pan)
     except CodecError:
-        pass
+        return
+    check_rebuild(mesh)
 
 
 @settings(max_examples=300)
@@ -318,9 +322,10 @@ def test_decode_frag_raises_only_codec_errors(first, rest):
 @given(st.binary(max_size=40))
 def test_hc2_decompress_raises_only_codec_errors(data):
     try:
-        decompress_udp(data)
+        udp = decompress_udp(data)
     except CodecError:
-        pass
+        return
+    check_rebuild(udp)
 
 
 def test_eui64_link_context():
@@ -491,6 +496,12 @@ def test_mesh_roundtrip_mixed_widths():
             assert consumed == len(encode_mesh(header))
 
 
+def test_decode_mesh_checks_the_pan_id_of_a_short_address():
+    both_short = encode_mesh(MeshHeader(Short16(1, 2), Short16(1, 3), 4))
+    for pan_id in (0x10000, -1):
+        raises_exactly(ValueError, f"pan_id out of range: {pan_id}", lambda: decode_mesh(both_short, pan_id))
+
+
 def test_mesh_truncation():
     header = MeshHeader(Short16(1, 2), Eui64(bytes(8)), 3)
     with pytest.raises(MalformedMesh) as caught:
@@ -537,6 +548,7 @@ def test_bc0_malformed():
     assert truncated.value.offset == 1
     with pytest.raises(MalformedBc0, match="not a broadcast header"):
         decode_bc0(b"\x42\x00")
+    raises_exactly(ValueError, "sequence out of range: 256", lambda: encode_bc0(256))
 
 
 # --- fragments -------------------------------------------------------------------
@@ -565,11 +577,14 @@ def test_frag_size_overflow():
     with pytest.raises(SizeOverflow):
         encode_frag_subsequent(2048, 0, 0)
     assert encode_frag_first(2047, 0)[0] == 0xC7
+    raises_exactly(ValueError, "tag out of range: 65536", lambda: encode_frag_first(1280, 0x10000))
+    raises_exactly(ValueError, "tag out of range: -1", lambda: encode_frag_subsequent(1280, -1, 1))
 
 
 def test_frag_offset_past_size():
     with pytest.raises(ValueError):
         encode_frag_subsequent(64, 0, 8)  # 8 * 8 == 64 is already past the end
+    raises_exactly(ValueError, "offset out of range: 256", lambda: encode_frag_subsequent(2047, 7, 256))
 
 
 def test_frag_malformed():
@@ -584,6 +599,7 @@ def test_frag_malformed():
             decode_frag(empty)
     with pytest.raises(ValueError):
         encode_frag_first(0, 1)
+    raises_exactly(MalformedFrag, "empty fragment header", lambda: decode_frag(b""))
 
 
 @settings(max_examples=200)

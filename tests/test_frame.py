@@ -1,8 +1,7 @@
-import re
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from value_checks import check_rebuild, raises_exactly as _raises_exactly
 
 from lowpan.codec import MeshHeader
 from lowpan.frame import (
@@ -21,6 +20,7 @@ from lowpan.frame import (
     OversizePsdu,
     PayloadOverBudget,
     PhyBand,
+    Ppdu,
     SecurityMode,
     Short16,
     TruncatedFrame,
@@ -86,6 +86,7 @@ def test_ppdu_empty():
 def test_ppdu_oversize():
     with pytest.raises(OversizePsdu):
         encode_ppdu(bytes(128))
+    _raises_exactly(OversizePsdu, "psdu is 128 octets, max 127", lambda: Ppdu(bytes(128)))
 
 
 def test_ppdu_decode_errors():
@@ -191,6 +192,19 @@ def test_fcs_detects_corruption():
         decode_mac_frame(bytes(data))
 
 
+def test_decode_runs_the_checks_its_input_can_fail():
+    ack = bytes.fromhex("020107beef0001")  # an ACK with a short destination address
+    _raises_exactly(
+        FrameError, "ACK frames carry no addressing and no payload",
+        lambda: decode_mac_frame(ack + crc16(ack).to_bytes(2, "big")),
+    )
+    over = bytes.fromhex("010500beef0002beef0001") + bytes(103)  # fits the PSDU, not the budget
+    _raises_exactly(
+        PayloadOverBudget, "payload 103 octets exceeds budget 102 for NONE",
+        lambda: decode_mac_frame(over + crc16(over).to_bytes(2, "big")),
+    )
+
+
 def test_truncated_frame():
     with pytest.raises(TruncatedFrame):
         decode_mac_frame(b"\x01\x00")
@@ -202,12 +216,6 @@ def test_truncated_frame():
 
 # --- value types ------------------------------------------------------------
 
-def _raises_exactly(error, message, build):
-    with pytest.raises(error, match=re.escape(message)) as caught:
-        build()
-    assert caught.type is error
-
-
 def test_value_types_keep_their_checks():
     addr = Short16(0xBEEF, 1)
     frame = MacFrame(FrameType.DATA, 7, src=addr, dst=EUI_B, payload=b"hi")
@@ -217,6 +225,7 @@ def test_value_types_keep_their_checks():
     _raises_exactly(ValueError, "pan_id out of range: -1", lambda: Short16(-1, 0))
     _raises_exactly(ValueError, "pan_id out of range: 65536", lambda: Short16(0x10000, 0))
     _raises_exactly(ValueError, "short address out of range: 65536", lambda: Short16(0, 0x10000))
+    _raises_exactly(ValueError, "EUI-64 must be 8 octets, got 7", lambda: Eui64(bytes(7)))
     _raises_exactly(ValueError, "sequence out of range: 256", lambda: MacFrame(FrameType.DATA, 256))
     _raises_exactly(ValueError, "sequence out of range: -1", lambda: MacFrame(FrameType.DATA, -1))
     _raises_exactly(ValueError, "hops_left out of range: 16", lambda: MeshHeader(addr, addr, 16))
@@ -294,9 +303,10 @@ def test_decode_raises_only_frame_errors(body):
     # a valid FCS gets random octets past the checksum and into the field parsers
     data = body + _crc16_table_oracle(body).to_bytes(2, "big")
     try:
-        decode_mac_frame(data)
+        frame = decode_mac_frame(data)
     except FrameError:
-        pass
+        return
+    check_rebuild(frame)
 
 
 # --- airtime ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from deliveries import watch
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from value_checks import check_rebuild, raises_exactly
 
 from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
 from lowpan.frame import FrameType, MacFrame, Short16, SecurityMode, encode_mac_frame, mac_payload_budget
@@ -133,6 +134,7 @@ def test_assign_pseudo_is_raw_concatenation():
     assert pseudo == IPv6Address("2001:db8::12:4b00:102:304")  # no U/L bit flip
     assert table.assign_pseudo(ext) == pseudo  # idempotent
     assert table.ext_for_pseudo(pseudo) == ext
+    raises_exactly(ValueError, "extended address must be 8 octets", lambda: table.assign_pseudo(ext[:7]))
 
 
 def test_assign_pseudo_needs_a_prefix():
@@ -632,9 +634,10 @@ def test_devid_downlink_over_budget_drops():
 @given(st.binary(max_size=24))
 def test_nwk_decode_raises_only_gateway_errors(data):
     try:
-        NwkFrame.decode(data)
+        nwk = NwkFrame.decode(data)
     except GatewayError:
-        pass
+        return
+    check_rebuild(nwk)
 
 
 @settings(max_examples=300)

@@ -1,10 +1,10 @@
-import re
 import struct
 from ipaddress import IPv6Address
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from value_checks import check_rebuild, raises_exactly as _raises_exactly
 
 from lowpan.gateway import GatewayError, NwkFrame
 from lowpan.ipv6 import (
@@ -181,18 +181,13 @@ def test_decode_udp_raises_only_packet_errors(data, fix_length):
     if fix_length and len(data) >= UDP_HEADER_OCTETS:
         struct.pack_into("!H", data, 4, len(data))
     try:
-        decode_udp(bytes(data))
+        udp = decode_udp(bytes(data))
     except PacketError:
-        pass
+        return
+    check_rebuild(udp)
 
 
 # --- value types ----------------------------------------------------------
-
-def _raises_exactly(error, message, build):
-    with pytest.raises(error, match=re.escape(message)) as caught:
-        build()
-    assert caught.type is error
-
 
 def test_packet_value_types_keep_their_checks():
     pkt = _packet(payload=b"hi")
