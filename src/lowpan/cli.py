@@ -24,7 +24,15 @@ from .frame import (
     frame_airtime,
 )
 from .gateway import GatewayMode
-from .ipv6 import decode_ipv6, decode_udp, encode_ipv6
+from .ipv6 import (
+    IPV6_HEADER_OCTETS,
+    NEXT_HEADER_ICMPV6,
+    NEXT_HEADER_TCP,
+    NEXT_HEADER_UDP,
+    decode_ipv6,
+    decode_udp,
+    encode_ipv6,
+)
 from .scenario import ScenarioError, load_scenario
 
 EXIT_OK = 0
@@ -35,7 +43,7 @@ EXIT_RUNTIME = 3
 DEFAULT_L2_SRC = "short:0xBEEF:0x0001"
 DEFAULT_L2_DST = "short:0xBEEF:0x0002"
 
-_NH_NAMES = {6: "tcp", 17: "udp", 58: "icmpv6"}
+_NH_NAMES = {NEXT_HEADER_TCP: "tcp", NEXT_HEADER_UDP: "udp", NEXT_HEADER_ICMPV6: "icmpv6"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -174,7 +182,7 @@ def _dump_ipv6(pkt) -> list[str]:
         f"src: {pkt.src}",
         f"dst: {pkt.dst}",
     ]
-    if pkt.next_header == 17:
+    if pkt.next_header == NEXT_HEADER_UDP:
         try:
             udp = decode_udp(pkt.payload)
             lines.append(
@@ -283,7 +291,7 @@ def _compress_lines(args) -> list[str]:
         f"compressed-hex: {stream.hex()}",
         f"hc1: src-mode={enc.src_mode} dst-mode={enc.dst_mode} "
         f"tcfl-zero={int(enc.tcfl_zero)} hc2={int(enc.hc2_follows)}",
-        f"octets: {len(stream)} (raw would be {1 + 40 + pkt.payload_length})",
+        f"octets: {len(stream)} (raw would be {1 + IPV6_HEADER_OCTETS + pkt.payload_length})",
     ]
 
 

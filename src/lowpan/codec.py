@@ -46,12 +46,11 @@ ports octet, checksum.
 The mesh addressing header's first octet is 10 V F HHHH: V and F are set
 for a short (2-octet) rather than EUI-64 (8-octet) originator and final
 address, which follow in that order, and HHHH is the hops-left budget.
-`MeshHeader` is an immutable value type like `frame.Short16` (a
-`frame.CheckedTuple` whose constructor runs the hops-left range check).
-Like every decoder, `decode_mesh` builds directly only the fields its
-format bounds, the 4-bit hops left and the 16-bit shorts, and runs every
-check its input can fail: the caller's `pan_id` is range-checked when a
-short address takes it.
+`Hc1Encoding`, `MeshHeader` and `FragHeader` are `frame.CheckedTuple`
+value types; only `MeshHeader` has a check, the hops-left range.  Their
+decoders build them directly, since every field is a masked bit field, a
+wire-sized integer or, for a mesh EUI-64, an 8-octet slice; `decode_mesh`
+range-checks the caller's `pan_id` when a short address takes it.
 `decode_mesh` reads both address widths from the first octet and parses
 the header straight through.  Because every bit of that octet is a
 header field, `encode_mesh(decode_mesh(h))` equals `h`, so a forwarder
@@ -62,7 +61,6 @@ instead of rebuilding and re-encoding the header.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from ipaddress import IPv6Address
 
@@ -185,34 +183,22 @@ _NH_CODE = {NEXT_HEADER_UDP: _NH_UDP, NEXT_HEADER_ICMPV6: _NH_ICMP, NEXT_HEADER_
 _NH_VALUE = {_NH_UDP: NEXT_HEADER_UDP, _NH_ICMP: NEXT_HEADER_ICMPV6, _NH_TCP: NEXT_HEADER_TCP}
 
 
-@dataclass(frozen=True)
-class Hc1Encoding:
+class Hc1Encoding(
+    CheckedTuple, namedtuple("Hc1Encoding", "src_mode dst_mode tcfl_zero next_header_mode hc2_follows")
+):
     """Decoded view of an HC1 octet."""
 
-    src_mode: int
-    dst_mode: int
-    tcfl_zero: bool
-    next_header_mode: int
-    hc2_follows: bool
+    __slots__ = ()
 
     @classmethod
     def from_byte(cls, byte: int) -> "Hc1Encoding":
-        return cls(
-            src_mode=(byte >> 6) & 0x03,
-            dst_mode=(byte >> 4) & 0x03,
-            tcfl_zero=bool((byte >> 3) & 0x01),
-            next_header_mode=(byte >> 1) & 0x03,
-            hc2_follows=bool(byte & 0x01),
+        return tuple.__new__(
+            cls, ((byte >> 6) & 0x03, (byte >> 4) & 0x03, bool(byte & 0x08), (byte >> 1) & 0x03, bool(byte & 0x01))
         )
 
     def to_byte(self) -> int:
-        return (
-            (self.src_mode << 6)
-            | (self.dst_mode << 4)
-            | (int(self.tcfl_zero) << 3)
-            | (self.next_header_mode << 1)
-            | int(self.hc2_follows)
-        )
+        src_mode, dst_mode, tcfl_zero, next_header_mode, hc2_follows = self
+        return src_mode << 6 | dst_mode << 4 | tcfl_zero << 3 | next_header_mode << 1 | hc2_follows
 
 
 def _address_mode(packed: bytes, link_addr: NodeAddress | None) -> int:
@@ -424,12 +410,14 @@ def decode_mesh(data: bytes, pan_id: int = 0) -> tuple[MeshHeader, int]:
     if first & 0x30 and not 0 <= pan_id <= 0xFFFF:
         raise ValueError(f"pan_id out of range: {pan_id}")
     originator = (
-        tuple.__new__(Short16, (pan_id, (data[1] << 8) | data[2])) if first & 0x20 else Eui64(data[1:9])
+        tuple.__new__(Short16, (pan_id, (data[1] << 8) | data[2]))
+        if first & 0x20
+        else tuple.__new__(Eui64, (data[1:9],))
     )
     final = (
         tuple.__new__(Short16, (pan_id, (data[mid] << 8) | data[mid + 1]))
         if first & 0x10
-        else Eui64(data[mid:end])
+        else tuple.__new__(Eui64, (data[mid:end],))
     )
     return tuple.__new__(MeshHeader, (originator, final, first & 0x0F)), end
 
@@ -465,12 +453,10 @@ def decode_bc0(data: bytes) -> tuple[int, int]:
 
 # --- fragmentation ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FragHeader:
-    datagram_size: int
-    tag: int
-    offset: int  # in 8-octet units; 0 for a first fragment
-    first: bool
+class FragHeader(CheckedTuple, namedtuple("FragHeader", "datagram_size tag offset first")):
+    """A fragment header; `offset` is in 8-octet units, 0 for a first fragment."""
+
+    __slots__ = ()
 
 
 def _check_frag_fields(datagram_size: int, tag: int):
@@ -518,4 +504,4 @@ def decode_frag(data: bytes) -> tuple[FragHeader, int]:
         raise MalformedFrag("fragment datagram size is 0", offset=0)
     tag = int.from_bytes(data[2:4], "big")
     offset = 0 if first else data[4]
-    return FragHeader(datagram_size, tag, offset, first), need
+    return tuple.__new__(FragHeader, (datagram_size, tag, offset, first)), need

@@ -47,17 +47,20 @@ precedes it; that is the stdlib's `binascii.crc_hqx(data, 0)`.  The
 budget arithmetic always uses the 25-octet worst case even when short
 addressing makes the actual header smaller.
 
-`Short16` and `MacFrame` (and `codec.MeshHeader`, `ipv6.Ipv6Packet`,
-`ipv6.UdpDatagram` and `gateway.NwkFrame`) are immutable value types:
-`CheckedTuple` subclasses of a `namedtuple` whose `__new__` runs every
-check.  They compare equal only to an instance of the same class with
-equal fields, hash by value, and `_make` / `_replace` go through the same
-checks.  A decoder builds directly, with `tuple.__new__`, only the fields
-its format bounds (a `struct` octet or 16-bit field, a masked nibble), and
-runs every check its input can fail.  Such a check is written once, in a
-helper that `__new__` calls too: `decode_mac_frame` builds its `Short16`
-addresses and its `MacFrame` directly, since the sequence number and every
-PAN and short are wire-sized, and runs `_check_frame_content`, the ACK and
+Every immutable value of the package is a `CheckedTuple`, a subclass of
+a `namedtuple` whose `__new__` runs every check of its fields: `Short16`,
+`Eui64`, `Ppdu` and `MacFrame` here, `codec.Hc1Encoding`,
+`codec.MeshHeader`, `codec.FragHeader`, `ipv6.Ipv6Packet`,
+`ipv6.UdpDatagram`, `reassembly.FragmentResult`, `gateway.AppHeader`,
+`gateway.NwkFrame`, `netsim.SleepSchedule` and `netsim.SimLink`.  Mutable
+state is a dataclass; `netsim.TraceRecord`, a read-only view of a trace
+row, is a `typing.NamedTuple` built by its plain `_make`.  A decoder
+builds directly, with `tuple.__new__`, only the fields its format bounds
+(a `struct` octet or 16-bit field, a masked bit field, a fixed-length
+slice), and runs every check its input can fail, written once in a helper
+that `__new__` calls too: `decode_mac_frame` builds its addresses and its
+`MacFrame` directly, since the sequence number and every PAN and short
+are wire-sized, and runs `_check_frame_content`, the ACK and
 payload-budget rules a received frame can break.
 """
 
@@ -66,7 +69,6 @@ from __future__ import annotations
 import binascii
 import struct
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 
 PREAMBLE = b"\x00\x00\x00\x00"
@@ -164,11 +166,11 @@ _SHORT_SHORT_FC1 = 0x05  # dst mode 1 | src mode 1 << 2
 class CheckedTuple(tuple):
     """Base of the immutable value types built on a `namedtuple`.
 
-    A subclass lists this class first, then its `namedtuple`, and defines a
-    `__new__` that checks its fields and returns `tuple.__new__(cls, fields)`.
-    Equality holds only between instances of the same class, as for a
-    dataclass, and `_make` (which `_replace` calls) builds through the
-    checking `__new__` rather than around it.
+    A subclass lists this class first, then its `namedtuple`; one with
+    checks defines a `__new__` that runs them and returns
+    `tuple.__new__(cls, fields)`.  Equality holds only between instances of
+    the same class, as for a dataclass, values hash as tuples, and `_make`
+    (which `_replace` calls) builds through `__new__` rather than around it.
     """
 
     __slots__ = ()
@@ -199,15 +201,15 @@ class Short16(CheckedTuple, namedtuple("Short16", "pan_id short")):
         return tuple.__new__(cls, (pan_id, short))
 
 
-@dataclass(frozen=True)
-class Eui64:
+class Eui64(CheckedTuple, namedtuple("Eui64", "eui")):
     """Globally unique 64-bit extended address."""
 
-    eui: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.eui) != 8:
-            raise ValueError(f"EUI-64 must be 8 octets, got {len(self.eui)}")
+    def __new__(cls, eui: bytes):
+        if len(eui) != 8:
+            raise ValueError(f"EUI-64 must be 8 octets, got {len(eui)}")
+        return tuple.__new__(cls, (eui,))
 
 
 NodeAddress = Short16 | Eui64
@@ -225,13 +227,13 @@ def frame_airtime(band: PhyBand, ppdu_octets: int) -> float:
     return ppdu_octets * 8 / band.bit_rate
 
 
-@dataclass(frozen=True)
-class Ppdu:
-    psdu: bytes
+class Ppdu(CheckedTuple, namedtuple("Ppdu", "psdu")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.psdu) > PSDU_MAX:
-            raise OversizePsdu(f"psdu is {len(self.psdu)} octets, max {PSDU_MAX}")
+    def __new__(cls, psdu: bytes):
+        if len(psdu) > PSDU_MAX:
+            raise OversizePsdu(f"psdu is {len(psdu)} octets, max {PSDU_MAX}")
+        return tuple.__new__(cls, (psdu,))
 
     @property
     def frame_length(self) -> int:
@@ -239,9 +241,7 @@ class Ppdu:
 
 
 def encode_ppdu(psdu: bytes) -> bytes:
-    if len(psdu) > PSDU_MAX:
-        raise OversizePsdu(f"psdu is {len(psdu)} octets, max {PSDU_MAX}")
-    return PREAMBLE + bytes([SFD, len(psdu)]) + psdu
+    return PREAMBLE + bytes([SFD, Ppdu(psdu).frame_length]) + psdu
 
 
 def decode_ppdu(data: bytes) -> Ppdu:
@@ -257,7 +257,7 @@ def decode_ppdu(data: bytes) -> Ppdu:
     psdu = data[PHY_OVERHEAD:]
     if len(psdu) != length:
         raise MalformedPpdu(f"frame length {length} but {len(psdu)} PSDU octets")
-    return Ppdu(psdu)
+    return tuple.__new__(Ppdu, (psdu,))
 
 
 def crc16(data: bytes) -> int:
@@ -338,7 +338,7 @@ def _decode_address(mode: int, data: bytes, pos: int) -> tuple[NodeAddress | Non
     if mode == 2:
         if pos + 10 > len(data):
             raise TruncatedFrame("EUI-64 address truncated")
-        return Eui64(data[pos + 2 : pos + 10]), pos + 10
+        return tuple.__new__(Eui64, (data[pos + 2 : pos + 10],)), pos + 10
     raise FrameError(f"unknown addressing mode {mode}")
 
 

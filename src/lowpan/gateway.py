@@ -36,11 +36,11 @@ from ipaddress import IPv6Address
 
 from .codec import DispatchKind, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh, parse_dispatch
 from .frame import CheckedTuple, NodeAddress, SecurityMode, mac_payload_budget
-from .ipv6 import NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
+from .ipv6 import IPV6_HEADER_OCTETS, IPV6_MIN_LINK_MTU, NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, fragment
 
 APL_MAX_OCTETS = 94
-APL_BLOCK = 1240  # 1280-octet minimum MTU minus the 40-octet IPv6 header
+APL_BLOCK = IPV6_MIN_LINK_MTU - IPV6_HEADER_OCTETS
 APL_NEXT_HEADER = 253  # experimentation value carrying padded APL blocks
 
 TUNNEL_UDP_PORT = 55840
@@ -123,12 +123,21 @@ def demux(frame_payload: bytes) -> TrafficClass:
 
 # --- devid translation ---------------------------------------------------
 
-@dataclass(frozen=True)
-class AppHeader:
-    """Device identifiers carried at the top of the application payload."""
+class AppHeader(CheckedTuple, namedtuple("AppHeader", "src_devid dst_devid")):
+    """Device identifiers carried at the top of the application payload.
 
-    src_devid: int
-    dst_devid: int
+    A `frame.CheckedTuple` value type: `__new__` range-checks both, and
+    `decode` builds the header directly from two 16-bit fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src_devid: int, dst_devid: int):
+        if not 0 <= src_devid <= 0xFFFF:
+            raise ValueError(f"src_devid out of range: {src_devid}")
+        if not 0 <= dst_devid <= 0xFFFF:
+            raise ValueError(f"dst_devid out of range: {dst_devid}")
+        return tuple.__new__(cls, (src_devid, dst_devid))
 
     def encode(self) -> bytes:
         return struct.pack("!HH", self.src_devid, self.dst_devid)
@@ -137,7 +146,7 @@ class AppHeader:
     def decode(cls, data: bytes) -> "AppHeader":
         if len(data) < 4:
             raise GatewayError("application header needs 4 octets")
-        return cls(*struct.unpack("!HH", data[:4]))
+        return tuple.__new__(cls, struct.unpack("!HH", data[:4]))
 
 
 Endpoint = IPv6Address | NodeAddress
@@ -173,9 +182,9 @@ class NwkFrame(
 
     The high two bits of the leading frame-control octet are kept zero
     so the frame classifies as non-6LoWPAN under the dispatch table.
-    A `frame.CheckedTuple` value type: that check is `_check_frame_control`,
-    which `__new__` (and so `_make` / `_replace`) and `decode` run.  `decode`
-    builds the frame directly, since every other field is wire-sized.
+    A `frame.CheckedTuple` value type: `__new__` range-checks every field
+    but the payload and runs `_check_frame_control`, the one check `decode`
+    runs too, since it builds the frame from wire-sized fields.
     """
 
     __slots__ = ()
@@ -189,21 +198,22 @@ class NwkFrame(
         frame_control: int = 0x0900,
         payload: bytes = b"",
     ):
+        if not 0 <= dst_short <= 0xFFFF:
+            raise ValueError(f"dst_short out of range: {dst_short}")
+        if not 0 <= src_short <= 0xFFFF:
+            raise ValueError(f"src_short out of range: {src_short}")
+        if not 0 <= radius <= 0xFF:
+            raise ValueError(f"radius out of range: {radius}")
+        if not 0 <= sequence <= 0xFF:
+            raise ValueError(f"sequence out of range: {sequence}")
         _check_frame_control(frame_control)
+        if frame_control > 0xFFFF:  # a negative one fails `_check_frame_control`
+            raise ValueError(f"frame_control out of range: {frame_control}")
         return tuple.__new__(cls, (dst_short, src_short, radius, sequence, frame_control, payload))
 
     def encode(self) -> bytes:
-        return (
-            struct.pack(
-                "!HHHBB",
-                self.frame_control,
-                self.dst_short,
-                self.src_short,
-                self.radius,
-                self.sequence,
-            )
-            + self.payload
-        )
+        dst_short, src_short, radius, sequence, frame_control, payload = self
+        return struct.pack("!HHHBB", frame_control, dst_short, src_short, radius, sequence) + payload
 
     @classmethod
     def decode(cls, data: bytes) -> "NwkFrame":

@@ -4,15 +4,12 @@ The IPv6 header is a fixed 40 octets, the UDP header a fixed 8.  TCP is
 not modelled as a transport; it exists only as a next-header code and a
 20-octet size constant for budget arithmetic.
 
-`Ipv6Packet` and `UdpDatagram` are immutable value types built, like the
-MAC-layer ones, on `frame.CheckedTuple`: `__new__` runs every range check
-(traffic class, flow label, next header, hop limit and payload size; each
-port and the checksum), and `_make` / `_replace` run them too.  A decoder
-builds directly only the fields its format bounds, and runs every check
-its input can fail.  `decode_udp` (and `codec.decompress_udp`) read each
-port and the checksum as a 16-bit field, so they build the `UdpDatagram`
-directly, as `udp_packet` builds its checksummed copy of a datagram whose
-ports `__new__` has checked.  Every `Ipv6Packet` is built checked.
+`Ipv6Packet` and `UdpDatagram` are `frame.CheckedTuple` value types whose
+`__new__` range-checks every header field and the payload size.
+`decode_udp` (and `codec.decompress_udp`) read each port and the checksum
+as a 16-bit field, so they build the `UdpDatagram` directly, as
+`udp_packet` builds its checksummed copy of a datagram whose ports
+`__new__` has checked.  Every `Ipv6Packet` is built checked.
 """
 
 from __future__ import annotations

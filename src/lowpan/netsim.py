@@ -96,7 +96,7 @@ from .gateway import (
     NWK_BROADCAST_SHORT,
     mesh_fragments,
 )
-from .ipv6 import UDP_HEADER_OCTETS, Ipv6Packet, PacketError, udp_packet
+from .ipv6 import IPV6_HEADER_OCTETS, UDP_HEADER_OCTETS, Ipv6Packet, PacketError, udp_packet
 from .reassembly import (
     REASSEMBLY_TIMEOUT,
     FragmentOutcome,
@@ -118,28 +118,24 @@ class NodeRole(Enum):
         self.forwards: bool = value != "rfd"
 
 
-@dataclass(frozen=True)
-class SleepSchedule:
-    """Periodic awake/asleep cycle starting awake at t=0."""
+class SleepSchedule(CheckedTuple, namedtuple("SleepSchedule", "awake asleep")):
+    """Periodic awake/asleep cycle starting awake at t=0; `__new__` refuses a negative time or a zero period."""
 
-    awake: float
-    asleep: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.awake >= 0 and self.asleep >= 0 and self.awake + self.asleep > 0):
-            raise ValueError(f"sleep needs awake and asleep >= 0 and a period > 0, not {self.awake}/{self.asleep}")
+    def __new__(cls, awake: float, asleep: float):
+        if not (awake >= 0 and asleep >= 0 and awake + asleep > 0):
+            raise ValueError(f"sleep needs awake and asleep >= 0 and a period > 0, not {awake}/{asleep}")
+        return tuple.__new__(cls, (awake, asleep))
 
     def is_awake(self, t: float) -> bool:
         return t % (self.awake + self.asleep) < self.awake
 
 
-class SimLink(CheckedTuple, namedtuple("SimLink", "a b band loss_probability")):
+class SimLink(CheckedTuple, namedtuple("SimLink", "a b band loss_probability", defaults=(PhyBand.B2450, 0.0))):
     """A radio link between two nodes of one PAN; an unchecked value type."""
 
     __slots__ = ()
-
-    def __new__(cls, a: str, b: str, band: PhyBand = PhyBand.B2450, loss_probability: float = 0.0):
-        return tuple.__new__(cls, (a, b, band, loss_probability))
 
 
 class TraceRecord(NamedTuple):
@@ -693,7 +689,7 @@ class World:
         self.bump("header_octets", len(stream) - app_octets)
         self.bump("header_count")
         self.bump("stream_octets", len(stream))
-        self.bump("uncompressed_octets", 1 + 40 + len(pkt.payload))
+        self.bump("uncompressed_octets", 1 + IPV6_HEADER_OCTETS + len(pkt.payload))
 
     def _do_broadcast(self, src_id: str, payload: bytes, hops: int | None):
         node = self.nodes[src_id]

@@ -13,11 +13,12 @@ simulated time supplied by the caller: the whole datagram must arrive
 within 60 seconds of the first fragment, otherwise the stale buffer is
 discarded and the late fragment starts a fresh one.  The caller may
 also discard a buffer at its deadline: each fragment that opens one
-reports its key.
+reports its key in its `FragmentResult`, an unchecked `frame.CheckedTuple`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,7 +31,7 @@ from .codec import (
     encode_frag_first,
     encode_frag_subsequent,
 )
-from .frame import NodeAddress
+from .frame import CheckedTuple, NodeAddress
 
 REASSEMBLY_TIMEOUT = 60.0
 MIN_PAYLOAD_BUDGET = 16
@@ -116,12 +117,12 @@ class FragmentOutcome(Enum):
     DROPPED = "dropped"
 
 
-@dataclass(frozen=True)
-class FragmentResult:
-    outcome: FragmentOutcome
-    datagram: bytes | None = None
-    reason: str | None = None
-    opened: tuple[NodeAddress, int] | None = None  # key of a buffer this fragment started
+class FragmentResult(
+    CheckedTuple, namedtuple("FragmentResult", "outcome datagram reason opened", defaults=(None, None, None))
+):
+    """What one fragment did; `opened` is the key of a buffer it started."""
+
+    __slots__ = ()
 
 
 _PENDING = FragmentResult(FragmentOutcome.PENDING)

@@ -95,6 +95,13 @@ def _udp_packet(sport=0xF0B3, dport=0xF0BF, payload=b"hi", **kwargs) -> Ipv6Pack
     return Ipv6Packet(**defaults)
 
 
+def test_every_hc1_octet_decodes_to_a_value_that_encodes_it():
+    for byte in range(256):
+        enc = Hc1Encoding.from_byte(byte)
+        check_rebuild(enc)
+        assert enc.to_byte() == byte
+
+
 def test_hc1_best_case_layout():
     stream = compress_ipv6(_udp_packet(), L2_SRC, L2_DST)
     assert stream[0] == DISPATCH_HC1
@@ -313,9 +320,10 @@ def test_decode_bc0_raises_only_codec_errors(bc0, rest):
        rest=st.binary(max_size=8))
 def test_decode_frag_raises_only_codec_errors(first, rest):
     try:
-        decode_frag(bytes([first]) + rest)
+        header, _ = decode_frag(bytes([first]) + rest)
     except CodecError:
-        pass
+        return
+    check_rebuild(header)
 
 
 @settings(max_examples=300)

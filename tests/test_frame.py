@@ -71,6 +71,7 @@ def test_ppdu_roundtrip_all_lengths():
         encoded = encode_ppdu(psdu)
         assert len(encoded) == PHY_OVERHEAD + n
         assert decode_ppdu(encoded).psdu == psdu
+        check_rebuild(decode_ppdu(encoded))
 
 
 def test_ppdu_ack_size():
@@ -87,6 +88,8 @@ def test_ppdu_oversize():
     with pytest.raises(OversizePsdu):
         encode_ppdu(bytes(128))
     _raises_exactly(OversizePsdu, "psdu is 128 octets, max 127", lambda: Ppdu(bytes(128)))
+    _raises_exactly(OversizePsdu, "psdu is 128 octets, max 127", lambda: encode_ppdu(bytes(128)))
+    _raises_exactly(OversizePsdu, "psdu is 128 octets, max 127", lambda: Ppdu(b"")._replace(psdu=bytes(128)))
 
 
 def test_ppdu_decode_errors():
@@ -246,6 +249,7 @@ def test_value_types_keep_their_checks():
     _raises_exactly(ValueError, "short address out of range: 65536", lambda: Short16._make((1, 0x10000)))
     _raises_exactly(ValueError, "sequence out of range: 256", lambda: frame._replace(sequence=256))
     _raises_exactly(ValueError, "hops_left out of range: 16", lambda: mesh._replace(hops_left=16))
+    _raises_exactly(ValueError, "EUI-64 must be 8 octets, got 9", lambda: Eui64._make((bytes(9),)))
     assert frame._replace(sequence=8) == MacFrame(FrameType.DATA, 8, src=addr, dst=EUI_B, payload=b"hi")
 
     # immutable

@@ -644,6 +644,7 @@ def test_nwk_decode_raises_only_gateway_errors(data):
 @given(st.binary(max_size=8))
 def test_app_header_decode_raises_only_gateway_errors(data):
     try:
-        AppHeader.decode(data)
+        header = AppHeader.decode(data)
     except GatewayError:
-        pass
+        return
+    check_rebuild(header)

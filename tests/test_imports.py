@@ -61,6 +61,39 @@ def test_module_imports_no_private_name(module):
     assert private_imports(SOURCES[module].read_text()) == []
 
 
+def frozen_dataclasses(source: str) -> list[str]:
+    """The classes `source` decorates with `dataclass(frozen=True)`, with their lines."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for decorator in node.decorator_list
+        if isinstance(decorator, ast.Call)
+        and getattr(decorator.func, "id", getattr(decorator.func, "attr", None)) == "dataclass"
+        and any(
+            keyword.arg == "frozen" and getattr(keyword.value, "value", None) is True
+            for keyword in decorator.keywords
+        )
+    ]
+
+
+def test_frozen_dataclasses_finds_each_spelling():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass A: pass\n"
+        "@dataclasses.dataclass(eq=True, frozen=True)\nclass B: pass\n"
+        "@dataclass\nclass C: pass\n"
+        "@dataclass(frozen=False)\nclass D: pass\n"
+        "@dataclass(eq=False)\nclass E: pass\n"
+    )
+    assert frozen_dataclasses(source) == ["A (line 4)", "B (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_immutable_values_are_checked_tuples_not_frozen_dataclasses(module):
+    # one idiom for an immutable value: a `frame.CheckedTuple`
+    assert frozen_dataclasses((PACKAGE / module).read_text()) == []
+
+
 def named(source: str) -> tuple[set[str], set[str]]:
     """The attributes `source` reads, and all its names: those attributes,
     names, import aliases and string constants."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from value_checks import check_rebuild, raises_exactly as _raises_exactly
 
-from lowpan.gateway import GatewayError, NwkFrame
+from lowpan.gateway import AppHeader, GatewayError, NwkFrame
 from lowpan.ipv6 import (
     IPV6_HEADER_OCTETS,
     NEXT_HEADER_UDP,
@@ -225,6 +225,24 @@ def test_packet_value_types_keep_their_checks():
     for frame_control in (0x4000, 0x8000, 0xC000, 0x40FF):
         _raises_exactly(GatewayError, collision, lambda: NwkFrame(1, 2, frame_control=frame_control))
     NwkFrame(1, 2, frame_control=0x3FFF)
+    nwk_fields = (("dst_short", 0xFFFF), ("src_short", 0xFFFF), ("radius", 0xFF), ("sequence", 0xFF))
+    for position, (name, top) in enumerate(nwk_fields):
+        fields = [0, 0, 0, 0]
+        fields[position] = top
+        NwkFrame(*fields)
+        fields[position] = top + 1
+        _raises_exactly(ValueError, f"{name} out of range: {top + 1}", lambda: NwkFrame(*fields))
+        fields[position] = -1
+        _raises_exactly(ValueError, f"{name} out of range: -1", lambda: NwkFrame(*fields))
+    _raises_exactly(ValueError, "frame_control out of range: 65536", lambda: NwkFrame(1, 2, frame_control=0x10000))
+    for position, name in enumerate(("src_devid", "dst_devid")):
+        fields = [0, 0]
+        fields[position] = 0xFFFF
+        AppHeader(*fields)
+        fields[position] = 0x10000
+        _raises_exactly(ValueError, f"{name} out of range: 65536", lambda: AppHeader(*fields))
+        fields[position] = -1
+        _raises_exactly(ValueError, f"{name} out of range: -1", lambda: AppHeader(*fields))
 
     # no other way to build one skips them
     _raises_exactly(ValueError, "hop limit out of range: 256", lambda: pkt._replace(hop_limit=256))
@@ -233,6 +251,8 @@ def test_packet_value_types_keep_their_checks():
     _raises_exactly(ValueError, "dst_port out of range: -1", lambda: UdpDatagram._make((1, -1, 0, b"")))
     _raises_exactly(GatewayError, collision, lambda: nwk._replace(frame_control=0xC000))
     _raises_exactly(GatewayError, collision, lambda: NwkFrame._make((1, 2, 8, 0, 0x8000, b"")))
+    _raises_exactly(ValueError, "radius out of range: 256", lambda: nwk._replace(radius=256))
+    _raises_exactly(ValueError, "dst_devid out of range: 65536", lambda: AppHeader._make((1, 0x10000)))
     assert udp._replace(checksum=5) == UdpDatagram(7, 9, 5, b"data")
     assert pkt._replace(hop_limit=1) == _packet(payload=b"hi", hop_limit=1)
 

@@ -12,6 +12,7 @@ from drop_reasons import drop_reasons
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_digests import _workloads
+from value_checks import raises_exactly
 
 from lowpan import addressing, netsim, scenario
 from lowpan.codec import MeshHeader, encode_mesh
@@ -359,6 +360,8 @@ def test_a_sleep_schedule_needs_a_positive_period():
     for awake, asleep in [(1.0, -1.0), (-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan)]:
         with pytest.raises(ValueError, match="period > 0"):
             SleepSchedule(awake, asleep)
+    with pytest.raises(ValueError, match="period > 0"):  # no other way to build one skips the check
+        SleepSchedule(1.0, 1.0)._replace(awake=0.0, asleep=0.0)
 
 
 def test_sleeping_sender_drops():
@@ -578,6 +581,17 @@ def test_drops_without_gateway_have_a_reason():
     assert metrics["sent"] == 2
     assert metrics["drops_no-route"] == 2
     assert metrics["drops"] == sum(v for k, v in metrics.items() if k.startswith("drops_"))
+
+
+@pytest.mark.parametrize("send, message", [
+    (lambda world: world.send_udp(0.0, "a", "b", 0x10000, 1, b"x"), "src_port out of range: 65536"),
+    (lambda world: world.send_app(0.0, "a", 0x10000, 1, b"x"), "src_devid out of range: 65536"),
+    (lambda world: world.send_nwk(0.0, "a", 0x10000, b"x"), "dst_short out of range: 65536"),
+])
+def test_a_header_field_out_of_range_stops_the_run_with_its_value_error(send, message):
+    world = make_line()
+    send(world)
+    raises_exactly(ValueError, message, world.run)
 
 
 # --- drop branches that need no random draw ----------------------------------

@@ -11,15 +11,15 @@ import re
 
 import pytest
 
-from lowpan.frame import Short16
+from lowpan.frame import Eui64, Short16
 
 
 def check_rebuild(value):
-    """`type(value)._make(value) == value`, and so for each `Short16` field."""
+    """`type(value)._make(value) == value`, and so for each `Short16` or `Eui64` field."""
     assert type(value)._make(value) == value
     for field in value:
-        if isinstance(field, Short16):
-            assert Short16._make(field) == field
+        if isinstance(field, (Short16, Eui64)):
+            assert type(field)._make(field) == field
 
 
 def raises_exactly(error, message, build):
