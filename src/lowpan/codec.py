@@ -47,7 +47,8 @@ The mesh addressing header's first octet is 10 V F HHHH: V and F are set
 for a short (2-octet) rather than EUI-64 (8-octet) originator and final
 address, which follow in that order, and HHHH is the hops-left budget.
 `Hc1Encoding`, `MeshHeader` and `FragHeader` are `frame.CheckedTuple`
-value types; only `MeshHeader` has a check, the hops-left range.  Their
+value types; `Hc1Encoding` checks its modes and flags against their bit
+widths, `MeshHeader` the hops-left range, and `FragHeader` nothing.  Their
 decoders build them directly, since every field is a masked bit field, a
 wire-sized integer or, for a mesh EUI-64, an 8-octet slice; `decode_mesh`
 range-checks the caller's `pan_id` when a short address takes it.
@@ -186,9 +187,22 @@ _NH_VALUE = {_NH_UDP: NEXT_HEADER_UDP, _NH_ICMP: NEXT_HEADER_ICMPV6, _NH_TCP: NE
 class Hc1Encoding(
     CheckedTuple, namedtuple("Hc1Encoding", "src_mode dst_mode tcfl_zero next_header_mode hc2_follows")
 ):
-    """Decoded view of an HC1 octet."""
+    """Decoded view of an HC1 octet: three two-bit modes and two one-bit flags."""
 
     __slots__ = ()
+
+    def __new__(cls, src_mode: int, dst_mode: int, tcfl_zero: bool, next_header_mode: int, hc2_follows: bool):
+        if not 0 <= src_mode <= 3:
+            raise ValueError(f"src_mode out of range: {src_mode}")
+        if not 0 <= dst_mode <= 3:
+            raise ValueError(f"dst_mode out of range: {dst_mode}")
+        if tcfl_zero not in (0, 1):
+            raise ValueError(f"tcfl_zero out of range: {tcfl_zero}")
+        if not 0 <= next_header_mode <= 3:
+            raise ValueError(f"next_header_mode out of range: {next_header_mode}")
+        if hc2_follows not in (0, 1):
+            raise ValueError(f"hc2_follows out of range: {hc2_follows}")
+        return tuple.__new__(cls, (src_mode, dst_mode, tcfl_zero, next_header_mode, hc2_follows))
 
     @classmethod
     def from_byte(cls, byte: int) -> "Hc1Encoding":

@@ -52,9 +52,10 @@ a `namedtuple` whose `__new__` runs every check of its fields: `Short16`,
 `Eui64`, `Ppdu` and `MacFrame` here, `codec.Hc1Encoding`,
 `codec.MeshHeader`, `codec.FragHeader`, `ipv6.Ipv6Packet`,
 `ipv6.UdpDatagram`, `reassembly.FragmentResult`, `gateway.AppHeader`,
-`gateway.NwkFrame`, `netsim.SleepSchedule` and `netsim.SimLink`.  Mutable
-state is a dataclass; `netsim.TraceRecord`, a read-only view of a trace
-row, is a `typing.NamedTuple` built by its plain `_make`.  A decoder
+`gateway.NwkFrame`, `netsim.SleepSchedule`, `netsim.SimLink` and
+`netsim.WiredHost`; `netsim.TraceRecord`, a read-only view of a trace row,
+is the plain `namedtuple` under that idiom, built by its own `_make` with
+no check.  Mutable state is a dataclass.  A decoder
 builds directly, with `tuple.__new__`, only the fields its format bounds
 (a `struct` octet or 16-bit field, a masked bit field, a fixed-length
 slice), and runs every check its input can fail, written once in a helper

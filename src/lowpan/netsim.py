@@ -37,6 +37,13 @@ Node behaviour:
     first sees a flood; most nodes of a large mesh never need it.  Its
     fragment tag (`frag_tag`) is a plain counter, like its sequence numbers.
 
+Addressing: a UDP send names each node end link-local when both ends are
+nodes of one PAN and the destination is no gateway, and by `node_global`
+(its PAN gateway's delegated prefix and its interface identifier)
+otherwise; a host end is its own address and a gateway destination the
+gateway's wired address.  Each gateway translation, up, down or a relayed
+flood, writes one `gw-translate` record, through `World._translated`.
+
 Trace records are one line each: time, node, event kind, detail and a
 byte count, tab separated.  Only `World._deliver` writes `deliver` records
 and only `World._drop` writes `drop` records; no delivered payload is kept.
@@ -49,11 +56,9 @@ import random
 from array import array
 from collections import OrderedDict, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from ipaddress import IPv6Address
-from typing import NamedTuple
 
 from . import addressing
 from .codec import (
@@ -138,12 +143,7 @@ class SimLink(CheckedTuple, namedtuple("SimLink", "a b band loss_probability", d
     __slots__ = ()
 
 
-class TraceRecord(NamedTuple):
-    time: float
-    node: str
-    kind: str
-    detail: str = ""
-    nbytes: int = 0
+TraceRecord = namedtuple("TraceRecord", "time node kind detail nbytes", defaults=("", 0))
 
 
 class _Memo(dict):
@@ -292,10 +292,17 @@ class SimNode:
         return tag
 
 
-@dataclass
-class WiredHost:
-    id: str
-    addr: IPv6Address
+class WiredHost(CheckedTuple, namedtuple("WiredHost", "id addr")):
+    """A wired IPv6 host: its id and address; an unchecked value type."""
+
+    __slots__ = ()
+
+
+def _check_range(name: str, value: int, top: int):
+    """Refuse at the send call a field that the header built from it would
+    refuse when the send runs, with that header's `ValueError`."""
+    if not 0 <= value <= top:
+        raise ValueError(f"{name} out of range: {value}")
 
 
 def synth_eui(pan_id: int, short: int) -> bytes:
@@ -600,25 +607,29 @@ class World:
         *,
         hops: int | None = None,
     ):
+        _check_range("src_port", sport, 0xFFFF)
+        _check_range("dst_port", dport, 0xFFFF)
+        if hops is not None:
+            _check_range("hops_left", hops, 0x0F)
         self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops))
 
     def _pick_addresses(self, src_id: str, dst_id: str) -> tuple[IPv6Address, IPv6Address]:
-        dst_node = self.nodes.get(dst_id)  # None at a wired host
-        wired_dst = dst_node is None or dst_node.gateway is not None
-        if src_id in self.hosts:
+        """Name a UDP send's ends, the source first: a node link-local when both ends are nodes
+        of one PAN and the destination is no gateway, else by `node_global`; a host by its own
+        address and a gateway destination by its wired one."""
+        src_node, dst_node = self.nodes.get(src_id), self.nodes.get(dst_id)  # None at a wired host
+        local = (src_node is not None and dst_node is not None
+                 and dst_node.gateway is None and src_node.pan_id == dst_node.pan_id)
+        if src_node is None:
             src = self.hosts[src_id].addr
-        elif wired_dst or dst_node.pan_id != self.nodes[src_id].pan_id:
-            src = self.node_global(src_id)
         else:
-            src = self.nodes[src_id].link_local
+            src = src_node.link_local if local else self.node_global(src_id)
         if dst_node is None:
             dst = self.hosts[dst_id].addr
         elif dst_node.gateway is not None:
             dst = dst_node.gateway.wired_addr
-        elif src_id in self.hosts or self.nodes[src_id].pan_id != dst_node.pan_id:
-            dst = self.node_global(dst_id)
         else:
-            dst = dst_node.link_local
+            dst = dst_node.link_local if local else self.node_global(dst_id)
         return src, dst
 
     def _do_send_udp(self, src_id, dst_id, sport, dport, payload, hops):
@@ -636,12 +647,15 @@ class World:
             self._node_send_ipv6(self.nodes[src_id], pkt, hops)
 
     def broadcast(self, at: float, src_id: str, payload: bytes, *, hops: int | None = None):
+        if hops is not None:
+            _check_range("hops_left", hops, 0x0F)
         self.schedule(at, (self._do_broadcast, src_id, payload, hops))
 
     def send_app(self, at: float, src_id: str, src_devid: int, dst_devid: int, data: bytes):
-        self.schedule(at, (self._do_send_app, src_id, src_devid, dst_devid, data))
+        self.schedule(at, (self._do_send_app, src_id, AppHeader(src_devid, dst_devid), data))
 
     def send_nwk(self, at: float, src_id: str, dst_short: int, payload: bytes):
+        _check_range("dst_short", dst_short, 0xFFFF)
         self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 
     send_apl = send_nwk  # APL data rides a NWK frame as its payload
@@ -708,11 +722,11 @@ class World:
         self._deliver(src_id, f"kind=bc0 seq={seq} from={src_id}", len(payload), payload, "bcast_delivered")
         self._flood(node, data)
 
-    def _do_send_app(self, src_id: str, src_devid: int, dst_devid: int, data: bytes):
+    def _do_send_app(self, src_id: str, header: AppHeader, data: bytes):
         node = self.nodes[src_id]
-        payload = AppHeader(src_devid, dst_devid).encode() + data
+        payload = header.encode() + data
         self.bump("sent")
-        self.record(src_id, "send", f"kind=app devid={dst_devid}", len(data))
+        self.record(src_id, "send", f"kind=app devid={header.dst_devid}", len(data))
         gw_node = self.segment_gateway(node.pan_id)
         if gw_node is None:
             self._drop(src_id, "no-route", "detail=no-translator")
@@ -721,25 +735,21 @@ class World:
 
     def _do_send_nwk(self, src_id: str, dst_short: int, payload: bytes):
         node = self.nodes[src_id]
-        frame = NwkFrame(
-            dst_short=dst_short, src_short=node.short,
-            sequence=node.nwk_seq, payload=payload,
-        )
+        data = NwkFrame(dst_short=dst_short, src_short=node.short, sequence=node.nwk_seq, payload=payload).encode()
         node.nwk_seq = (node.nwk_seq + 1) & 0xFF
         self.bump("sent")
         self.record(src_id, "send", f"kind=nwk dst=0x{dst_short:04X}", len(payload))
         if dst_short == NWK_BROADCAST_SHORT:
-            self._flood(node, frame.encode())
+            self._flood(node, data)
             return
         local = self.by_addr.get((node.pan_id, dst_short))
-        if local is not None and local.id in self.neighbors[src_id]:
-            self._transmit(node, dst_short, frame.encode())
-            return
         gw_node = self.segment_gateway(node.pan_id)
-        if gw_node is None:
+        if local is not None and local.id in self.neighbors[src_id]:
+            self._transmit(node, dst_short, data)
+        elif gw_node is None:
             self._drop(src_id, "no-route", f"dst=0x{dst_short:04X}")
-            return
-        self._transmit(node, gw_node.short, frame.encode())
+        else:
+            self._transmit(node, gw_node.short, data)
 
     # --- radio -----------------------------------------------------------------
 
@@ -856,7 +866,10 @@ class World:
                 kind = parse_dispatch(data[0])
             if kind in (DispatchKind.HC1, DispatchKind.UNCOMPRESSED_IPV6):
                 pkt = decompress_ipv6(data, orig, final)
-                self._deliver_packet(node, pkt)
+                if node.gateway is not None:
+                    self._uplink(node, pkt)  # a border gateway: the packet crosses as is
+                else:
+                    self._deliver(node.id, f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length, pkt)
             else:
                 self._drop(node.id, "unknown-dispatch", f"byte=0x{data[0]:02X}")
         except (CodecError, ReassemblyError) as exc:
@@ -897,18 +910,10 @@ class World:
         gw = node.gateway
         if gw is not None and gw.subscribers:
             for pkt in gw.relay_broadcast(payload):
-                dst = self._addr_text[pkt.dst]
-                self.record(node.id, "gw-translate", f"mode={gw.mode.value} dir=bcast dst={dst}")
-                self.wired_send(node.id, pkt)
+                self._uplink(node, pkt, "bcast")
         if node.role.forwards and mesh.hops_left - 1 > 0:
             self.record(node.id, "forward", f"final=bcast hops={mesh.hops_left - 1}")
             self._flood(node, decrement_hops(data))
-
-    def _deliver_packet(self, node: SimNode, pkt: Ipv6Packet):
-        if node.gateway is not None:
-            self._uplink(node, pkt)  # a border gateway: the packet crosses as is
-            return
-        self._deliver(node.id, f"kind=ipv6 from={self._addr_text[pkt.src]}", pkt.payload_length, pkt)
 
     def _rx_app(self, node: SimNode, frame: MacFrame):
         gw = node.gateway
@@ -973,45 +978,41 @@ class World:
 
     def _gateway_downlink(self, node: SimNode, pkt: Ipv6Packet):
         gw = node.gateway
+        if gw.mode is GatewayMode.BORDER:  # the packet crosses as is
+            if gw.owns_prefix(pkt.dst):
+                self._translated(node, "down", self._addr_text[pkt.dst])
+                self._node_send_ipv6(node, pkt)
+            else:
+                self._drop(node.id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
+            return
         try:
-            if gw.mode is GatewayMode.BORDER:
-                if gw.owns_prefix(pkt.dst):
-                    self._downlink(node, pkt)
-                else:
-                    self._drop(node.id, "no-such-node", f"dst={self._addr_text[pkt.dst]}")
-            elif gw.mode is GatewayMode.DEVID:
+            if gw.mode is GatewayMode.DEVID:
                 endpoint, payload = gw.devid_downlink(pkt, node.security)
-                self._downlink(node, pkt, endpoint.short, payload)
+                dst_short = endpoint.short
             else:
                 if gw.mode is GatewayMode.ZIGBEE:
                     nwk = gw.zigbee_downlink(pkt, self.zigbee_shorts[node.pan_id], node.nwk_seq)
                     node.nwk_seq = (node.nwk_seq + 1) & 0xFF
                 else:
                     nwk = gw.bridge_downlink(pkt)
-                self._downlink(node, pkt, nwk.dst_short, nwk.encode())
+                dst_short, payload = nwk.dst_short, nwk.encode()
         except (GatewayError, PacketError) as exc:
             self._drop(node.id, exc.reason)
+            return
+        self._translated(node, "down", f"0x{dst_short:04X}")
+        self._transmit(node, dst_short, payload)
 
-    def _uplink(self, node: SimNode, pkt: Ipv6Packet):
-        """Trace and count one packet gateway `node` translated, then send it on the wire."""
-        dst = self._addr_text[pkt.dst]
-        self.record(node.id, "gw-translate", f"mode={node.gateway.mode.value} dir=up dst={dst}")
-        self.bump("gw_translations")
+    def _uplink(self, node: SimNode, pkt: Ipv6Packet, direction: str = "up"):
+        """Send on the wire a packet gateway `node` translated `up` or relayed from a flood (`bcast`)."""
+        self._translated(node, direction, self._addr_text[pkt.dst])
         self.wired_send(node.id, pkt)
 
-    def _downlink(self, node: SimNode, pkt: Ipv6Packet, dst_short: int | None = None, payload: bytes = b""):
-        """Trace and count gateway `node`'s translation of `pkt`, then send it into the PAN.
-
-        Border mode sends `pkt` itself through the 6LoWPAN stack; the other
-        modes send their translated MAC payload to `dst_short`.
-        """
-        dst = self._addr_text[pkt.dst] if dst_short is None else f"0x{dst_short:04X}"
-        self.record(node.id, "gw-translate", f"mode={node.gateway.mode.value} dir=down dst={dst}")
-        self.bump("gw_translations")
-        if dst_short is None:
-            self._node_send_ipv6(node, pkt)
-        else:
-            self._transmit(node, dst_short, payload)
+    def _translated(self, node: SimNode, direction: str, dst: str):
+        """The one `gw-translate` record: gateway `node` translated a datagram `up`, `down` or,
+        relaying a flood, `bcast` toward `dst`; `gw_translations` counts the first two."""
+        self.record(node.id, "gw-translate", f"mode={node.gateway.mode.value} dir={direction} dst={dst}")
+        if direction != "bcast":
+            self.bump("gw_translations")
 
     # --- reporting --------------------------------------------------------------
 

@@ -102,6 +102,18 @@ def test_every_hc1_octet_decodes_to_a_value_that_encodes_it():
         assert enc.to_byte() == byte
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((4, 0, False, 0, False), "src_mode out of range: 4"),
+    ((0, -1, False, 0, False), "dst_mode out of range: -1"),
+    ((0, 0, 2, 0, False), "tcfl_zero out of range: 2"),
+    ((0, 0, False, 4, False), "next_header_mode out of range: 4"),
+    ((0, 0, False, 0, 2), "hc2_follows out of range: 2"),
+], ids=["src_mode", "dst_mode", "tcfl_zero", "next_header_mode", "hc2_follows"])
+def test_an_hc1_field_wider_than_its_bits_is_refused(fields, message):
+    # unchecked, (4, 0, False, 0, False) would encode as 0x100
+    raises_exactly(ValueError, message, lambda: Hc1Encoding(*fields))
+
+
 def test_hc1_best_case_layout():
     stream = compress_ipv6(_udp_packet(), L2_SRC, L2_DST)
     assert stream[0] == DISPATCH_HC1

@@ -94,6 +94,32 @@ def test_immutable_values_are_checked_tuples_not_frozen_dataclasses(module):
     assert frozen_dataclasses((PACKAGE / module).read_text()) == []
 
 
+def typed_named_tuples(source: str) -> list[str]:
+    """The classes `source` bases on `typing.NamedTuple`, with their lines."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+        for base in node.bases if getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+    ]
+
+
+def test_typed_named_tuples_finds_each_spelling():
+    source = (
+        "import typing\nfrom typing import NamedTuple\nfrom collections import namedtuple\n"
+        "class A(NamedTuple):\n    x: int\n"
+        "class B(typing.NamedTuple):\n    x: int\n"
+        "class C(namedtuple('C', 'x')): pass\n"
+        "class D(tuple): pass\n"
+    )
+    assert typed_named_tuples(source) == ["A (line 4)", "B (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_immutable_values_are_not_typed_named_tuples(module):
+    # a value is a `frame.CheckedTuple`; `netsim.TraceRecord`, a trace row, a plain `collections.namedtuple`
+    assert typed_named_tuples((PACKAGE / module).read_text()) == []
+
+
 def named(source: str) -> tuple[set[str], set[str]]:
     """The attributes `source` reads, and all its names: those attributes,
     names, import aliases and string constants."""

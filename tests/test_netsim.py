@@ -17,7 +17,7 @@ from value_checks import raises_exactly
 from lowpan import addressing, netsim, scenario
 from lowpan.codec import MeshHeader, encode_mesh
 from lowpan.frame import Eui64, FrameType, MacFrame, PhyBand, SecurityMode, Short16, crc16, encode_mac_frame
-from lowpan.gateway import GatewayMode, NwkFrame, wired_to_lowpan
+from lowpan.gateway import AppHeader, GatewayMode, NwkFrame, wired_to_lowpan
 from lowpan.ipv6 import decode_udp, udp_packet
 from lowpan.netsim import _TRACE_LINE, NodeRole, SleepSchedule, TraceRecord, World
 from lowpan.reassembly import REASSEMBLY_TIMEOUT, FragmentationContext
@@ -585,13 +585,18 @@ def test_drops_without_gateway_have_a_reason():
 
 @pytest.mark.parametrize("send, message", [
     (lambda world: world.send_udp(0.0, "a", "b", 0x10000, 1, b"x"), "src_port out of range: 65536"),
+    (lambda world: world.send_udp(0.0, "a", "b", 1, 0x10000, b"x"), "dst_port out of range: 65536"),
     (lambda world: world.send_app(0.0, "a", 0x10000, 1, b"x"), "src_devid out of range: 65536"),
     (lambda world: world.send_nwk(0.0, "a", 0x10000, b"x"), "dst_short out of range: 65536"),
-])
-def test_a_header_field_out_of_range_stops_the_run_with_its_value_error(send, message):
+    (lambda world: world.send_udp(0.0, "a", "b", 1, 2, b"x", hops=16), "hops_left out of range: 16"),
+    (lambda world: world.broadcast(0.0, "a", b"x", hops=16), "hops_left out of range: 16"),
+], ids=["udp-src-port", "udp-dst-port", "app-src-devid", "nwk-dst-short", "udp-hops", "broadcast-hops"])
+def test_a_header_field_out_of_range_is_refused_at_the_call(send, message):
+    # the message the header built from the field gives; nothing is queued
     world = make_line()
-    send(world)
-    raises_exactly(ValueError, message, world.run)
+    raises_exactly(ValueError, message, lambda: send(world))
+    world.run()
+    assert list(world.trace) == [] and world.metrics == {}
 
 
 # --- drop branches that need no random draw ----------------------------------
@@ -712,6 +717,54 @@ def test_udp_needing_a_missing_prefix_is_dropped(build):
     assert [(r.node, r.detail) for r in drops_of(world)] == [(src, f"reason=no-prefix to={dst}")]
     assert world.metrics["sent"] == 1
     assert world.metrics["drops_no-prefix"] == 1
+
+
+def _two_pans_a_host_and_a_bare_pan() -> World:
+    """PAN 0xBEEF: a2 - a1 - gateway gwa (2001:db8:a::); PAN 0x1234: b1 - gwb
+    (2001:db8:b::); c1 alone in PAN 0x4321, with no gateway; host h."""
+    world = World()
+    world.add_gateway("gwa", 0x00FE, GatewayMode.BORDER, IPv6Address("fd00::a"), prefix=IPv6Address("2001:db8:a::"))
+    world.add_node("a1", NodeRole.FFD, 0x0001)
+    world.add_node("a2", NodeRole.FFD, 0x0002)
+    world.add_link("a1", "a2")
+    world.add_link("a1", "gwa")
+    world.add_gateway(
+        "gwb", 0x00FE, GatewayMode.BORDER, IPv6Address("fd00::b"), prefix=IPv6Address("2001:db8:b::"), pan_id=0x1234
+    )
+    world.add_node("b1", NodeRole.FFD, 0x0001, pan_id=0x1234)
+    world.add_link("b1", "gwb")
+    world.add_node("c1", NodeRole.FFD, 0x0001, pan_id=0x4321)
+    world.add_host("h", IPv6Address("fd00::99"))
+    return world
+
+
+LL = "fe80::200:beff:feef:"  # link-local, IID from PAN 0xBEEF and the short
+GA = "2001:db8:a:0:200:beff:feef:"  # global in gwa's prefix
+GB = "2001:db8:b:0:200:12ff:fe34:"  # global in gwb's prefix
+
+
+@pytest.mark.parametrize("src, dst, records", [
+    ("a1", "a2", [("a1", "send", f"kind=udp to={LL}2"), ("a2", "deliver", f"kind=ipv6 from={LL}1")]),
+    ("a1", "b1", [("a1", "send", f"kind=udp to={GB}1"), ("gwb", "wired-rx", f"src={GA}1 nh=17"),
+                  ("b1", "deliver", f"kind=ipv6 from={GA}1")]),
+    ("a1", "gwa", [("a1", "send", "kind=udp to=fd00::a"), ("gwa", "wired-rx", f"src={GA}1 nh=17"),
+                   ("gwa", "drop", "reason=no-such-node dst=fd00::a")]),
+    ("gwa", "a1", [("gwa", "send", f"kind=udp to={LL}1"), ("a1", "deliver", f"kind=ipv6 from={LL}fe")]),
+    ("h", "a1", [("h", "send", f"kind=udp to={GA}1"), ("gwa", "wired-rx", "src=fd00::99 nh=17"),
+                 ("a1", "deliver", "kind=ipv6 from=fd00::99")]),
+    ("a1", "h", [("a1", "send", "kind=udp to=fd00::99"), ("h", "wired-rx", f"src={GA}1 nh=17"),
+                 ("h", "deliver", f"kind=ipv6 from={GA}1")]),
+    ("c1", "a1", [("c1", "drop", "reason=no-prefix to=a1")]),
+], ids=["node-to-node-one-pan", "node-to-node-across-pans", "node-to-its-gateway", "gateway-to-its-node",
+        "host-to-node", "node-to-host", "prefix-less-source-across-pans"])
+def test_each_end_of_a_udp_send_is_named_by_the_addressing_rule(src, dst, records):
+    # link-local when both ends are nodes of one PAN and the destination is no
+    # gateway, else global; a host by its address, a gateway by its wired one
+    world = _two_pans_a_host_and_a_bare_pan()
+    world.send_udp(0.0, src, dst, 1, 2, b"x")
+    world.run()
+    kinds = ("send", "wired-rx", "deliver", "drop")
+    assert [(r.node, r.kind, r.detail) for r in world.trace if r.kind in kinds] == records
 
 
 @pytest.mark.parametrize("order", [("gz", "gy", "gx"), ("gy", "gx", "gz")], ids=["reverse", "mixed"])
@@ -898,6 +951,22 @@ def _receiver_world(mode: str) -> World:
         "[link n1 gw]\n[link n1 n2]\n"
     )
     return world
+
+
+@pytest.mark.parametrize("mode, send, detail", [
+    ("border", lambda world: world.send_udp(0.0, "n1", "h", 1, 2, b"x"), "mode=border dir=up dst=fd00::99"),
+    ("border", lambda world: world.send_udp(0.0, "h", "n1", 1, 2, b"x"), f"mode=border dir=down dst={GA}1"),
+    ("border", lambda world: world.broadcast(0.0, "n1", b"x"), "mode=border dir=bcast dst=fd00::99"),
+    ("devid", lambda world: world.send_app(0.0, "n1", 1, 9, b"x"), "mode=devid dir=up dst=fd00::99"),
+    ("devid", lambda world: world.send_udp(0.0, "h", "gw", 0xF0B0, 0xF0B0, AppHeader(9, 1).encode() + b"x"),
+     "mode=devid dir=down dst=0x0001"),
+], ids=["border-up", "border-down", "border-bcast-relay", "devid-up", "devid-down"])
+def test_each_translation_writes_one_gw_translate_record_and_counts_up_and_down(mode, send, detail):
+    world = _receiver_world(mode)
+    send(world)
+    world.run()
+    assert [(r.node, r.detail) for r in world.trace if r.kind == "gw-translate"] == [("gw", detail)]
+    assert world.metrics.get("gw_translations", 0) == (0 if "dir=bcast" in detail else 1)
 
 
 # MAC payloads: any octets, and octets behind each first octet the receive stacks tell apart

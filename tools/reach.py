@@ -6,9 +6,13 @@ A stdlib pytest plugin.  It traces every frame of a `src/lowpan` module
 with `sys.settrace` and, after the run, prints each module's unreached
 lines: those that hold code, by the `co_lines` of the module's code
 objects, and never ran.  Lines that `ALLOWED` names, with the reason no
-test can reach them, are listed apart from the unexpected ones.  Code run
-in a subprocess is not seen.  The run is several times slower than
-without the plugin.
+test can reach them, are listed apart from the unexpected ones.  The report
+is a gate: a session whose tests all pass still exits 1 when a line is
+unexpectedly unreached, or when an `ALLOWED` entry names more than one
+place or has been reached or is gone.  It is meant for a run of the whole
+suite; a run of part of it leaves lines unreached and fails.  Code run in
+a subprocess is not seen.  The run is several times slower than without
+the plugin.
 """
 
 import ast
@@ -99,11 +103,17 @@ def pytest_load_initial_conftests(early_config, parser, args):
     threading.settrace(_call)
 
 
-def pytest_terminal_summary(terminalreporter):
+# the report's lines, written at the session's end and printed in its summary
+_report: list[str] = []
+
+
+def pytest_sessionfinish(session):
+    """Stop tracing and write the report; fail a session whose tests passed
+    if a line is unexpectedly unreached or an `ALLOWED` entry is ambiguous,
+    or has been reached or is gone."""
     sys.settrace(None)
     threading.settrace(None)
-    write = terminalreporter.write_line
-    terminalreporter.section("line reach of src/lowpan")
+    write = _report.append
     allowed: dict[tuple[str, str, str], list[int]] = {}
     unexpected_total = 0
     for path, hit in sorted(_hits.items()):
@@ -128,6 +138,17 @@ def pytest_terminal_summary(terminalreporter):
         write(f"{module}: {len(unexpected)} unreached: {_ranges(unexpected) or '-'}")
     for (module, function, text), lines in allowed.items():
         write(f"allowlisted {module} {_ranges(lines)} ({function}): {ALLOWED[module, function, text]}")
-    for key in ALLOWED.keys() - allowed.keys():
+    stale = ALLOWED.keys() - allowed.keys()  # an ambiguous entry is stale too: it allows no line
+    for key in stale:
         write(f"allowlist entry reached or gone: {key}")
     write(f"unreached lines: {unexpected_total} unexpected, {sum(map(len, allowed.values()))} allowlisted")
+    if unexpected_total or stale:
+        write("line reach FAILED")
+        if session.exitstatus == 0:  # pytest's OK; 1 is its TESTS_FAILED
+            session.exitstatus = 1
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.section("line reach of src/lowpan")
+    for line in _report:
+        terminalreporter.write_line(line)
