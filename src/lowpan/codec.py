@@ -3,20 +3,29 @@
 A 6LoWPAN frame payload stacks, in this order: mesh addressing header,
 broadcast header, fragmentation header, then the (compressed or
 uncompressed) IPv6 packet.  The first octet of each header is a
-dispatch byte:
+dispatch byte.  `DispatchKind` names its classes (RFC 4944 §5.1), each
+with the octets it spans and the receive stack that reads a MAC payload
+starting with one of them:
 
-    | bits      | meaning                      |
-    |-----------|------------------------------|
-    | 00xxxxxx  | not a 6LoWPAN frame          |
-    | 01000001  | uncompressed IPv6 follows    |
-    | 01000010  | HC1-compressed IPv6 follows  |
-    | 01010000  | broadcast header (BC0)       |
-    | 01111111  | additional dispatch byte     |
-    | 10xxxxxx  | mesh addressing header       |
-    | 11000xxx  | first fragment header        |
-    | 11100xxx  | subsequent fragment header   |
+    | class           | bits      | octets    | meaning                     | stack  |
+    |-----------------|-----------|-----------|-----------------------------|--------|
+    | not-lowpan      | 00xxxxxx  | 0x00-0x3F | not a 6LoWPAN frame         | nwk    |
+    | ipv6            | 01000001  | 0x41      | uncompressed IPv6 follows   | lowpan |
+    | hc1             | 01000010  | 0x42      | HC1-compressed IPv6 follows | lowpan |
+    | bc0             | 01010000  | 0x50      | broadcast header (BC0)      | lowpan |
+    | additional      | 01111111  | 0x7F      | additional dispatch byte    | lowpan |
+    | mesh            | 10xxxxxx  | 0x80-0xBF | mesh addressing header      | lowpan |
+    | frag-first      | 11000xxx  | 0xC0-0xC7 | first fragment header       | lowpan |
+    | frag-subsequent | 11100xxx  | 0xE0-0xE7 | subsequent fragment header  | lowpan |
+    | unknown         | any other |           | reserved                    | None   |
 
-All other values are reserved and classify as unknown.
+The stacks are those of `gateway.GatewayMode.stack`: ZigBee NWK frames and
+6LoWPAN payloads share the first octet, so it alone decides which stack
+reads a frame.  `UNKNOWN` spans no octet of its own; it holds every octet
+no other class spans.  `DISPATCH_TABLE` holds the class of each of the
+256 octets, built once from the spans.  `parse_dispatch` range-checks its
+argument and reads it; the decoders and the simulator index it with an
+item of `bytes`, which is always in range.
 
 HC1 octet layout (most significant bit first):
 
@@ -136,38 +145,36 @@ class SizeOverflow(CodecError):
 
 
 class DispatchKind(Enum):
-    NOT_LOWPAN = "not-lowpan"
-    UNCOMPRESSED_IPV6 = "ipv6"
-    HC1 = "hc1"
-    BC0 = "bc0"
-    ADDITIONAL = "additional"
-    MESH = "mesh"
-    FRAG_FIRST = "frag-first"
-    FRAG_SUBSEQUENT = "frag-subsequent"
-    UNKNOWN = "unknown"
+    """A class of first octets: its label, the `octets` it spans and its `stack` (the module docstring's table)."""
+
+    NOT_LOWPAN = ("not-lowpan", range(0x00, 0x40), "nwk")
+    UNCOMPRESSED_IPV6 = ("ipv6", (DISPATCH_IPV6,), "lowpan")
+    HC1 = ("hc1", (DISPATCH_HC1,), "lowpan")
+    BC0 = ("bc0", (DISPATCH_BC0,), "lowpan")
+    ADDITIONAL = ("additional", (DISPATCH_ADDITIONAL,), "lowpan")
+    MESH = ("mesh", range(0x80, 0xC0), "lowpan")
+    FRAG_FIRST = ("frag-first", range(0xC0, 0xC8), "lowpan")
+    FRAG_SUBSEQUENT = ("frag-subsequent", range(0xE0, 0xE8), "lowpan")
+    UNKNOWN = ("unknown", (), None)
+
+    def __new__(cls, label: str, octets: range | tuple[int, ...], stack: str | None):
+        member = object.__new__(cls)
+        member._value_ = label  # so `DispatchKind("hc1")` finds a class by its label
+        member.octets = octets
+        member.stack = stack
+        return member
+
+
+DISPATCH_TABLE: tuple[DispatchKind, ...] = tuple(
+    next((kind for kind in DispatchKind if octet in kind.octets), DispatchKind.UNKNOWN) for octet in range(256)
+)
 
 
 def parse_dispatch(first_byte: int) -> DispatchKind:
     """Classify a dispatch byte.  Total over all 256 values."""
-    if not 0 <= first_byte <= 0xFF:
+    if not 0 <= first_byte <= 0xFF:  # a negative index would wrap
         raise ValueError(f"dispatch byte out of range: {first_byte}")
-    if first_byte >> 6 == 0b00:
-        return DispatchKind.NOT_LOWPAN
-    if first_byte >> 6 == 0b10:
-        return DispatchKind.MESH
-    if first_byte == DISPATCH_IPV6:
-        return DispatchKind.UNCOMPRESSED_IPV6
-    if first_byte == DISPATCH_HC1:
-        return DispatchKind.HC1
-    if first_byte == DISPATCH_BC0:
-        return DispatchKind.BC0
-    if first_byte == DISPATCH_ADDITIONAL:
-        return DispatchKind.ADDITIONAL
-    if first_byte & 0xF8 == 0xC0:
-        return DispatchKind.FRAG_FIRST
-    if first_byte & 0xF8 == 0xE0:
-        return DispatchKind.FRAG_SUBSEQUENT
-    return DispatchKind.UNKNOWN
+    return DISPATCH_TABLE[first_byte]
 
 
 # --- HC1 / HC2 ---------------------------------------------------------
@@ -313,7 +320,7 @@ def decompress_ipv6(
     """
     if not data:
         raise MalformedHeader("empty stream", offset=0)
-    kind = parse_dispatch(data[0])
+    kind = DISPATCH_TABLE[data[0]]
     if kind is DispatchKind.UNCOMPRESSED_IPV6:
         try:
             return decode_ipv6(data[1:])
@@ -506,7 +513,7 @@ def decode_frag(data: bytes) -> tuple[FragHeader, int]:
     """Returns (header, octets consumed)."""
     if not data:
         raise MalformedFrag("empty fragment header", offset=0)
-    kind = parse_dispatch(data[0])
+    kind = DISPATCH_TABLE[data[0]]
     if kind not in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
         raise MalformedFrag("not a fragment header", offset=0)
     first = kind is DispatchKind.FRAG_FIRST

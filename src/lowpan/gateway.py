@@ -21,9 +21,10 @@ Four gateway modes:
                  UDP between two bridge endpoints, so it stays
                  continuous across the wired domain.
 
-A dispatch demultiplexer lets one gateway tell 6LoWPAN payloads from
-raw Zigbee network-layer frames on a shared MAC, enabling a dual-stack
-front end.
+A dispatch demultiplexer, `demux`, lets one gateway tell 6LoWPAN payloads
+from raw Zigbee network-layer frames on a shared MAC, enabling a
+dual-stack front end: it returns the receive stack, "lowpan" or "nwk",
+that `codec.DISPATCH_TABLE` gives the payload's first octet.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from ipaddress import IPv6Address
 
-from .codec import DispatchKind, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh, parse_dispatch
+from .codec import DISPATCH_TABLE, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh
 from .frame import CheckedTuple, NodeAddress, SecurityMode, mac_payload_budget
 from .ipv6 import IPV6_HEADER_OCTETS, IPV6_MIN_LINK_MTU, NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, fragment
@@ -99,26 +100,19 @@ class GatewayMode(Enum):
         self.stack: str = {"border": "lowpan", "devid": "app"}.get(value, "nwk")
 
 
-class TrafficClass(Enum):
-    LOWPAN = "lowpan"
-    ZIGBEE_NWK = "zigbee-nwk"
+def demux(frame_payload: bytes) -> str:
+    """Name the receive stack a MAC payload needs: "lowpan" or "nwk".
 
-
-def demux(frame_payload: bytes) -> TrafficClass:
-    """Classify a MAC payload as 6LoWPAN or a raw Zigbee NWK frame.
-
-    A leading 00xxxxxx octet is not a 6LoWPAN frame and is taken as
-    Zigbee; any recognized 6LoWPAN dispatch selects the 6LoWPAN stack;
-    reserved dispatch values are rejected.
+    A leading 00xxxxxx octet is not a 6LoWPAN frame and is taken as a
+    Zigbee NWK frame; any recognized 6LoWPAN dispatch selects the 6LoWPAN
+    stack; reserved dispatch values are rejected.
     """
     if not frame_payload:
         raise UnknownDispatch("empty frame payload", offset=0)
-    kind = parse_dispatch(frame_payload[0])
-    if kind is DispatchKind.NOT_LOWPAN:
-        return TrafficClass.ZIGBEE_NWK
-    if kind is DispatchKind.UNKNOWN:
+    stack = DISPATCH_TABLE[frame_payload[0]].stack
+    if stack is None:
         raise UnknownDispatch(f"reserved dispatch 0x{frame_payload[0]:02X}", offset=0)
-    return TrafficClass.LOWPAN
+    return stack
 
 
 # --- devid translation ---------------------------------------------------

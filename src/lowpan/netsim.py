@@ -62,6 +62,7 @@ from ipaddress import IPv6Address
 
 from . import addressing
 from .codec import (
+    DISPATCH_TABLE,
     CodecError,
     DispatchKind,
     MeshHeader,
@@ -72,7 +73,6 @@ from .codec import (
     decrement_hops,
     encode_bc0,
     encode_mesh,
-    parse_dispatch,
 )
 from .frame import (
     BROADCAST_SHORT,
@@ -299,8 +299,8 @@ class WiredHost(CheckedTuple, namedtuple("WiredHost", "id addr")):
 
 
 def _check_range(name: str, value: int, top: int):
-    """Refuse at the send call a field that the header built from it would
-    refuse when the send runs, with that header's `ValueError`."""
+    """Refuse at the call a field that the header built from it would refuse
+    when a send runs, with that header's `ValueError`."""
     if not 0 <= value <= top:
         raise ValueError(f"{name} out of range: {value}")
 
@@ -316,6 +316,7 @@ class World:
     identifier, wired address or prefix already taken, or a second gateway in a PAN."""
 
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
+        _check_range("hops_left", default_hops, 0x0F)
         self.rng = random.Random(seed)
         self.pan_id = pan_id
         self.default_hops = default_hops
@@ -834,7 +835,7 @@ class World:
         orig: NodeAddress = frame.src
         final: NodeAddress = frame.dst
         try:
-            kind = parse_dispatch(data[0])
+            kind = DISPATCH_TABLE[data[0]]
             if kind is DispatchKind.MESH:
                 mesh, consumed = decode_mesh(data, node.pan_id)
                 rest = data[consumed:]
@@ -849,7 +850,7 @@ class World:
                     return
                 orig, final = mesh.originator, mesh.final
                 data = rest
-                kind = parse_dispatch(data[0])
+                kind = DISPATCH_TABLE[data[0]]
             if kind in (DispatchKind.FRAG_FIRST, DispatchKind.FRAG_SUBSEQUENT):
                 result = accept_fragment(node.reassembly, orig, data, self.now)
                 if result.opened is not None:
@@ -863,7 +864,7 @@ class World:
                 data = result.datagram
                 self.record(node.id, "reasm-complete", f"size={len(data)}", len(data))
                 self.bump("reassemblies")
-                kind = parse_dispatch(data[0])
+                kind = DISPATCH_TABLE[data[0]]
             if kind in (DispatchKind.HC1, DispatchKind.UNCOMPRESSED_IPV6):
                 pkt = decompress_ipv6(data, orig, final)
                 if node.gateway is not None:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from value_checks import check_rebuild, raises_exactly
 
-from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh
+from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh, parse_dispatch
 from lowpan.frame import FrameType, MacFrame, Short16, SecurityMode, encode_mac_frame, mac_payload_budget
 from lowpan.gateway import (
     APL_MAX_OCTETS,
@@ -23,7 +23,6 @@ from lowpan.gateway import (
     NotTunnelTraffic,
     NwkFrame,
     PoolExhausted,
-    TrafficClass,
     UnknownDevid,
     demux,
     pad_transform,
@@ -46,15 +45,23 @@ HOST_ADDR = IPv6Address("fd00::99")
 
 # --- demux ---------------------------------------------------------------
 
-def test_demux_examples():
-    assert demux(b"\x09\x00\x00") is TrafficClass.ZIGBEE_NWK
-    assert demux(b"\x42\xfb\x40") is TrafficClass.LOWPAN
-    assert demux(b"\x41") is TrafficClass.LOWPAN
-    assert demux(b"\x7f") is TrafficClass.LOWPAN  # recognized, if unsupported
+def test_demux_examples(golden_dir):
+    assert demux(b"\x09\x00\x00") == "nwk"
+    assert demux(b"\x42\xfb\x40") == "lowpan"
+    assert demux(b"\x41") == "lowpan"
+    assert demux(b"\x7f") == "lowpan"  # recognized, if unsupported
     with pytest.raises(UnknownDispatch):
         demux(b"\x7a\x00")
     with pytest.raises(UnknownDispatch):
         demux(b"")
+    # every first octet, by its class in the pinned dispatch table
+    for line in (golden_dir / "dispatch_table.txt").read_text().splitlines():
+        byte_hex, kind = line.split()
+        payload = bytes([int(byte_hex, 16)])
+        if kind == "unknown":
+            raises_exactly(UnknownDispatch, f"reserved dispatch 0x{payload[0]:02X}", lambda: demux(payload))
+        else:
+            assert demux(payload) == ("nwk" if kind == "not-lowpan" else "lowpan")
 
 
 # --- devid registry ---------------------------------------------------------
@@ -215,7 +222,7 @@ def test_bridge_rejects_non_tunnel():
 
 def test_nwk_frame_classifies_as_not_lowpan():
     nwk = NwkFrame(dst_short=1, src_short=2)
-    assert demux(nwk.encode()) is TrafficClass.ZIGBEE_NWK
+    assert demux(nwk.encode()) == "nwk"
     with pytest.raises(ValueError):
         NwkFrame(dst_short=1, src_short=2, frame_control=0xC000)
 
@@ -224,6 +231,23 @@ def test_nwk_decode_rejects_lowpan_dispatch_space():
     frame = NwkFrame(dst_short=1, src_short=2).encode()
     with pytest.raises(GatewayError):
         NwkFrame.decode(b"\x41" + frame[1:])  # frame control reads as an IPv6 dispatch
+
+
+def test_a_nwk_frame_may_start_with_exactly_the_octets_the_dispatch_table_gives_the_nwk_stack():
+    # ZigBee NWK frames and 6LoWPAN payloads share the MAC payload's first octet
+    frame = NwkFrame(dst_short=1, src_short=2).encode()
+    for high in range(256):
+        def build():
+            return NwkFrame(1, 2, frame_control=high << 8)
+
+        def decode():
+            return NwkFrame.decode(bytes([high]) + frame[1:])
+
+        if parse_dispatch(high).stack == "nwk":
+            assert build().frame_control == decode().frame_control == high << 8
+        else:
+            for make in (build, decode):
+                raises_exactly(GatewayError, "frame control would collide with 6LoWPAN dispatch space", make)
 
 
 # --- adaptation pipeline --------------------------------------------------------------

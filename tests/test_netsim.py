@@ -590,7 +590,12 @@ def test_drops_without_gateway_have_a_reason():
     (lambda world: world.send_nwk(0.0, "a", 0x10000, b"x"), "dst_short out of range: 65536"),
     (lambda world: world.send_udp(0.0, "a", "b", 1, 2, b"x", hops=16), "hops_left out of range: 16"),
     (lambda world: world.broadcast(0.0, "a", b"x", hops=16), "hops_left out of range: 16"),
-], ids=["udp-src-port", "udp-dst-port", "app-src-devid", "nwk-dst-short", "udp-hops", "broadcast-hops"])
+    (lambda world: World(default_hops=16), "hops_left out of range: 16"),
+    (lambda world: World(default_hops=-1), "hops_left out of range: -1"),
+], ids=[
+    "udp-src-port", "udp-dst-port", "app-src-devid", "nwk-dst-short", "udp-hops", "broadcast-hops",
+    "default-hops-16", "default-hops-negative",
+])
 def test_a_header_field_out_of_range_is_refused_at_the_call(send, message):
     # the message the header built from the field gives; nothing is queued
     world = make_line()
