@@ -15,6 +15,10 @@ the world: what is in flight is plain data a test can read.  The only
 randomness is per-transmission loss, sampled from one seeded generator,
 so a world's trace is a pure function of its scenario and seed.
 
+The send calls (`send_udp`, `broadcast`, `send_app`, `send_nwk`,
+`send_apl`) are where traffic is checked: each refuses an illegal send
+with `ValueError` and queues nothing, so no queued send aborts a run.
+
 Node behaviour:
 
   * Unicast traffic is mesh-wrapped: the originator sets the hops-left
@@ -52,6 +56,7 @@ and only `World._drop` writes `drop` records; no delivered payload is kept.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from array import array
 from collections import OrderedDict, namedtuple
@@ -111,6 +116,7 @@ from .reassembly import (
 
 BC0_CACHE_ENTRIES = 64
 WIRED_DELAY = 0.001  # one-way latency of the wired IPv6 domain, in seconds
+MAX_PAYLOAD = 0xFFFF - UDP_HEADER_OCTETS  # the 16-bit UDP length field counts its 8-octet header
 _TRACE_LINE = "%.6f\t%s\t%s\t%s\t%s"  # time, node, kind, detail, nbytes
 
 
@@ -232,7 +238,7 @@ class SimNode:
         role: NodeRole,
         pan_id: int,
         short: int,
-        eui: bytes,
+        eui: bytes | None,
         sleep: SleepSchedule | None = None,
         security: SecurityMode = SecurityMode.NONE,
     ):
@@ -240,9 +246,9 @@ class SimNode:
         self.role = role
         self.pan_id = pan_id
         self.short = short
-        self.wpan_address = Short16(pan_id, short)
+        self.wpan_address = Short16(pan_id, short)  # refuses a PAN or short out of range
         self.iid = addressing.iid_for(self.wpan_address)  # the interface identifier, from the short
-        self.eui = eui
+        self.eui = eui if eui is not None else synth_eui(pan_id, short)
         self.sleep = sleep
         self.security = security
         self.stack = "lowpan"  # the receive stack; World.prepare sets it from the gateway mode
@@ -368,11 +374,7 @@ class World:
             raise ValueError(f"duplicate id {node_id!r}")
         if (pan, short) in self.by_addr:
             raise ValueError(f"short 0x{short:04X} already used in PAN 0x{pan:04X}")
-        node = SimNode(
-            node_id, role, pan, short,
-            eui if eui is not None else synth_eui(pan, short),
-            sleep, security,
-        )
+        node = SimNode(node_id, role, pan, short, eui, sleep, security)
         eui_iid = addressing.iid_from_eui64(node.eui)
         for iid in (node.iid, eui_iid):
             held = self.by_iid.get((pan, iid))
@@ -597,6 +599,36 @@ class World:
 
     # --- traffic entry points ----------------------------------------------
 
+    def _sender(self, src_id: str, kind: str) -> str:
+        """The world's own id of the sender of a `kind` send; `ValueError`
+        for an unknown id, or for a host sending anything but udp."""
+        node = self.nodes.get(src_id)
+        if node is not None:
+            return node.id
+        host = self.hosts.get(src_id)
+        if host is None:
+            raise ValueError(f"unknown sender {src_id!r}")
+        if kind != "udp":
+            raise ValueError(f"{kind} traffic must start at a node, not host {src_id!r}")
+        return host.id
+
+    def _check_send(self, at: float, src_id: str, kind: str, payload: bytes, hops: int | None = None) -> str:
+        """The rules every send call applies before it queues, returning the
+        world's own id of the sender: a time that is a finite number >= 0, a
+        known sender (`_sender`), a payload of at most `MAX_PAYLOAD` octets,
+        and a hops budget only from a node, in 0..15.  A host's datagram
+        enters its PAN at the gateway, which sends it with `default_hops`."""
+        if not 0 <= at < math.inf:  # refuses nan too
+            raise ValueError(f"send time {at!r} is not a finite number >= 0")
+        src_id = self._sender(src_id, kind)
+        if len(payload) > MAX_PAYLOAD:
+            raise ValueError(f"payload of {len(payload)} octets is over {MAX_PAYLOAD}")
+        if hops is not None:
+            if src_id in self.hosts:
+                raise ValueError(f"hops applies only to a node's sends, not host {src_id!r}")
+            _check_range("hops_left", hops, 0x0F)
+        return src_id
+
     def send_udp(
         self,
         at: float,
@@ -608,11 +640,13 @@ class World:
         *,
         hops: int | None = None,
     ):
+        src_id = self._check_send(at, src_id, "udp", payload, hops)
+        receiver = self.nodes.get(dst_id) or self.hosts.get(dst_id)
+        if receiver is None:
+            raise ValueError(f"unknown udp destination {dst_id!r}")
         _check_range("src_port", sport, 0xFFFF)
         _check_range("dst_port", dport, 0xFFFF)
-        if hops is not None:
-            _check_range("hops_left", hops, 0x0F)
-        self.schedule(at, (self._do_send_udp, src_id, dst_id, sport, dport, payload, hops))
+        self.schedule(at, (self._do_send_udp, src_id, receiver.id, sport, dport, payload, hops))
 
     def _pick_addresses(self, src_id: str, dst_id: str) -> tuple[IPv6Address, IPv6Address]:
         """Name a UDP send's ends, the source first: a node link-local when both ends are nodes
@@ -648,18 +682,49 @@ class World:
             self._node_send_ipv6(self.nodes[src_id], pkt, hops)
 
     def broadcast(self, at: float, src_id: str, payload: bytes, *, hops: int | None = None):
-        if hops is not None:
-            _check_range("hops_left", hops, 0x0F)
+        src_id = self._check_send(at, src_id, "broadcast", payload, hops)
         self.schedule(at, (self._do_broadcast, src_id, payload, hops))
 
     def send_app(self, at: float, src_id: str, src_devid: int, dst_devid: int, data: bytes):
+        src_id = self._check_send(at, src_id, "app", data)
         self.schedule(at, (self._do_send_app, src_id, AppHeader(src_devid, dst_devid), data))
 
     def send_nwk(self, at: float, src_id: str, dst_short: int, payload: bytes):
+        src_id = self._check_send(at, src_id, "nwk", payload)
         _check_range("dst_short", dst_short, 0xFFFF)
         self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 
     send_apl = send_nwk  # APL data rides a NWK frame as its payload
+
+    def apl_destination(self, src_id: str, dst_id: str) -> int:
+        """The short node `src_id` puts in the NWK frame of an APL send to `dst_id`.
+
+        A node of the sender's PAN is named by its own short.  A wired host
+        or a node of another segment is named by a short from the pool of
+        the sender's gateway, assigned here, before the run; a remote node's
+        peer address is its pseudo address, computed from the remote prefix
+        and its EUI-64 alone (`prepare` indexes the remote PAN's nodes by
+        EUI-64).  `ValueError` for a sender `_sender` refuses, a sender or
+        remote node whose segment has no gateway, an unknown destination, a
+        remote gateway without a prefix or a spent pool.
+        """
+        node = self.nodes[self._sender(src_id, "apl")]
+        gw_node = self.segment_gateway(node.pan_id)
+        if gw_node is None:
+            raise ValueError(f"segment of {src_id!r} has no gateway")
+        if dst_id in self.hosts:
+            peer = self.hosts[dst_id].addr
+        elif dst_id in self.nodes:
+            target = self.nodes[dst_id]
+            if target.pan_id == node.pan_id:
+                return target.short
+            remote = self.segment_gateway(target.pan_id)
+            if remote is None:
+                raise ValueError(f"segment of {dst_id!r} has no gateway")
+            peer = remote.gateway.mapping.assign_pseudo(target.eui)
+        else:
+            raise ValueError(f"unknown apl destination {dst_id!r}")
+        return gw_node.gateway.mapping.assign_short(peer)
 
     # --- 6LoWPAN node stack --------------------------------------------------
 

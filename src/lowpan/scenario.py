@@ -11,7 +11,7 @@ Keys before a `;` are required, and bracketed traffic tokens are optional:
     [host ID]            addr; devid
     [link A B]           band, loss
     [route ID]           <final-short> = <next-hop-short>, default = <short>
-    [traffic]            one traffic event per line; only udp may start at a host
+    [traffic]            one traffic event per line; only udp may start at a host, hops= only at a node
 
     at=T kind=udp from=ID to=ID [sport=P] [dport=P] size=N|hex=HH [hops=N]
     at=T kind=broadcast from=ID size=N|hex=HH [hops=N]
@@ -35,6 +35,13 @@ address or route that breaks these rules and out-of-range values are a
 `ScenarioError` naming their line.  Routes not pinned by a [route]
 section are hop-count shortest paths, computed on first use.
 
+A traffic line only turns its text into values: the `World` send call it
+makes (`send_udp`, `broadcast`, `send_app`, `send_nwk`, or `send_apl` to
+the short `World.apl_destination` gives) decides whether the send is
+legal, and a send it refuses is a `ScenarioError` at the traffic line.
+`hops=` applies only to a node's sends: a host's datagram enters its PAN
+at the gateway, which sends it with the general `hops`.
+
 The whole file is read before anything is built: an unknown section or
 key, a key given twice and then a missing required key are found first,
 wherever they are.  The world is then built one kind at a time, whatever
@@ -53,12 +60,11 @@ from ipaddress import AddressValueError, IPv6Address
 from .addressing import eui64_from_text
 from .frame import PhyBand, SecurityMode
 from .gateway import GatewayMode, register_devid
-from .netsim import NodeRole, SleepSchedule, World
+from .netsim import MAX_PAYLOAD, NodeRole, SleepSchedule, World
 
 DEFAULT_T_END = 60.0
-U16 = 0xFFFF  # pan, short, port, devid and nwk dst values
+U16 = 0xFFFF  # pan, short and devid values
 MAX_HOPS = 0x0F  # the 4-bit hops-left field of the mesh header
-MAX_PAYLOAD = U16 - 8  # the 16-bit UDP length field counts its 8-octet header
 
 
 class ScenarioError(ValueError):
@@ -197,13 +203,13 @@ def _int(value: str, lineno: int, top: int | None = None) -> int:
     return number
 
 
-def _float(value: str, lineno: int, top: float = math.inf) -> float:
-    """A finite number in 0..top."""
+def _float(value: str, lineno: int, top: float | None = math.inf) -> float:
+    """A number, a finite one in 0..top unless `top` is None."""
     try:
         number = float(value)
     except ValueError:
         raise ScenarioError(f"line {lineno}: not a number: {value!r}") from None
-    if not (0 <= number <= top and math.isfinite(number)):
+    if top is not None and not (0 <= number <= top and math.isfinite(number)):
         raise ScenarioError(f"line {lineno}: {value!r} is not a finite number in 0..{top:g}")
     return number
 
@@ -215,9 +221,8 @@ def _choice(value: str, lineno: int, table: dict, what: str):
 
 
 class _at:
-    """Report a rejected step at the line of its key or traffic line: an
-    EUI-64, a sleep period, a devid already owned, an apl peer with no pseudo
-    address or no short left in the pool."""
+    """Report a rejected step at the line of its key: an EUI-64, a sleep
+    period or a devid already owned."""
 
     __slots__ = ("lineno",)
 
@@ -264,12 +269,9 @@ def _payload(fields: dict[str, str], lineno: int, patterns: dict[int, bytes]) ->
             payload = patterns[size] = pattern_payload(size)
         return payload
     try:
-        payload = bytes.fromhex(fields["hex"])
+        return bytes.fromhex(fields["hex"])
     except ValueError:
         raise ScenarioError(f"line {lineno}: bad hex payload") from None
-    if len(payload) > MAX_PAYLOAD:
-        raise ScenarioError(f"line {lineno}: hex payload of {len(payload)} octets is over {MAX_PAYLOAD}")
-    return payload
 
 
 def load_scenario(
@@ -427,8 +429,9 @@ def _build(
 
 
 def _schedule_traffic(world: World, line: str, lineno: int, patterns: dict[int, bytes]):
-    """Queue one traffic line's send.  Queued events name nodes and hosts by
-    the world's own id strings, not by the line's token copies."""
+    """Turn one traffic line into its `World` send call.  The call decides
+    whether the send is legal; a `ValueError` it raises is reported here, at
+    the line."""
     tokens = line.split()
     fields = {}
     for token in tokens:
@@ -447,60 +450,25 @@ def _schedule_traffic(world: World, line: str, lineno: int, patterns: dict[int, 
     if not fields.keys() <= _TOKENS[kind]:
         unknown = fields.keys() - _TOKENS[kind]
         raise ScenarioError(f"line {lineno}: unknown {kind} traffic token {min(unknown)}=")
-    at = _float(fields["at"], lineno)
-    sender = world.nodes.get(fields["from"]) or world.hosts.get(fields["from"])
-    if sender is None:
-        raise ScenarioError(f"line {lineno}: unknown sender {fields['from']!r}")
-    src = sender.id
-    if src in world.hosts and kind != "udp":
-        raise ScenarioError(f"line {lineno}: {kind} traffic must start at a node, not host {src!r}")
+    at = _float(fields["at"], lineno, None)
+    src = fields["from"]
     payload = _payload(fields, lineno, patterns)
-    hops = _int(fields["hops"], lineno, MAX_HOPS) if "hops" in fields else None
-
-    if kind == "udp":
-        receiver = world.nodes.get(fields["to"]) or world.hosts.get(fields["to"])
-        if receiver is None:
-            raise ScenarioError(f"line {lineno}: unknown udp destination {fields['to']!r}")
-        dst = receiver.id
-        sport = _int(fields.get("sport", "0xF0B0"), lineno, U16)
-        dport = _int(fields.get("dport", "0xF0B1"), lineno, U16)
-        world.send_udp(at, src, dst, sport, dport, payload, hops=hops)
-    elif kind == "broadcast":
-        world.broadcast(at, src, payload, hops=hops)
-    elif kind == "app":
-        src_devid = _int(fields.get("devid", "0"), lineno, U16)
-        world.send_app(at, src, src_devid, _int(fields["todevid"], lineno, U16), payload)
-    elif kind == "apl":
-        world.send_apl(at, src, _resolve_apl_destination(world, src, fields["to"], lineno), payload)
-    else:
-        world.send_nwk(at, src, _int(fields["dst"], lineno, U16), payload)
-
-
-def _resolve_apl_destination(world: World, src: str, dst: str, lineno: int) -> int:
-    """Short address the sender should put in the NWK frame.
-
-    Wired hosts and remote-segment nodes are represented by shorts from
-    the local gateway's pool; the mapping is established here, before
-    the run.  A remote node is named by its pseudo address, computed from
-    the remote prefix and its EUI-64 alone; `World.prepare` indexes the
-    remote PAN's nodes by EUI-64.
-    """
-    node = world.nodes[src]
-    gw_node = world.segment_gateway(node.pan_id)
-    if gw_node is None:
-        raise ScenarioError(f"line {lineno}: segment of {src!r} has no gateway")
-    if dst in world.hosts:
-        peer = world.hosts[dst].addr
-    elif dst in world.nodes:
-        target = world.nodes[dst]
-        if target.pan_id == node.pan_id:
-            return target.short
-        remote = world.segment_gateway(target.pan_id)
-        if remote is None:
-            raise ScenarioError(f"line {lineno}: segment of {dst!r} has no gateway")
-        with _at(lineno):  # the remote gateway may have no prefix
-            peer = remote.gateway.mapping.assign_pseudo(target.eui)
-    else:
-        raise ScenarioError(f"line {lineno}: unknown apl destination {dst!r}")
-    with _at(lineno):  # the pool may be exhausted
-        return gw_node.gateway.mapping.assign_short(peer)
+    hops = _int(fields["hops"], lineno) if "hops" in fields else None
+    try:
+        if kind == "udp":
+            sport = _int(fields.get("sport", "0xF0B0"), lineno)
+            dport = _int(fields.get("dport", "0xF0B1"), lineno)
+            world.send_udp(at, src, fields["to"], sport, dport, payload, hops=hops)
+        elif kind == "broadcast":
+            world.broadcast(at, src, payload, hops=hops)
+        elif kind == "app":
+            src_devid = _int(fields.get("devid", "0"), lineno)
+            world.send_app(at, src, src_devid, _int(fields["todevid"], lineno), payload)
+        elif kind == "apl":
+            world.send_apl(at, src, world.apl_destination(src, fields["to"]), payload)
+        else:
+            world.send_nwk(at, src, _int(fields["dst"], lineno), payload)
+    except ScenarioError:
+        raise  # a token that is not a number, already reported at the line
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None

@@ -114,14 +114,16 @@ def scenario_text(rnd: random.Random) -> str:
             kinds.remove("apl")
         kind = rnd.choice(kinds)
         required, optional = scenario._TRAFFIC.get(kind, ((), ()))
+        senders = hosts if kind == "udp" and rnd.random() < 0.3 or rnd.random() < 0.02 else nodes + gateways
+        sender = rnd.choice(senders or nodes) if rnd.random() > 0.003 else "ghost"
+        if sender in hosts and rnd.random() > 0.01:  # only a node has a hops budget, but for a rare fault
+            optional = tuple(token for token in optional if token != "hops")
         tokens = ["at", *required, *rnd.sample(optional, rnd.randint(0, len(optional)))]
         tokens.append("hex" if rnd.random() < 0.2 else "size")
         if rnd.random() < 0.003:
             tokens.append(rnd.choice(["hop", "at", "size"]))
         fields = [f"{token}={value(token, rnd.choice(nodes + hosts) if token == 'to' else None)}"
                   for token in tokens]
-        senders = hosts if kind == "udp" and rnd.random() < 0.3 or rnd.random() < 0.02 else nodes + gateways
-        sender = rnd.choice(senders or nodes) if rnd.random() > 0.003 else "ghost"
         fields.append(f"kind={kind} from={sender}")
         rnd.shuffle(fields)
         return " ".join(fields)
