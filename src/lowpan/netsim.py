@@ -129,6 +129,9 @@ class NodeRole(Enum):
         self.forwards: bool = value != "rfd"
 
 
+_COORDINATOR = NodeRole.COORDINATOR  # read once: an enum member read off its class is slow
+
+
 class SleepSchedule(CheckedTuple, namedtuple("SleepSchedule", "awake asleep")):
     """Periodic awake/asleep cycle starting awake at t=0; `__new__` refuses a negative time or a zero period."""
 
@@ -319,7 +322,8 @@ def synth_eui(pan_id: int, short: int) -> bytes:
 class World:
     """Nodes, links, gateways and hosts, each address with one owner: the `add_*`
     methods raise `ValueError`, storing nothing, for an id, short, interface
-    identifier, wired address or prefix already taken, or a second gateway in a PAN."""
+    identifier, wired address or prefix already taken, a second gateway or
+    coordinator in a PAN, or a link loss outside 0..1."""
 
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
         _check_range("hops_left", default_hops, 0x0F)
@@ -336,6 +340,7 @@ class World:
         self.neighbors: dict[str, dict[str, SimLink]] = {}
         self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> short (prepare)
         self._pan_gateway: dict[int, SimNode] = {}  # PAN id -> its gateway's node
+        self._pan_coordinator: dict[int, SimNode] = {}  # PAN id -> its coordinator node
         # a wired address -> its host or gateway node, and a prefix's first 8
         # octets -> its gateway node; IPv6Address keys compare scope ids, as `==` does
         self._wired_owner: dict[IPv6Address, SimNode | WiredHost] = {}
@@ -372,16 +377,22 @@ class World:
         pan = self.pan_id if pan_id is None else pan_id
         if node_id in self.nodes or node_id in self.hosts:
             raise ValueError(f"duplicate id {node_id!r}")
-        if (pan, short) in self.by_addr:
+        coordinator = role is _COORDINATOR
+        if coordinator and pan in self._pan_coordinator:
+            raise ValueError(f"PAN 0x{pan:04X} has coordinator {self._pan_coordinator[pan].id!r}")
+        addr_key = (pan, short)
+        if addr_key in self.by_addr:
             raise ValueError(f"short 0x{short:04X} already used in PAN 0x{pan:04X}")
         node = SimNode(node_id, role, pan, short, eui, sleep, security)
-        eui_iid = addressing.iid_from_eui64(node.eui)
-        for iid in (node.iid, eui_iid):
-            held = self.by_iid.get((pan, iid))
-            if held is not None:
-                raise ValueError(f"interface identifier {iid.hex()} already names {held.id!r} in PAN 0x{pan:04X}")
-        self.nodes[node_id] = node
-        self.by_addr[(pan, short)] = self.by_iid[(pan, node.iid)] = self.by_iid[(pan, eui_iid)] = node
+        by_iid = self.by_iid
+        iid_key, eui_key = (pan, node.iid), (pan, addressing.iid_from_eui64(node.eui))
+        taken = iid_key if iid_key in by_iid else eui_key if eui_key in by_iid else None
+        if taken is not None:
+            held = by_iid[taken].id
+            raise ValueError(f"interface identifier {taken[1].hex()} already names {held!r} in PAN 0x{pan:04X}")
+        self.nodes[node_id] = self.by_addr[addr_key] = by_iid[iid_key] = by_iid[eui_key] = node
+        if coordinator:
+            self._pan_coordinator[pan] = node
         self.neighbors[node_id] = {}
         return node
 
@@ -431,17 +442,20 @@ class World:
     def add_link(
         self, a: str, b: str, band: PhyBand = PhyBand.B2450, loss: float = 0.0
     ) -> SimLink:
-        """Join two different nodes of one PAN, once; PANs meet only through a gateway.
+        """Join two different nodes of one PAN, once, with a loss probability
+        in 0..1; PANs meet only through a gateway.
 
         The link is stored at both ends as given; `prepare` puts each
         node's neighbours in id order.
         """
         if self._prepared:
             raise ValueError(f"cannot link {a!r} and {b!r}: the world is prepared")
-        node_a, node_b = self.nodes.get(a), self.nodes.get(b)
-        for end, node in ((a, node_a), (b, node_b)):
-            if node is None:
-                raise ValueError(f"unknown node {end!r}")
+        node_a = self.nodes.get(a)
+        if node_a is None:
+            raise ValueError(f"unknown node {a!r}")
+        node_b = self.nodes.get(b)
+        if node_b is None:
+            raise ValueError(f"unknown node {b!r}")
         if a == b:
             raise ValueError(f"a link joins two different nodes, not {a!r} to itself")
         pan_a, pan_b = node_a.pan_id, node_b.pan_id
@@ -452,7 +466,9 @@ class World:
         a, b = node_a.id, node_b.id  # the world's own id strings, not the caller's copies
         if b in self.neighbors[a]:
             raise ValueError(f"{a!r} and {b!r} are already linked")
-        link = SimLink(a, b, band, loss)
+        if not 0 <= loss <= 1:  # refuses nan too
+            raise ValueError(f"link loss {loss!r} is not in 0..1")
+        link = tuple.__new__(SimLink, (a, b, band, loss))
         self.neighbors[a][b] = self.neighbors[b][a] = link
         return link
 
@@ -694,7 +710,11 @@ class World:
         _check_range("dst_short", dst_short, 0xFFFF)
         self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 
-    send_apl = send_nwk  # APL data rides a NWK frame as its payload
+    def send_apl(self, at: float, src_id: str, dst_short: int, payload: bytes):
+        """An APL send to the short `apl_destination` gives; APL data rides a NWK frame as its payload."""
+        src_id = self._check_send(at, src_id, "apl", payload)
+        _check_range("dst_short", dst_short, 0xFFFF)
+        self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 
     def apl_destination(self, src_id: str, dst_id: str) -> int:
         """The short node `src_id` puts in the NWK frame of an APL send to `dst_id`.

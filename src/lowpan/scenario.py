@@ -24,16 +24,17 @@ Numbers accept 0x prefixes.  Times (`at`, `t_end`, both parts of
 PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
 generates a deterministic payload pattern and `hex=` gives it verbatim;
 either is at most 65,527 octets, what one UDP datagram carries.  A link
-joins two different nodes of one PAN, once.  An address has one owner:
-a PAN one gateway, a short or EUI-64 one node of its PAN, a wired address
-one host or gateway, a prefix one gateway.  A node pins the route to a
-final short, and its default route, once: `2` and `0x2` name one short,
-and a second pin, in the same route section or another, names the first
-pin's line.  Unknown sections, keys and tokens, a wrong number of ids, a
-key given twice in a section, a host named twice in `subscribers`, a link,
-address or route that breaks these rules and out-of-range values are a
-`ScenarioError` naming their line.  Routes not pinned by a [route]
-section are hop-count shortest paths, computed on first use.
+joins two different nodes of one PAN, once, and a PAN has at most one
+coordinator.  An address has one owner: a PAN one gateway, a short or
+EUI-64 one node of its PAN, a wired address one host or gateway, a prefix
+one gateway.  A node pins the route to a final short, and its default
+route, once: `2` and `0x2` name one short, and a second pin, in the same
+route section or another, names the first pin's line.  Unknown sections,
+keys and tokens, a wrong number of ids, a key given twice in a section, a
+host named twice in `subscribers`, a link, address or route that breaks
+these rules and out-of-range values are a `ScenarioError` naming their
+line.  Routes not pinned by a [route] section are hop-count shortest
+paths, computed on first use.
 
 A traffic line only turns its text into values: the `World` send call it
 makes (`send_udp`, `broadcast`, `send_app`, `send_nwk`, or `send_apl` to
@@ -105,6 +106,11 @@ _ROLES = {role.value: role for role in NodeRole}
 _MODES = {mode.value: mode for mode in GatewayMode}
 _BANDS = {band.label: band for band in PhyBand}
 _SECURITY = {suite.label: suite for suite in SecurityMode}
+# the defaults `_build` gives a key left out, read off their enums once: an
+# enum member read off its class costs several plain attribute reads
+_FFD = NodeRole.FFD
+_B2450 = PhyBand.B2450
+_NO_SECURITY = SecurityMode.NONE
 
 
 _PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(256))  # pattern payloads repeat every 256 octets
@@ -131,6 +137,10 @@ def _parse_sections(text: str) -> dict[str, list]:
     hold no thousand copies of one `loss`."""
     sections: dict[str, list] = {kind: [] for kind in _SECTIONS}
     events = sections["traffic"]
+    # section kind -> (number of ids, key slots, blank record, its records):
+    # what a header needs, in one lookup; for this parse only
+    specs = {kind: (count, _SLOTS.get(kind), _BLANK.get(kind), sections[kind])
+             for kind, (count, _, _) in _SECTIONS.items()}
     share = {}.setdefault  # text -> its first copy, for this parse only
     # the open section's kind and record, and its key slots (None in a
     # route section, whose keys go to `pins`); `traffic` in a traffic section
@@ -146,20 +156,24 @@ def _parse_sections(text: str) -> dict[str, list]:
             if line[-1] != "]":
                 raise ScenarioError(f"line {lineno}: unterminated section header")
             kind, *ids = line[1:-1].split() or [""]
-            if kind not in _SECTIONS:
+            spec = specs.get(kind)
+            if spec is None:
                 raise ScenarioError(f"line {lineno}: unknown section {line}")
-            if len(ids) != _SECTIONS[kind][0]:
-                raise ScenarioError(f"line {lineno}: a {kind} section takes {_SECTIONS[kind][0]} id(s)")
+            count, slots, blank, records = spec
+            if len(ids) != count:
+                raise ScenarioError(f"line {lineno}: a {kind} section takes {count} id(s)")
             traffic = kind == "traffic"
-            slots = _SLOTS.get(kind)
             if slots is not None:
-                record = _BLANK[kind].copy()
+                record = blank.copy()
                 record[0] = lineno
-                record[1:1 + len(ids)] = map(share, ids, ids)
-                sections[kind].append(record)
-            elif kind == "route":
+                slot = 1
+                for name in ids:
+                    record[slot] = share(name, name)
+                    slot += 1
+                records.append(record)
+            elif not traffic:  # a route section
                 pins = {}
-                sections[kind].append([lineno, share(ids[0], ids[0]), pins])
+                records.append([lineno, share(ids[0], ids[0]), pins])
         elif traffic:
             events.append((lineno, line))
         elif kind is None:
@@ -363,21 +377,16 @@ def _build(
         except ValueError as exc:
             raise ScenarioError(f"line {at}: {exc}") from None
 
-    coordinators: dict[int, str] = {}
     for (at, node_id, short, short_at, role, role_at, eui, eui_at, sleep, sleep_at, security, security_at,
          devid, devid_at, node_pan, pan_at) in sections.pop("node"):
-        role = NodeRole.FFD if role is None else _choice(role, role_at, _ROLES, "role")
+        role = _FFD if role is None else _choice(role, role_at, _ROLES, "role")
         node_pan = pan if node_pan is None else _int(node_pan, pan_at, U16)
-        if role is NodeRole.COORDINATOR:
-            held = coordinators.setdefault(node_pan, node_id)
-            if held != node_id:
-                raise ScenarioError(f"line {at}: PAN 0x{node_pan:04X} has coordinator {held!r}")
         sleep = None if sleep is None else _sleep(sleep, sleep_at)
-        security = SecurityMode.NONE if security is None else _choice(
+        security = _NO_SECURITY if security is None else _choice(
             security, security_at, _SECURITY, "security suite")
         short = _int(short, short_at, U16)
         eui = None if eui is None else _eui(eui, eui_at)
-        try:
+        try:  # an id, short or interface identifier taken, or a second coordinator in the PAN
             node = world.add_node(node_id, role, short, eui=eui, pan_id=node_pan, sleep=sleep, security=security)
         except ValueError as exc:
             raise ScenarioError(f"line {at}: {exc}") from None
@@ -389,7 +398,7 @@ def _build(
                 register_devid(gw_node.gateway.registry, _int(devid, devid_at, U16), node.wpan_address)
 
     for at, a, b, band, band_at, loss, loss_at in sections.pop("link"):
-        band = PhyBand.B2450 if band is None else _choice(band, band_at, _BANDS, "band")
+        band = _B2450 if band is None else _choice(band, band_at, _BANDS, "band")
         loss = 0.0 if loss is None else _float(loss, loss_at, 1.0)
         try:  # an unknown node, a node to itself, two PANs, or a pair linked twice
             world.add_link(a, b, band, loss)

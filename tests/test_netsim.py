@@ -181,6 +181,35 @@ def test_a_link_joins_two_different_nodes_of_one_pan():
     assert seen["c", "bc0"] == []
 
 
+@pytest.mark.parametrize("loss", [float("nan"), -0.5, 1.5, float("inf")])
+def test_a_link_loss_outside_0_to_1_is_refused_and_stores_nothing(loss):
+    world = make_line()
+    world.add_node("e", NodeRole.FFD, 5)
+    before = {node_id: dict(ends) for node_id, ends in world.neighbors.items()}
+    with pytest.raises(ValueError) as raised:
+        world.add_link("d", "e", loss=loss)
+    assert (raised.type, str(raised.value)) == (ValueError, f"link loss {loss!r} is not in 0..1")
+    assert {node_id: dict(ends) for node_id, ends in world.neighbors.items()} == before
+    link = world.add_link("d", "e", loss=1.0)  # the top of the range is a link; make_line's are at 0
+    assert world.neighbors["e"]["d"] is link and link == netsim.SimLink("d", "e", PhyBand.B2450, 1.0)
+
+
+def test_a_pan_has_one_coordinator():
+    world = make_line()  # a coordinates PAN 0xBEEF
+    world.add_gateway("g", 0x00FE, GatewayMode.BORDER, IPv6Address("fd00::a"))  # a gateway is an FFD
+    world.add_node("x", NodeRole.COORDINATOR, 1, pan_id=0x1234)  # another PAN's coordinator
+    before = indexes(world)
+    # (id, short, PAN, its coordinator); the coordinator is named before a short taken (b's 2)
+    for node_id, short, pan_id, held in [("y", 9, None, "a"), ("y", 2, 0xBEEF, "a"), ("z", 9, 0x1234, "x")]:
+        with pytest.raises(ValueError) as raised:
+            world.add_node(node_id, NodeRole.COORDINATOR, short, pan_id=pan_id)
+        pan = 0xBEEF if pan_id is None else pan_id
+        assert str(raised.value) == f"PAN 0x{pan:04X} has coordinator {held!r}"
+        assert indexes(world) == before
+    assert world.add_node("y", NodeRole.FFD, 9).role is NodeRole.FFD  # the refused call left y free
+    assert world._pan_coordinator == {0xBEEF: world.node("a"), 0x1234: world.node("x")}
+
+
 def test_a_prepared_world_refuses_new_nodes_gateways_and_links():
     def line(shortcut: bool) -> World:
         world = World(seed=0)
@@ -826,8 +855,9 @@ FREE = dict(wired_addr=IPv6Address("fd00::c"), pan_id=0x1234)  # a gateway of PA
      "interface identifier 02124b00123400fd already names 'y' in PAN 0x1234"),
     (lambda w: w.add_host("h2", IPv6Address("fd00::99")), "wired address fd00::99 already belongs to 'h'"),
     (lambda w: w.add_host("h2", IPv6Address("fd00::a")), "wired address fd00::a already belongs to 'g1'"),
+    (lambda w: w.add_node("g2", NodeRole.COORDINATOR, 0x00FD), "PAN 0xBEEF has coordinator 'a'"),
 ], ids=["second-gateway-in-a-pan", "wired-of-a-host", "wired-of-a-gateway", "prefix-delegated", "short-taken",
-        "id-taken", "eui-taken", "host-on-a-host", "host-on-a-gateway"])
+        "id-taken", "eui-taken", "host-on-a-host", "host-on-a-gateway", "second-coordinator-in-a-pan"])
 def test_a_refused_claim_leaves_no_node_or_index_entry_behind(add, message):
     world = _owners_world()
     before = indexes(world)

@@ -66,6 +66,7 @@ def worlds(draw) -> World:
         if gateway is not None:
             gateways.add(gateway)
     world = World(seed=0)
+    coordinated = set()  # the PANs that have their one coordinator
     for i, (pan, short) in enumerate(addrs):
         if i in gateways:
             world.add_gateway(
@@ -73,7 +74,12 @@ def worlds(draw) -> World:
                 prefix=IPv6Address(f"2001:db8:{i + 1:x}::"), pan_id=pan,
             )
         else:
-            world.add_node(names[i], draw(st.sampled_from(NodeRole)), short, pan_id=pan)
+            role = draw(st.sampled_from(NodeRole))
+            if role is NodeRole.COORDINATOR:
+                if pan in coordinated:
+                    role = NodeRole.FFD  # a PAN has one coordinator
+                coordinated.add(pan)
+            world.add_node(names[i], role, short, pan_id=pan)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if addrs[a][0] == addrs[b][0]]
     density = draw(st.sampled_from([2, 4, 7]))  # in tenths: sparse lines to near-cliques
     rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))

@@ -339,6 +339,29 @@ def test_the_file_is_read_whole_then_built_kind_by_kind(text, error):
     assert str(raised.value) == error
 
 
+@pytest.mark.parametrize("header, message", [
+    ("[general x]", "a general section takes 0 id(s)"),
+    ("[node]", "a node section takes 1 id(s)"),
+    ("[node b c]", "a node section takes 1 id(s)"),
+    ("[gateway]", "a gateway section takes 1 id(s)"),
+    ("[gateway g h]", "a gateway section takes 1 id(s)"),
+    ("[host]", "a host section takes 1 id(s)"),
+    ("[host h i]", "a host section takes 1 id(s)"),
+    ("[link a]", "a link section takes 2 id(s)"),
+    ("[link a b c]", "a link section takes 2 id(s)"),
+    ("[route]", "a route section takes 1 id(s)"),
+    ("[route a b]", "a route section takes 1 id(s)"),
+    ("[traffic x]", "a traffic section takes 0 id(s)"),
+    ("[]", "unknown section []"),
+    ("[ ]", "unknown section [ ]"),
+    ("[nodes a]", "unknown section [nodes a]"),
+])
+def test_a_header_names_a_known_kind_and_its_number_of_ids(header, message):
+    with pytest.raises(ScenarioError) as raised:
+        load_scenario(f"[node a]\nshort = 1\n{header}\nshort = 2\n")
+    assert str(raised.value) == f"line 3: {message}"
+
+
 def test_links_routes_traffic_and_subscribers_may_precede_what_they_name():
     world, _ = load_scenario(
         "[traffic]\nat=0 kind=udp from=a to=b size=4\n[link a b]\nloss = 0\n[route a]\n2 = 2\n"

@@ -27,7 +27,7 @@ def owners(world: World) -> tuple:
     the owner maps, the radio graph and each gateway's peer pool."""
     return (
         list(world._queue), dict(world.nodes), dict(world.hosts), dict(world.by_addr), dict(world.by_iid),
-        dict(world._pan_gateway), dict(world._wired_owner), dict(world._prefix_gateway),
+        dict(world._pan_gateway), dict(world._pan_coordinator), dict(world._wired_owner), dict(world._prefix_gateway),
         {node_id: dict(ends) for node_id, ends in world.neighbors.items()},
         {node.id: dict(node.gateway.mapping.short_by_peer) for node in world._pan_gateway.values()},
     )
@@ -49,6 +49,8 @@ def owners(world: World) -> tuple:
      "nwk traffic must start at a node, not host 'h'"),
     (lambda world: world.apl_destination("h", "a"), "at=0 kind=apl from=h to=a size=1",
      "apl traffic must start at a node, not host 'h'"),
+    (lambda world: world.send_apl(0.0, "h", 1, b"x"), "at=0 kind=apl from=h to=a size=1",
+     "apl traffic must start at a node, not host 'h'"),
     (lambda world: world.send_udp(0.0, "a", "b", 1, 2, bytes(70_000)), "at=0 kind=udp from=a to=b hex=" + "00" * 70_000,
      "payload of 70000 octets is over 65527"),
     (lambda world: world.broadcast(0.0, "a", bytes(MAX_PAYLOAD + 1)),
@@ -67,7 +69,7 @@ def owners(world: World) -> tuple:
      "dst_devid out of range: -1"),
 ], ids=[
     "udp-unknown-sender", "broadcast-unknown-sender", "udp-unknown-destination", "host-udp-unknown-destination",
-    "broadcast-from-host", "app-from-host", "nwk-from-host", "apl-from-host", "udp-70000-octets",
+    "broadcast-from-host", "app-from-host", "nwk-from-host", "apl-from-host", "apl-send-from-host", "udp-70000-octets",
     "broadcast-65528-octets", "at-nan", "at-negative", "at-inf", "host-hops", "hops-16", "app-devid-negative",
 ])
 def test_a_send_is_refused_at_the_call_and_at_its_traffic_line(call, line, message):
@@ -107,6 +109,7 @@ U16_DRAWS = [0, 1, 2, 0xF0B0, 0xFFFF, -1, 0x10000]
 HOPS = [None, 0, 1, 8, 15, 16, -1]
 SIZES = [0, 1, 40, 96, 1280, MAX_PAYLOAD, MAX_PAYLOAD + 1]
 TIMES = [0.0, 0.25, 1.0, 7.5, -1.0, float("nan"), float("inf")]
+LOSSES = [0.0, 0.0, 0.3, 1.0, float("nan"), -0.5, 1.5]
 
 
 class WorldModel(RuleBasedStateMachine):
@@ -156,7 +159,7 @@ class WorldModel(RuleBasedStateMachine):
         if self._call(lambda: self.world.add_host(host_id, addr)):
             assert self.world.hosts[host_id].addr == addr
 
-    @rule(a=st.sampled_from(IDS), b=st.sampled_from(IDS), loss=st.sampled_from([0.0, 0.0, 0.3, 1.0]))
+    @rule(a=st.sampled_from(IDS), b=st.sampled_from(IDS), loss=st.sampled_from(LOSSES))
     def add_link(self, a, b, loss):
         if self._call(lambda: self.world.add_link(a, b, loss=loss)):
             assert self.world.neighbors[a][b] is self.world.neighbors[b][a]
