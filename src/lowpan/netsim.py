@@ -706,13 +706,14 @@ class World:
         self.schedule(at, (self._do_send_app, src_id, AppHeader(src_devid, dst_devid), data))
 
     def send_nwk(self, at: float, src_id: str, dst_short: int, payload: bytes):
-        src_id = self._check_send(at, src_id, "nwk", payload)
-        _check_range("dst_short", dst_short, 0xFFFF)
-        self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
+        self._send_nwk("nwk", at, src_id, dst_short, payload)
 
     def send_apl(self, at: float, src_id: str, dst_short: int, payload: bytes):
         """An APL send to the short `apl_destination` gives; APL data rides a NWK frame as its payload."""
-        src_id = self._check_send(at, src_id, "apl", payload)
+        self._send_nwk("apl", at, src_id, dst_short, payload)
+
+    def _send_nwk(self, kind: str, at: float, src_id: str, dst_short: int, payload: bytes):
+        src_id = self._check_send(at, src_id, kind, payload)
         _check_range("dst_short", dst_short, 0xFFFF)
         self.schedule(at, (self._do_send_nwk, src_id, dst_short, payload))
 

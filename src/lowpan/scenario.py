@@ -25,16 +25,18 @@ PANs, ports and devids in 0..0xFFFF, hop budgets in 0..15.  `size=N`
 generates a deterministic payload pattern and `hex=` gives it verbatim;
 either is at most 65,527 octets, what one UDP datagram carries.  A link
 joins two different nodes of one PAN, once, and a PAN has at most one
-coordinator.  An address has one owner: a PAN one gateway, a short or
-EUI-64 one node of its PAN, a wired address one host or gateway, a prefix
-one gateway.  A node pins the route to a final short, and its default
-route, once: `2` and `0x2` name one short, and a second pin, in the same
-route section or another, names the first pin's line.  Unknown sections,
-keys and tokens, a wrong number of ids, a key given twice in a section, a
-host named twice in `subscribers`, a link, address or route that breaks
-these rules and out-of-range values are a `ScenarioError` naming their
-line.  Routes not pinned by a [route] section are hop-count shortest
-paths, computed on first use.
+coordinator: a second is reported at its section's header, after that
+section's own values have passed their checks.  An address has one
+owner: a PAN one gateway, a short or EUI-64 one node of its PAN, a wired
+address one host or gateway, a prefix one gateway.  A node pins the
+route to a final short, and its default route, once: `2` and `0x2` name
+one short, and a second pin, in the same route section or another, names
+the first pin's line.  Unknown sections, keys and tokens, a wrong number
+of ids, a key given twice in a section, a host named twice in
+`subscribers`, a link, address or route that breaks these rules and
+out-of-range values are a `ScenarioError` naming their line.  Routes not
+pinned by a [route] section are hop-count shortest paths, computed on
+first use.
 
 A traffic line only turns its text into values: the `World` send call it
 makes (`send_udp`, `broadcast`, `send_app`, `send_nwk`, or `send_apl` to
@@ -106,11 +108,9 @@ _ROLES = {role.value: role for role in NodeRole}
 _MODES = {mode.value: mode for mode in GatewayMode}
 _BANDS = {band.label: band for band in PhyBand}
 _SECURITY = {suite.label: suite for suite in SecurityMode}
-# the defaults `_build` gives a key left out, read off their enums once: an
+# the band `_build` gives a link that names none, read off its enum once: an
 # enum member read off its class costs several plain attribute reads
-_FFD = NodeRole.FFD
 _B2450 = PhyBand.B2450
-_NO_SECURITY = SecurityMode.NONE
 
 
 _PATTERN = bytes((i * 37 + 11) & 0xFF for i in range(256))  # pattern payloads repeat every 256 octets
@@ -166,7 +166,7 @@ def _parse_sections(text: str) -> dict[str, list]:
             if slots is not None:
                 record = blank.copy()
                 record[0] = lineno
-                slot = 1
+                slot = 1  # a plain loop: cheaper here than a slice assignment from `map`
                 for name in ids:
                     record[slot] = share(name, name)
                     slot += 1
@@ -379,10 +379,10 @@ def _build(
 
     for (at, node_id, short, short_at, role, role_at, eui, eui_at, sleep, sleep_at, security, security_at,
          devid, devid_at, node_pan, pan_at) in sections.pop("node"):
-        role = _FFD if role is None else _choice(role, role_at, _ROLES, "role")
+        role = NodeRole.FFD if role is None else _choice(role, role_at, _ROLES, "role")
         node_pan = pan if node_pan is None else _int(node_pan, pan_at, U16)
         sleep = None if sleep is None else _sleep(sleep, sleep_at)
-        security = _NO_SECURITY if security is None else _choice(
+        security = SecurityMode.NONE if security is None else _choice(
             security, security_at, _SECURITY, "security suite")
         short = _int(short, short_at, U16)
         eui = None if eui is None else _eui(eui, eui_at)

@@ -210,6 +210,11 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name[, text the error m
         "[node y]\nshort = 2\npan = 0x0002\n[traffic]\nat=0 kind=apl from=x to=y size=1\n", 11,
         "segment of 'y' has no gateway",
     ),
+    # a second coordinator is named at its header, but only once its own values pass
+    ("[node a]\nrole = coordinator\nshort = 1\n[node b]\nrole = coordinator\nshort = 2\n", 4,
+     "PAN 0xBEEF has coordinator 'a'"),
+    ("[node a]\nrole = coordinator\nshort = 1\n[node b]\nrole = coordinator\nshort = -1\n", 6,
+     "'-1' is outside 0..65535"),
 ]
 
 
