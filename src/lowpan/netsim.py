@@ -6,8 +6,7 @@ optional gateways and wired IPv6 hosts.  A gateway is a node whose
 node from each neighbour's id to the `SimLink` the two share: one link
 record per pair, reachable from both ends.  Nodes, gateways and links are
 added before `World.prepare`; a prepared world refuses more, so `prepare`
-puts each map in neighbour id order once, the order floods and routing
-walk.
+puts each map in neighbour id order once, the order floods walk.
 
 Events are processed in (time, sequence) order from a single queue of
 `(t, seq, (method, *args))` entries, where `method` is a bound method of
@@ -314,6 +313,11 @@ def _check_range(name: str, value: int, top: int):
         raise ValueError(f"{name} out of range: {value}")
 
 
+def _wrong_type(name: str, value, needed: str) -> TypeError:
+    """The error an `add_*` call raises, storing nothing, for an argument of the wrong type."""
+    return TypeError(f"{name} must be {needed}, not {type(value).__name__}")
+
+
 def synth_eui(pan_id: int, short: int) -> bytes:
     """Deterministic EUI-64 for scenario nodes that do not pin one."""
     return b"\x00\x12\x4b\x00" + pan_id.to_bytes(2, "big") + short.to_bytes(2, "big")
@@ -323,7 +327,8 @@ class World:
     """Nodes, links, gateways and hosts, each address with one owner: the `add_*`
     methods raise `ValueError`, storing nothing, for an id, short, interface
     identifier, wired address or prefix already taken, a second gateway or
-    coordinator in a PAN, or a link loss outside 0..1."""
+    coordinator in a PAN, or a link loss outside 0..1, and `TypeError` for
+    an enum, schedule or address argument of the wrong type."""
 
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
         _check_range("hops_left", default_hops, 0x0F)
@@ -336,7 +341,7 @@ class World:
         self.by_iid: dict[tuple[int, bytes], SimNode] = {}
         # the radio graph: node id -> {neighbour id: the link they share}, one
         # SimLink per pair; in insertion order until `prepare` sorts each map
-        # by neighbour id for floods and routing
+        # by neighbour id for floods
         self.neighbors: dict[str, dict[str, SimLink]] = {}
         self.zigbee_shorts: dict[int, dict[bytes, int]] = {}  # zigbee PAN -> EUI-64 -> short (prepare)
         self._pan_gateway: dict[int, SimNode] = {}  # PAN id -> its gateway's node
@@ -354,9 +359,9 @@ class World:
         self._event_seq = 0
         self._prepared = False
         self._relays: set[str] = set()  # the nodes routing may use as transit
-        # routing state, grown on lookup: destination id -> (hop counts by
-        # node id, the nodes whose neighbours are still to walk)
-        self.hop_trees: dict[str, tuple[dict[str, int], list[str]]] = {}
+        # routing state, grown on lookup: destination id -> (next-hop id by
+        # node id, None at the destination; the nodes still to expand)
+        self.hop_trees: dict[str, tuple[dict[str, str | None], list[str]]] = {}
         self._receivers = {"lowpan": self._rx_lowpan, "app": self._rx_app, "nwk": self._rx_nwk}
 
     # --- construction ---------------------------------------------------
@@ -372,6 +377,12 @@ class World:
         sleep: SleepSchedule | None = None,
         security: SecurityMode = SecurityMode.NONE,
     ) -> SimNode:
+        if not isinstance(role, NodeRole):
+            raise _wrong_type("role", role, "a NodeRole")
+        if not isinstance(security, SecurityMode):
+            raise _wrong_type("security", security, "a SecurityMode")
+        if sleep is not None and not isinstance(sleep, SleepSchedule):
+            raise _wrong_type("sleep", sleep, "a SleepSchedule or None")
         if self._prepared:
             raise ValueError(f"cannot add {node_id!r}: the world is prepared")
         pan = self.pan_id if pan_id is None else pan_id
@@ -408,6 +419,16 @@ class World:
         subscribers: tuple[IPv6Address, ...] = (),
         tunnel_peer: IPv6Address | None = None,
     ) -> Gateway:
+        if not isinstance(mode, GatewayMode):
+            raise _wrong_type("mode", mode, "a GatewayMode")
+        if not isinstance(wired_addr, IPv6Address):
+            raise _wrong_type("wired_addr", wired_addr, "an IPv6Address")
+        for name, addr in (("prefix", prefix), ("tunnel_peer", tunnel_peer)):
+            if addr is not None and not isinstance(addr, IPv6Address):
+                raise _wrong_type(name, addr, "an IPv6Address or None")
+        for i, addr in enumerate(subscribers):
+            if not isinstance(addr, IPv6Address):
+                raise _wrong_type(f"subscribers[{i}]", addr, "an IPv6Address")
         pan = self.pan_id if pan_id is None else pan_id
         if pan in self._pan_gateway:
             raise ValueError(f"PAN 0x{pan:04X} already has gateway {self._pan_gateway[pan].id!r}")
@@ -431,6 +452,8 @@ class World:
         return gw
 
     def add_host(self, host_id: str, addr: IPv6Address) -> WiredHost:
+        if not isinstance(addr, IPv6Address):
+            raise _wrong_type("addr", addr, "an IPv6Address")
         if host_id in self.hosts or host_id in self.nodes:
             raise ValueError(f"duplicate id {host_id!r}")
         if addr in self._wired_owner:
@@ -448,6 +471,8 @@ class World:
         The link is stored at both ends as given; `prepare` puts each
         node's neighbours in id order.
         """
+        if not isinstance(band, PhyBand):
+            raise _wrong_type("band", band, "a PhyBand")
         if self._prepared:
             raise ValueError(f"cannot link {a!r} and {b!r}: the world is prepared")
         node_a = self.nodes.get(a)
@@ -486,9 +511,9 @@ class World:
         return self._pan_gateway.get(pan_id)
 
     def prepare(self):
-        """Put each node's neighbours in id order, give each node its receive
-        stack, note the forwarders routing may use and index the nodes of each
-        zigbee PAN by EUI-64.
+        """Put each node's neighbours in id order for floods, give each node
+        its receive stack, note the forwarders routing may use and index the
+        nodes of each zigbee PAN by EUI-64.
 
         A gateway runs the stack of its own mode, any other node that of its
         PAN's segment gateway, and a node in a PAN without a gateway 6LoWPAN.
@@ -515,9 +540,10 @@ class World:
     def next_hop(self, node: SimNode, final_short: int) -> int | None:
         """Short of the radio neighbour that `node` hands a frame for `final_short` to.
 
-        A route pinned by the scenario wins, then the shortest-path hop; a
-        destination with neither goes by the pinned default route or,
-        failing that, toward the segment gateway.  Valid after `prepare`.
+        A route pinned by the scenario wins, then the shortest-path hop of
+        lowest id; a destination with neither goes by the pinned default
+        route or, failing that, toward the segment gateway.  Valid after
+        `prepare`; the answer does not depend on neighbour order.
         """
         hop = self._route(node, final_short)
         if hop is None:
@@ -531,10 +557,12 @@ class World:
     def _route(self, node: SimNode, final_short: int) -> int | None:
         """The pinned route, else the lowest-id neighbour one hop closer.
 
-        Hop counts come from a breadth-first search out of the destination,
+        Next hops come from a breadth-first search out of the destination,
         kept per destination and shared by every node routing toward it.  It
-        grows one level at a time, only until `node` has a count.  Only the
-        destination and forwarders are expanded, so an RFD is never transit.
+        grows one level at a time, only until `node` has a hop, and expands
+        each level in id order, so the first node to reach another is its
+        lowest-id neighbour one hop closer.  Only the destination and
+        forwarders are expanded, so an RFD is never transit.
         """
         pinned = node.routes.get(final_short)
         if pinned is not None:
@@ -544,26 +572,20 @@ class World:
             return None
         tree = self.hop_trees.get(target.id)
         if tree is None:
-            tree = self.hop_trees[target.id] = ({target.id: 0}, [target.id])
-        hops, frontier = tree
+            tree = self.hop_trees[target.id] = ({target.id: None}, [target.id])
+        next_hops, frontier = tree
         neighbors, relays = self.neighbors, self._relays
-        while node.id not in hops and frontier:
-            level = hops[frontier[0]] + 1
+        while node.id not in next_hops and frontier:
             grown = []
-            for u in frontier:
+            for u in frontier:  # in id order, so the lowest-id hop claims each node
                 for v in neighbors[u]:
-                    if v not in hops:
-                        hops[v] = level
+                    if v not in next_hops:
+                        next_hops[v] = u
                         if v in relays:
                             grown.append(v)
-            frontier[:] = grown
-        distance = hops.get(node.id)
-        if not distance:  # unreachable, or `node` is the destination
-            return None
-        for v in neighbors[node.id]:
-            if hops.get(v) == distance - 1 and (v == target.id or v in relays):
-                return self.nodes[v].short
-        return None
+            frontier[:] = sorted(grown)
+        hop = next_hops.get(node.id)  # None if unreachable, or `node` is the destination
+        return None if hop is None else self.nodes[hop].short
 
     def node_global(self, node_id: str) -> IPv6Address:
         """Delegated-prefix global address of a node (short-derived IID)."""

@@ -129,6 +129,34 @@ def test_neighbour_order_ignores_link_insertion_order():
     assert [r.detail for r in world.trace if r.node == "s" and r.kind == "tx"] == ["dst=b", "dst=m", "dst=x"]
 
 
+def test_a_destination_table_maps_each_node_to_its_next_hop():
+    world = World(seed=0)
+    for short, node_id in enumerate("abcde", 1):
+        world.add_node(node_id, NodeRole.FFD, short)
+    for a, b in zip("abcd", "bcde"):
+        world.add_link(a, b)
+    world.prepare()
+    assert world.next_hop(world.node("a"), world.node("e").short) == world.node("b").short
+    assert world.hop_trees["e"][0] == {"e": None, "d": "e", "c": "d", "b": "c", "a": "b"}
+
+
+@pytest.mark.parametrize("first", ["k", "f"], ids=["nearer-first", "farther-first"])
+def test_a_tie_goes_to_the_lower_id_hop_whatever_its_short(first):
+    world = World(seed=0)
+    # t's neighbours k and q reach y and b, which both lead to s and on to f;
+    # b has the lower id but the higher short
+    for node_id, short in [("t", 1), ("k", 5), ("q", 4), ("y", 2), ("b", 9), ("s", 3), ("f", 6)]:
+        world.add_node(node_id, NodeRole.FFD, short)
+    for a, b in [("t", "k"), ("t", "q"), ("k", "y"), ("q", "b"), ("s", "y"), ("s", "b"), ("s", "f")]:
+        world.add_link(a, b)
+    world.prepare()
+    t = world.node("t").short
+    world.next_hop(world.node(first), t)  # from k the table stops short of s, which resumes it
+    assert world.next_hop(world.node("s"), t) == world.node("b").short
+    assert world.next_hop(world.node("f"), t) == world.node("s").short
+    assert world.hop_trees["t"][0]["s"] == "b"
+
+
 def test_prepare_puts_each_neighbour_map_in_id_order_once():
     world = World(seed=0)
     ids = ["a", "b", "c", "d"]
@@ -865,6 +893,31 @@ def test_a_refused_claim_leaves_no_node_or_index_entry_behind(add, message):
         add(world)
     assert indexes(world) == before
     assert "g2" not in world.nodes and "h2" not in world.hosts
+
+
+@pytest.mark.parametrize("add, message", [
+    (lambda w: w.add_node("n", "ffd", 0x0010), "role must be a NodeRole, not str"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 0x0010, security="none"), "security must be a SecurityMode, not str"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 0x0010, sleep=(1.0, 1.0)),
+     "sleep must be a SleepSchedule or None, not tuple"),
+    (lambda w: w.add_link("x", "y", band="2450"), "band must be a PhyBand, not str"),
+    (lambda w: w.add_gateway("g2", 0x00FD, "border", **FREE), "mode must be a GatewayMode, not str"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, "fd00::c", pan_id=0x1234),
+     "wired_addr must be an IPv6Address, not str"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, prefix="2001:db8:c::", **FREE),
+     "prefix must be an IPv6Address or None, not str"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, subscribers=(IPv6Address("fd00::99"), "fd00::98"),
+                             **FREE), "subscribers[1] must be an IPv6Address, not str"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BRIDGE, tunnel_peer="fd00::99", **FREE),
+     "tunnel_peer must be an IPv6Address or None, not str"),
+    (lambda w: w.add_host("h2", "fd00::98"), "addr must be an IPv6Address, not str"),
+], ids=["role", "security", "sleep", "band", "mode", "wired_addr", "prefix", "subscribers", "tunnel_peer", "addr"])
+def test_an_argument_of_the_wrong_type_is_refused_and_stores_nothing(add, message):
+    world = _owners_world()
+    before = indexes(world), {node_id: dict(ends) for node_id, ends in world.neighbors.items()}
+    raises_exactly(TypeError, message, lambda: add(world))
+    assert (indexes(world), {node_id: dict(ends) for node_id, ends in world.neighbors.items()}) == before
+    assert "n" not in world.nodes and "g2" not in world.nodes and "h2" not in world.hosts
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["in-id-order", "reverse"])

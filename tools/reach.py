@@ -26,8 +26,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "lowpan"
 # of that block (its `else` and `except` branches included), or a statement
 # directly in the function's body.  An entry must name one place.
 ALLOWED = {
-    ("netsim.py", "World._route", "return None"):
-        "the breadth-first search always finds a neighbour one hop closer to a node it has reached",
     ("netsim.py", "World._rx_lowpan", "if result.outcome is FragmentOutcome.DROPPED:"):
         "the world's deadline event removes a buffer before a late fragment finds it stale; "
         "`accept_fragment` keeps DROPPED for callers without one",
