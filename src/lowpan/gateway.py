@@ -6,10 +6,11 @@ Four gateway modes:
                  decompressed on the way up, compressed / fragmented /
                  mesh-wrapped on the way down.  The wired packet is the
                  exact packet the WPAN node expressed, end to end.
-  * devid      - application-layer translation: nodes and IPv6 hosts
-                 register 16-bit device identifiers, a 4-octet header
-                 (source devid, destination devid) rides at the top of
-                 every application payload, and the gateway rewrites
+  * devid      - application-layer translation: nodes (each by its
+                 short address) and IPv6 hosts register 16-bit device
+                 identifiers, a 4-octet header (source devid,
+                 destination devid) rides at the top of every
+                 application payload, and the gateway rewrites
                  addresses from its registry.  The IP stack terminates
                  at the gateway and fragmentation is unsupported.
   * zigbee     - network-layer mapping: every WPAN node gets a pseudo
@@ -36,7 +37,7 @@ from enum import Enum
 from ipaddress import IPv6Address
 
 from .codec import DISPATCH_TABLE, MeshHeader, UnknownDispatch, compress_ipv6, encode_mesh
-from .frame import CheckedTuple, NodeAddress, SecurityMode, mac_payload_budget
+from .frame import CheckedTuple, NodeAddress, SecurityMode, Short16, mac_payload_budget
 from .ipv6 import IPV6_HEADER_OCTETS, IPV6_MIN_LINK_MTU, NEXT_HEADER_UDP, Ipv6Packet, decode_udp, udp_packet
 from .reassembly import FragmentationContext, fragment
 
@@ -143,11 +144,16 @@ class AppHeader(CheckedTuple, namedtuple("AppHeader", "src_devid dst_devid")):
         return tuple.__new__(cls, struct.unpack("!HH", data[:4]))
 
 
-Endpoint = IPv6Address | NodeAddress
+Endpoint = IPv6Address | Short16  # a node registers by its short address, the one a downlink reaches
 DevidRegistry = dict[int, Endpoint]
 
 
 def register_devid(registry: DevidRegistry, devid: int, endpoint: Endpoint):
+    """Register `endpoint` under `devid`; raises `TypeError` for an endpoint
+    that is neither an `IPv6Address` nor a `Short16`, and `DuplicateDevid`
+    for a devid already taken, storing nothing."""
+    if not isinstance(endpoint, (IPv6Address, Short16)):
+        raise TypeError(f"endpoint must be an IPv6Address or Short16, not {type(endpoint).__name__}")
     if devid in registry:
         raise DuplicateDevid(f"devid {devid} already registered")
     registry[devid] = endpoint

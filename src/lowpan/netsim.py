@@ -3,7 +3,7 @@
 A world holds WPAN nodes, point-to-point radio links inside one PAN,
 optional gateways and wired IPv6 hosts.  A gateway is a node whose
 `gateway` slot holds its translator.  The radio graph is one map per
-node from each neighbour's id to the `SimLink` the two share: one link
+node from each neighbour's id to the `SimLink` (band and loss) the two share: one link
 record per pair, reachable from both ends.  Nodes, gateways and links are
 added before `World.prepare`; a prepared world refuses more, so `prepare`
 puts each map in neighbour id order once, the order floods walk.
@@ -38,7 +38,7 @@ Node behaviour:
     incomplete 60 s after its first fragment is discarded then.
   * A node's flood dedup cache (`bc0_seen`) is made on first use, when it
     first sees a flood; most nodes of a large mesh never need it.  Its
-    fragment tag (`frag_tag`) is a plain counter, like its sequence numbers.
+    fragment tag (`next_tag`) is a plain counter, like its sequence numbers.
 
 Addressing: a UDP send names each node end link-local when both ends are
 nodes of one PAN and the destination is no gateway, and by `node_global`
@@ -108,6 +108,7 @@ from .gateway import (
 from .ipv6 import IPV6_HEADER_OCTETS, UDP_HEADER_OCTETS, Ipv6Packet, PacketError, udp_packet
 from .reassembly import (
     REASSEMBLY_TIMEOUT,
+    FragmentationContext,
     FragmentOutcome,
     ReassemblyError,
     accept_fragment,
@@ -145,8 +146,8 @@ class SleepSchedule(CheckedTuple, namedtuple("SleepSchedule", "awake asleep")):
         return t % (self.awake + self.asleep) < self.awake
 
 
-class SimLink(CheckedTuple, namedtuple("SimLink", "a b band loss_probability", defaults=(PhyBand.B2450, 0.0))):
-    """A radio link between two nodes of one PAN; an unchecked value type."""
+class SimLink(CheckedTuple, namedtuple("SimLink", "band loss_probability", defaults=(PhyBand.B2450, 0.0))):
+    """A radio link's band and loss; `World.neighbors` keys it by its two ends.  Unchecked."""
 
     __slots__ = ()
 
@@ -230,7 +231,7 @@ class Trace:
 class SimNode:
     __slots__ = (
         "id", "role", "pan_id", "short", "wpan_address", "iid", "eui", "sleep", "security", "stack",
-        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "frag_tag",
+        "routes", "default_route", "mac_seq", "nwk_seq", "bc0_seq", "bc0_seen", "tx_free_at", "next_tag",
         "reassembly", "gateway",
     )
 
@@ -261,7 +262,7 @@ class SimNode:
         self.bc0_seq = 0
         self.bc0_seen: OrderedDict | None = None  # made by the first note_broadcast
         self.tx_free_at = 0.0
-        self.frag_tag = 0  # the tag of the next datagram this node fragments
+        self.next_tag = 0  # the tag of the next datagram this node fragments
         self.reassembly: dict = {}
         self.gateway: Gateway | None = None  # the translator of a gateway node (World.add_gateway)
 
@@ -289,15 +290,8 @@ class SimNode:
             seen.popitem(last=False)
         return True
 
-    def take_tag(self) -> int:
-        """The next fragment tag of this node's datagrams.
-
-        The node stands in for `fragment`'s `FragmentationContext`, which
-        is asked for a tag only when a datagram is split.
-        """
-        tag = self.frag_tag
-        self.frag_tag = (tag + 1) & 0xFFFF
-        return tag
+    # a node is its own `fragment` context: one tag rule, and no context object per node
+    take_tag = FragmentationContext.take_tag
 
 
 class WiredHost(CheckedTuple, namedtuple("WiredHost", "id addr")):
@@ -328,9 +322,11 @@ class World:
     methods raise `ValueError`, storing nothing, for an id, short, interface
     identifier, wired address or prefix already taken, a second gateway or
     coordinator in a PAN, or a link loss outside 0..1, and `TypeError` for
-    an enum, schedule or address argument of the wrong type."""
+    an enum, schedule, address, number or EUI-64 argument of the wrong type."""
 
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
+        if not isinstance(pan_id, int):
+            raise _wrong_type("pan_id", pan_id, "an int")
         _check_range("hops_left", default_hops, 0x0F)
         self.rng = random.Random(seed)
         self.pan_id = pan_id
@@ -379,6 +375,12 @@ class World:
     ) -> SimNode:
         if not isinstance(role, NodeRole):
             raise _wrong_type("role", role, "a NodeRole")
+        if not isinstance(short, int):
+            raise _wrong_type("short", short, "an int")
+        if eui is not None and not isinstance(eui, bytes):
+            raise _wrong_type("eui", eui, "bytes or None")
+        if pan_id is not None and not isinstance(pan_id, int):
+            raise _wrong_type("pan_id", pan_id, "an int or None")
         if not isinstance(security, SecurityMode):
             raise _wrong_type("security", security, "a SecurityMode")
         if sleep is not None and not isinstance(sleep, SleepSchedule):
@@ -419,6 +421,10 @@ class World:
         subscribers: tuple[IPv6Address, ...] = (),
         tunnel_peer: IPv6Address | None = None,
     ) -> Gateway:
+        if not isinstance(short, int):
+            raise _wrong_type("short", short, "an int")
+        if pan_id is not None and not isinstance(pan_id, int):
+            raise _wrong_type("pan_id", pan_id, "an int or None")
         if not isinstance(mode, GatewayMode):
             raise _wrong_type("mode", mode, "a GatewayMode")
         if not isinstance(wired_addr, IPv6Address):
@@ -473,6 +479,8 @@ class World:
         """
         if not isinstance(band, PhyBand):
             raise _wrong_type("band", band, "a PhyBand")
+        if not isinstance(loss, (int, float)):
+            raise _wrong_type("loss", loss, "an int or float")
         if self._prepared:
             raise ValueError(f"cannot link {a!r} and {b!r}: the world is prepared")
         node_a = self.nodes.get(a)
@@ -493,7 +501,7 @@ class World:
             raise ValueError(f"{a!r} and {b!r} are already linked")
         if not 0 <= loss <= 1:  # refuses nan too
             raise ValueError(f"link loss {loss!r} is not in 0..1")
-        link = tuple.__new__(SimLink, (a, b, band, loss))
+        link = tuple.__new__(SimLink, (band, loss))
         self.neighbors[a][b] = self.neighbors[b][a] = link
         return link
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from value_checks import check_rebuild, raises_exactly
 
 from lowpan.codec import MeshHeader, UnknownDispatch, encode_mesh, parse_dispatch
-from lowpan.frame import FrameType, MacFrame, Short16, SecurityMode, encode_mac_frame, mac_payload_budget
+from lowpan.frame import Eui64, FrameType, MacFrame, Short16, SecurityMode, encode_mac_frame, mac_payload_budget
 from lowpan.gateway import (
     APL_MAX_OCTETS,
     AplTooLarge,
@@ -77,6 +77,17 @@ def test_duplicate_devid():
     register_devid(registry, 7, Short16(0xBEEF, 0x0010))
     with pytest.raises(DuplicateDevid):
         register_devid(registry, 7, HOST_ADDR)
+
+
+@pytest.mark.parametrize("endpoint, name", [
+    (Eui64(bytes(8)), "Eui64"), ("fd00::99", "str"), (0x0010, "int"), (None, "NoneType"),
+])
+def test_a_devid_endpoint_the_radio_cannot_reach_is_refused_and_stores_nothing(endpoint, name):
+    registry = {7: HOST_ADDR}
+    for devid in (7, 8):  # refused before the duplicate check
+        raises_exactly(TypeError, f"endpoint must be an IPv6Address or Short16, not {name}",
+                       lambda: register_devid(registry, devid, endpoint))
+    assert registry == {7: HOST_ADDR}
 
 
 def test_unknown_devid():

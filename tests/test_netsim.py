@@ -184,9 +184,9 @@ def test_node_link_and_section_records_have_no_instance_dict():
         assert not hasattr(record, "__dict__"), type(record).__name__
     with pytest.raises(AttributeError):
         link.loss_probability = 0.5
-    assert link == netsim.SimLink("a", "b") and hash(link) == hash(netsim.SimLink("a", "b"))
-    assert link != ("a", "b", PhyBand.B2450, 0.0) and ("a", "b", PhyBand.B2450, 0.0) != link
-    assert repr(link) == f"SimLink(a='a', b='b', band={PhyBand.B2450!r}, loss_probability=0.0)"
+    assert link == netsim.SimLink() and hash(link) == hash(netsim.SimLink())
+    assert link != (PhyBand.B2450, 0.0) and (PhyBand.B2450, 0.0) != link
+    assert repr(link) == f"SimLink(band={PhyBand.B2450!r}, loss_probability=0.0)"
 
 
 def test_a_link_joins_two_different_nodes_of_one_pan():
@@ -202,7 +202,7 @@ def test_a_link_joins_two_different_nodes_of_one_pan():
         with pytest.raises(ValueError, match=message):
             world.add_link(a, b, loss=0.5)
     assert world.neighbors == {"a": {"b": link}, "b": {"a": link}, "c": {}}
-    assert world.neighbors["b"]["a"] is link and link == netsim.SimLink("a", "b")  # the first link stands
+    assert world.neighbors["b"]["a"] is link and link == netsim.SimLink()  # the first link stands
     world.broadcast(0.0, "a", b"flood")
     world.run()
     assert [r.detail for r in world.trace if r.node == "a" and r.kind == "tx"] == ["dst=b"]
@@ -219,7 +219,7 @@ def test_a_link_loss_outside_0_to_1_is_refused_and_stores_nothing(loss):
     assert (raised.type, str(raised.value)) == (ValueError, f"link loss {loss!r} is not in 0..1")
     assert {node_id: dict(ends) for node_id, ends in world.neighbors.items()} == before
     link = world.add_link("d", "e", loss=1.0)  # the top of the range is a link; make_line's are at 0
-    assert world.neighbors["e"]["d"] is link and link == netsim.SimLink("d", "e", PhyBand.B2450, 1.0)
+    assert world.neighbors["e"]["d"] is link and link == netsim.SimLink(PhyBand.B2450, 1.0)
 
 
 def test_a_pan_has_one_coordinator():
@@ -272,16 +272,29 @@ def test_flood_and_fragment_state_is_made_on_first_use():
     world = make_line()  # a - b - c - d
     world.send_udp(0.0, "a", "c", 0xF0B0, 0xF0B1, b"x" * 8)
     world.run()
-    assert all(node.bc0_seen is None and node.frag_tag == 0 for node in world.nodes.values())
+    assert all(node.bc0_seen is None and node.next_tag == 0 for node in world.nodes.values())
     for at in (1.0, 2.0):
         world.send_udp(at, "a", "c", 0xF0B0, 0xF0B1, b"x" * 300)
     world.run()
-    assert [node.id for node in world.nodes.values() if node.frag_tag] == ["a"]
-    assert world.node("a").frag_tag == 2  # tags 0 and 1, one per fragmented datagram
+    assert [node.id for node in world.nodes.values() if node.next_tag] == ["a"]
+    assert world.node("a").next_tag == 2  # tags 0 and 1, one per fragmented datagram
     assert all(node.bc0_seen is None for node in world.nodes.values())
     world.broadcast(3.0, "b", b"flood")
     world.run()
     assert all(len(node.bc0_seen) == 1 for node in world.nodes.values())
+
+
+def test_a_node_draws_its_fragment_tags_by_the_context_rule_and_wraps_after_0xffff():
+    assert netsim.SimNode.take_tag is FragmentationContext.take_tag
+    world = make_line()
+    seen = watch(world)
+    world.node("a").next_tag = 0xFFFF
+    for at in (1.0, 2.0):
+        world.send_udp(at, "a", "c", 0xF0B0, 0xF0B1, b"x" * 300)
+    world.run()
+    assert [len(decode_udp(pkt.payload).payload) for _, pkt in seen["c", "ipv6"]] == [300, 300]
+    assert world.node("a").next_tag == 1  # tags 0xFFFF, then 0
+    assert drops_of(world) == []
 
 
 def test_delivery_to_self_address_forms():
@@ -911,7 +924,17 @@ def test_a_refused_claim_leaves_no_node_or_index_entry_behind(add, message):
     (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BRIDGE, tunnel_peer="fd00::99", **FREE),
      "tunnel_peer must be an IPv6Address or None, not str"),
     (lambda w: w.add_host("h2", "fd00::98"), "addr must be an IPv6Address, not str"),
-], ids=["role", "security", "sleep", "band", "mode", "wired_addr", "prefix", "subscribers", "tunnel_peer", "addr"])
+    (lambda w: World(pan_id=1.0), "pan_id must be an int, not float"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 2.0), "short must be an int, not float"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 0x0010, pan_id=1.0), "pan_id must be an int or None, not float"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 0x0010, eui="abcdefgh"), "eui must be bytes or None, not str"),
+    (lambda w: w.add_node("n", NodeRole.FFD, 0x0010, eui=bytearray(8)), "eui must be bytes or None, not bytearray"),
+    (lambda w: w.add_gateway("g2", 253.0, GatewayMode.BORDER, **FREE), "short must be an int, not float"),
+    (lambda w: w.add_gateway("g2", 0x00FD, GatewayMode.BORDER, IPv6Address("fd00::c"), pan_id=1.0),
+     "pan_id must be an int or None, not float"),
+    (lambda w: w.add_link("x", "y", loss="0.5"), "loss must be an int or float, not str"),
+], ids=["role", "security", "sleep", "band", "mode", "wired_addr", "prefix", "subscribers", "tunnel_peer", "addr",
+        "world-pan_id", "short", "pan_id", "eui-text", "eui-bytearray", "gateway-short", "gateway-pan_id", "loss"])
 def test_an_argument_of_the_wrong_type_is_refused_and_stores_nothing(add, message):
     world = _owners_world()
     before = indexes(world), {node_id: dict(ends) for node_id, ends in world.neighbors.items()}

@@ -320,7 +320,7 @@ def test_each_key_lands_in_its_own_field():
         2, NodeRole.RFD, bytes.fromhex("0050c20000000001"), SleepSchedule(1.0, 2.0), SecurityMode.AES_CCM_64, 0x0007)
     assert gw.gateway.registry == {4: n.wpan_address, 9: h}
     assert (m.role, m.routes, m.default_route) == (NodeRole.COORDINATOR, {2: 2}, 0x00FE)
-    assert world.neighbors["n"]["m"] == netsim.SimLink("n", "m", PhyBand.B868, 0.25)
+    assert world.neighbors["n"]["m"] == netsim.SimLink(PhyBand.B868, 0.25)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -415,13 +415,12 @@ def test_a_loaded_world_keeps_no_section_one_record_per_link_and_no_unused_node_
 
     links = {id(link): link for ends in world.neighbors.values() for link in ends.values()}
     assert len(links) == text.count("[link ")
-    for link in links.values():  # one record per pair, reachable from both ends, keyed by the world's ids
-        assert world.neighbors[link.a][link.b] is link is world.neighbors[link.b][link.a]
-        assert link.a is world.nodes[link.a].id and link.b is world.nodes[link.b].id
-    for ends in world.neighbors.values():
+    for node_id, ends in world.neighbors.items():  # one record per pair, reachable from both ends
+        assert all(world.neighbors[other][node_id] is link for other, link in ends.items())
+    for ends in world.neighbors.values():  # keyed by the world's ids
         assert all(other is world.nodes[other].id for other in ends)
     # no node has flooded or fragmented yet
-    assert all(node.bc0_seen is None and node.frag_tag == 0 for node in world.nodes.values())
+    assert all(node.bc0_seen is None and node.next_tag == 0 for node in world.nodes.values())
     world.prepare()  # puts each neighbour map in id order
     for node_id, ends in world.neighbors.items():
         assert list(ends) == sorted(ends), node_id
