@@ -149,9 +149,14 @@ DevidRegistry = dict[int, Endpoint]
 
 
 def register_devid(registry: DevidRegistry, devid: int, endpoint: Endpoint):
-    """Register `endpoint` under `devid`; raises `TypeError` for an endpoint
-    that is neither an `IPv6Address` nor a `Short16`, and `DuplicateDevid`
-    for a devid already taken, storing nothing."""
+    """Register `endpoint` under `devid`; raises `TypeError` for a devid that
+    is not an `int` or an endpoint that is neither an `IPv6Address` nor a
+    `Short16`, `ValueError` for a devid outside 0..0xFFFF, and
+    `DuplicateDevid` for a devid already taken, storing nothing."""
+    if not isinstance(devid, int):
+        raise TypeError(f"devid must be an int, not {type(devid).__name__}")
+    if not 0 <= devid <= 0xFFFF:
+        raise ValueError(f"devid out of range: {devid}")
     if not isinstance(endpoint, (IPv6Address, Short16)):
         raise TypeError(f"endpoint must be an IPv6Address or Short16, not {type(endpoint).__name__}")
     if devid in registry:

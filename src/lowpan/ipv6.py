@@ -1,8 +1,7 @@
 """Wired-side IPv6 and UDP packet model with bit-exact headers.
 
 The IPv6 header is a fixed 40 octets, the UDP header a fixed 8.  TCP is
-not modelled as a transport; it exists only as a next-header code and a
-20-octet size constant for budget arithmetic.
+not modelled as a transport; it exists only as a next-header code.
 
 `Ipv6Packet` and `UdpDatagram` are `frame.CheckedTuple` value types whose
 `__new__` range-checks every header field and the payload size.
@@ -22,7 +21,6 @@ from .frame import CheckedTuple
 
 IPV6_HEADER_OCTETS = 40
 UDP_HEADER_OCTETS = 8
-TCP_HEADER_OCTETS = 20
 IPV6_MIN_LINK_MTU = 1280
 
 NEXT_HEADER_TCP = 6

@@ -327,6 +327,7 @@ class World:
     def __init__(self, seed: int = 0, pan_id: int = 0xBEEF, default_hops: int = 8):
         if not isinstance(pan_id, int):
             raise _wrong_type("pan_id", pan_id, "an int")
+        _check_range("pan_id", pan_id, 0xFFFF)
         _check_range("hops_left", default_hops, 0x0F)
         self.rng = random.Random(seed)
         self.pan_id = pan_id
@@ -421,8 +422,6 @@ class World:
         subscribers: tuple[IPv6Address, ...] = (),
         tunnel_peer: IPv6Address | None = None,
     ) -> Gateway:
-        if not isinstance(short, int):
-            raise _wrong_type("short", short, "an int")
         if pan_id is not None and not isinstance(pan_id, int):
             raise _wrong_type("pan_id", pan_id, "an int or None")
         if not isinstance(mode, GatewayMode):

@@ -38,10 +38,14 @@ out-of-range values are a `ScenarioError` naming their line.  Routes not
 pinned by a [route] section are hop-count shortest paths, computed on
 first use.
 
-A traffic line only turns its text into values: the `World` send call it
-makes (`send_udp`, `broadcast`, `send_app`, `send_nwk`, or `send_apl` to
-the short `World.apl_destination` gives) decides whether the send is
-legal, and a send it refuses is a `ScenarioError` at the traffic line.
+A bad value is a `ScenarioError` at its key's line: a number out of
+range, an EUI-64 or sleep period its type refuses, a devid already
+registered.  The loader only turns text into values; the `World` call a
+record makes (`add_host`, `add_gateway`, `add_node`, `add_link`, or a
+traffic line's `send_udp`, `broadcast`, `send_app`, `send_nwk`, or
+`send_apl` to the short `World.apl_destination` gives) decides whether
+it is legal, and a call it refuses is a `ScenarioError` at the record's
+section header or traffic line.
 `hops=` applies only to a node's sends: a host's datagram enters its PAN
 at the gateway, which sends it with the general `hops`.
 
@@ -234,24 +238,6 @@ def _choice(value: str, lineno: int, table: dict, what: str):
     return table[value]
 
 
-class _at:
-    """Report a rejected step at the line of its key: an EUI-64, a sleep
-    period or a devid already owned."""
-
-    __slots__ = ("lineno",)
-
-    def __init__(self, lineno: int):
-        self.lineno = lineno
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, ValueError) and not isinstance(exc, ScenarioError):
-            raise ScenarioError(f"line {self.lineno}: {exc}") from None
-        return False
-
-
 def _addr(value: str, lineno: int) -> IPv6Address:
     try:
         return IPv6Address(value)
@@ -260,16 +246,21 @@ def _addr(value: str, lineno: int) -> IPv6Address:
 
 
 def _eui(value: str, lineno: int) -> bytes:
-    with _at(lineno):
+    try:
         return eui64_from_text(value)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 def _sleep(value: str, lineno: int) -> SleepSchedule:
     awake, slash, asleep = value.partition("/")
     if not slash:
         raise ScenarioError(f"line {lineno}: sleep needs awake/asleep")
-    with _at(lineno):
-        return SleepSchedule(_float(awake, lineno), _float(asleep, lineno))
+    awake, asleep = _float(awake, lineno), _float(asleep, lineno)
+    try:
+        return SleepSchedule(awake, asleep)
+    except ValueError as exc:
+        raise ScenarioError(f"line {lineno}: {exc}") from None
 
 
 def _payload(fields: dict[str, str], lineno: int, patterns: dict[int, bytes]) -> bytes:
@@ -341,105 +332,104 @@ def _build(
 
     world = World(seed=seed, pan_id=pan, default_hops=hops)
 
-    # hosts first: gateways may subscribe to them; their devids register last
-    host_devids = []
-    for at, host_id, addr, addr_at, devid, devid_at in sections.pop("host"):
-        addr = _addr(addr, addr_at)
-        try:
+    # `at` is the line of the record being built: a section's header, a host
+    # devid's line or a traffic line; a `World` call's refusal is reported there
+    try:
+        # hosts first: gateways may subscribe to them; their devids register last
+        host_devids = []
+        for at, host_id, addr, addr_at, devid, devid_at in sections.pop("host"):
+            addr = _addr(addr, addr_at)
             world.add_host(host_id, addr)
-        except ValueError as exc:
-            raise ScenarioError(f"line {at}: {exc}") from None
-        if devid is not None:
-            host_devids.append((addr, devid, devid_at))
+            if devid is not None:
+                host_devids.append((addr, devid, devid_at))
 
-    for (at, gw_id, mode, mode_at, short, short_at, wired, wired_at, prefix, prefix_at, gw_pan, pan_at,
-         subscribers, subscribers_at, peer, peer_at) in sections.pop("gateway"):
-        gw_pan = pan if gw_pan is None else _int(gw_pan, pan_at, U16)
-        mode = _choice(mode, mode_at, _MODES, "gateway mode")
-        members = []  # the subscribers' addresses
-        if subscribers is not None:
-            for host_id in subscribers.split(","):
-                host = world.hosts.get(host_id.strip())
-                if host is None:
-                    raise ScenarioError(f"line {subscribers_at}: unknown host {host_id.strip()!r}")
-                if host.addr in members:
-                    raise ScenarioError(f"line {subscribers_at}: host {host.id!r} is already a subscriber")
-                members.append(host.addr)
-        short = _int(short, short_at, U16)
-        wired = _addr(wired, wired_at)
-        prefix = None if prefix is None else _addr(prefix, prefix_at)
-        peer = None if peer is None else _addr(peer, peer_at)
-        try:
+        for (at, gw_id, mode, mode_at, short, short_at, wired, wired_at, prefix, prefix_at, gw_pan, pan_at,
+             subscribers, subscribers_at, peer, peer_at) in sections.pop("gateway"):
+            gw_pan = pan if gw_pan is None else _int(gw_pan, pan_at, U16)
+            mode = _choice(mode, mode_at, _MODES, "gateway mode")
+            members = []  # the subscribers' addresses
+            if subscribers is not None:
+                for host_id in subscribers.split(","):
+                    host = world.hosts.get(host_id.strip())
+                    if host is None:
+                        raise ScenarioError(f"line {subscribers_at}: unknown host {host_id.strip()!r}")
+                    if host.addr in members:
+                        raise ScenarioError(f"line {subscribers_at}: host {host.id!r} is already a subscriber")
+                    members.append(host.addr)
+            short = _int(short, short_at, U16)
+            wired = _addr(wired, wired_at)
+            prefix = None if prefix is None else _addr(prefix, prefix_at)
+            peer = None if peer is None else _addr(peer, peer_at)
             world.add_gateway(
                 gw_id, short, _MODES[mode_override] if mode_override is not None else mode, wired,
                 prefix=prefix, pan_id=gw_pan, subscribers=tuple(members), tunnel_peer=peer,
             )
-        except ValueError as exc:
-            raise ScenarioError(f"line {at}: {exc}") from None
 
-    for (at, node_id, short, short_at, role, role_at, eui, eui_at, sleep, sleep_at, security, security_at,
-         devid, devid_at, node_pan, pan_at) in sections.pop("node"):
-        role = NodeRole.FFD if role is None else _choice(role, role_at, _ROLES, "role")
-        node_pan = pan if node_pan is None else _int(node_pan, pan_at, U16)
-        sleep = None if sleep is None else _sleep(sleep, sleep_at)
-        security = SecurityMode.NONE if security is None else _choice(
-            security, security_at, _SECURITY, "security suite")
-        short = _int(short, short_at, U16)
-        eui = None if eui is None else _eui(eui, eui_at)
-        try:  # an id, short or interface identifier taken, or a second coordinator in the PAN
+        for (at, node_id, short, short_at, role, role_at, eui, eui_at, sleep, sleep_at, security, security_at,
+             devid, devid_at, node_pan, pan_at) in sections.pop("node"):
+            role = NodeRole.FFD if role is None else _choice(role, role_at, _ROLES, "role")
+            node_pan = pan if node_pan is None else _int(node_pan, pan_at, U16)
+            sleep = None if sleep is None else _sleep(sleep, sleep_at)
+            security = SecurityMode.NONE if security is None else _choice(
+                security, security_at, _SECURITY, "security suite")
+            short = _int(short, short_at, U16)
+            eui = None if eui is None else _eui(eui, eui_at)
+            # an id, short or interface identifier taken, or a second coordinator in the PAN
             node = world.add_node(node_id, role, short, eui=eui, pan_id=node_pan, sleep=sleep, security=security)
-        except ValueError as exc:
-            raise ScenarioError(f"line {at}: {exc}") from None
-        if devid is not None:  # registered at the node's segment gateway; hosts register below
-            gw_node = world.segment_gateway(node_pan)
-            if gw_node is None:
-                raise ScenarioError(f"line {devid_at}: node {node_id!r} has a devid but its PAN has no gateway")
-            with _at(devid_at):
-                register_devid(gw_node.gateway.registry, _int(devid, devid_at, U16), node.wpan_address)
+            if devid is not None:  # registered at the node's segment gateway; hosts register below
+                gw_node = world.segment_gateway(node_pan)
+                if gw_node is None:
+                    raise ScenarioError(f"line {devid_at}: node {node_id!r} has a devid but its PAN has no gateway")
+                devid = _int(devid, devid_at, U16)
+                try:  # a devid already owned, reported at its key line inside the record
+                    register_devid(gw_node.gateway.registry, devid, node.wpan_address)
+                except ValueError as exc:
+                    raise ScenarioError(f"line {devid_at}: {exc}") from None
 
-    for at, a, b, band, band_at, loss, loss_at in sections.pop("link"):
-        band = _B2450 if band is None else _choice(band, band_at, _BANDS, "band")
-        loss = 0.0 if loss is None else _float(loss, loss_at, 1.0)
-        try:  # an unknown node, a node to itself, two PANs, or a pair linked twice
+        for at, a, b, band, band_at, loss, loss_at in sections.pop("link"):
+            band = _B2450 if band is None else _choice(band, band_at, _BANDS, "band")
+            loss = 0.0 if loss is None else _float(loss, loss_at, 1.0)
+            # an unknown node, a node to itself, two PANs, or a pair linked twice
             world.add_link(a, b, band, loss)
-        except ValueError as exc:
-            raise ScenarioError(f"line {at}: {exc}") from None
 
-    pinned_at: dict[tuple[str, int | str], int] = {}  # (node id, final short or "default") -> its pin's line
-    for at, node_id, pins in sections.pop("route"):
-        node = world.nodes.get(node_id)
-        if node is None:
-            raise ScenarioError(f"line {at}: route section needs a node id")
-        for key, (lineno, value) in pins.items():
-            final = key if key == "default" else _int(key, lineno, U16)
-            first = pinned_at.setdefault((node_id, final), lineno)
-            if first != lineno:
-                route = "a default route" if key == "default" else f"a route to 0x{final:04X}"
-                raise ScenarioError(f"line {lineno}: node {node_id!r} already has {route}, pinned at line {first}")
-            if key == "default":
-                node.default_route = _int(value, lineno, U16)
-            else:
-                node.routes[final] = _int(value, lineno, U16)
+        pinned_at: dict[tuple[str, int | str], int] = {}  # (node id, final short or "default") -> its pin's line
+        for at, node_id, pins in sections.pop("route"):
+            node = world.nodes.get(node_id)
+            if node is None:
+                raise ScenarioError(f"line {at}: route section needs a node id")
+            for key, (lineno, value) in pins.items():
+                final = key if key == "default" else _int(key, lineno, U16)
+                first = pinned_at.setdefault((node_id, final), lineno)
+                if first != lineno:
+                    route = "a default route" if key == "default" else f"a route to 0x{final:04X}"
+                    raise ScenarioError(f"line {lineno}: node {node_id!r} already has {route}, pinned at line {first}")
+                if key == "default":
+                    node.default_route = _int(value, lineno, U16)
+                else:
+                    node.routes[final] = _int(value, lineno, U16)
 
-    # host devids register at every devid gateway
-    devid_gateways = [node.gateway for node in world.nodes.values()
-                      if node.gateway is not None and node.gateway.mode is GatewayMode.DEVID]
-    for addr, devid, lineno in host_devids:
-        devid = _int(devid, lineno, U16)
-        for gw in devid_gateways:
-            with _at(lineno):
+        # host devids register at every devid gateway
+        devid_gateways = [node.gateway for node in world.nodes.values()
+                          if node.gateway is not None and node.gateway.mode is GatewayMode.DEVID]
+        for addr, devid, at in host_devids:
+            devid = _int(devid, at, U16)
+            for gw in devid_gateways:
                 register_devid(gw.registry, devid, addr)
 
-    patterns: dict[int, bytes] = {}  # this load's only: a size= may be up to MAX_PAYLOAD octets
-    for lineno, line in sections.pop("traffic"):
-        _schedule_traffic(world, line, lineno, patterns)
+        patterns: dict[int, bytes] = {}  # this load's only: a size= may be up to MAX_PAYLOAD octets
+        for at, line in sections.pop("traffic"):
+            _schedule_traffic(world, line, at, patterns)
+    except ScenarioError:
+        raise  # a value refused at its own line
+    except ValueError as exc:
+        raise ScenarioError(f"line {at}: {exc}") from None
 
     return world, t_end
 
 
 def _schedule_traffic(world: World, line: str, lineno: int, patterns: dict[int, bytes]):
     """Turn one traffic line into its `World` send call.  The call decides
-    whether the send is legal; a `ValueError` it raises is reported here, at
+    whether the send is legal; `_build` reports a `ValueError` it raises at
     the line."""
     tokens = line.split()
     fields = {}
@@ -463,21 +453,16 @@ def _schedule_traffic(world: World, line: str, lineno: int, patterns: dict[int, 
     src = fields["from"]
     payload = _payload(fields, lineno, patterns)
     hops = _int(fields["hops"], lineno) if "hops" in fields else None
-    try:
-        if kind == "udp":
-            sport = _int(fields.get("sport", "0xF0B0"), lineno)
-            dport = _int(fields.get("dport", "0xF0B1"), lineno)
-            world.send_udp(at, src, fields["to"], sport, dport, payload, hops=hops)
-        elif kind == "broadcast":
-            world.broadcast(at, src, payload, hops=hops)
-        elif kind == "app":
-            src_devid = _int(fields.get("devid", "0"), lineno)
-            world.send_app(at, src, src_devid, _int(fields["todevid"], lineno), payload)
-        elif kind == "apl":
-            world.send_apl(at, src, world.apl_destination(src, fields["to"]), payload)
-        else:
-            world.send_nwk(at, src, _int(fields["dst"], lineno), payload)
-    except ScenarioError:
-        raise  # a token that is not a number, already reported at the line
-    except ValueError as exc:
-        raise ScenarioError(f"line {lineno}: {exc}") from None
+    if kind == "udp":
+        sport = _int(fields.get("sport", "0xF0B0"), lineno)
+        dport = _int(fields.get("dport", "0xF0B1"), lineno)
+        world.send_udp(at, src, fields["to"], sport, dport, payload, hops=hops)
+    elif kind == "broadcast":
+        world.broadcast(at, src, payload, hops=hops)
+    elif kind == "app":
+        src_devid = _int(fields.get("devid", "0"), lineno)
+        world.send_app(at, src, src_devid, _int(fields["todevid"], lineno), payload)
+    elif kind == "apl":
+        world.send_apl(at, src, world.apl_destination(src, fields["to"]), payload)
+    else:
+        world.send_nwk(at, src, _int(fields["dst"], lineno), payload)

@@ -108,6 +108,16 @@ BAD_SCENARIOS = [  # (scenario text, line the error must name[, text the error m
         "[gateway gw]\nmode = devid\nshort = 1\nwired = fd00::a\n[host h1]\naddr = fd00::99\n"
         "devid = 9\n[node n]\nshort = 2\ndevid = 9\n", 7,
     ),
+    # a key line's own refusal is named at that line, not at its section's header
+    ("[node a]\nshort = 1\neui = 00:12:4b\n", 3, "not an EUI-64 of 8 octets"),
+    (  # two nodes behind one devid gateway with one devid
+        "[gateway gw]\nmode = devid\nshort = 1\nwired = fd00::a\n[node n]\nshort = 2\ndevid = 9\n"
+        "[node m]\nshort = 3\ndevid = 9\n", 10, "devid 9 already registered",
+    ),
+    (  # two hosts with one devid
+        "[gateway gw]\nmode = devid\nshort = 1\nwired = fd00::a\n[host h1]\naddr = fd00::98\ndevid = 9\n"
+        "[host h2]\naddr = fd00::99\ndevid = 9\n", 10, "devid 9 already registered",
+    ),
     ("[nodes a]\nshort = 1\n", 1),  # unknown section
     ("[node a]\nshort = 1\nsleeep = 1/1\n", 3),  # unknown key
     ("[general x]\nseed = 1\n", 1),  # wrong id counts

@@ -90,6 +90,17 @@ def test_a_devid_endpoint_the_radio_cannot_reach_is_refused_and_stores_nothing(e
     assert registry == {7: HOST_ADDR}
 
 
+@pytest.mark.parametrize("devid, error, message", [
+    (70000, ValueError, "devid out of range: 70000"), (-1, ValueError, "devid out of range: -1"),
+    ("x", TypeError, "devid must be an int, not str"),
+])
+def test_a_devid_outside_16_bits_is_refused_and_stores_nothing(devid, error, message):
+    registry = {devid: HOST_ADDR}
+    for endpoint in (Short16(0xBEEF, 0x0010), None):  # refused before the endpoint and duplicate checks
+        raises_exactly(error, message, lambda: register_devid(registry, devid, endpoint))
+    assert registry == {devid: HOST_ADDR}
+
+
 def test_unknown_devid():
     with pytest.raises(UnknownDevid):
         resolve_devid({}, 9)

@@ -10,7 +10,6 @@ from lowpan.gateway import AppHeader, GatewayError, NwkFrame
 from lowpan.ipv6 import (
     IPV6_HEADER_OCTETS,
     NEXT_HEADER_UDP,
-    TCP_HEADER_OCTETS,
     UDP_HEADER_OCTETS,
     BadVersion,
     Ipv6Packet,
@@ -37,7 +36,6 @@ def _packet(**kwargs) -> Ipv6Packet:
 def test_header_sizes():
     assert len(encode_ipv6(_packet())) == IPV6_HEADER_OCTETS
     assert len(encode_udp(UdpDatagram(1, 2))) == UDP_HEADER_OCTETS
-    assert TCP_HEADER_OCTETS == 20
 
 
 addresses = st.builds(IPv6Address, st.integers(0, 2**128 - 1))

@@ -674,6 +674,14 @@ def test_a_header_field_out_of_range_is_refused_at_the_call(send, message):
     assert list(world.trace) == [] and world.metrics == {}
 
 
+def test_a_world_pan_id_is_16_bits():
+    # refused with the message `Short16` gives for an address in that PAN
+    for pan_id in (0x10000, -1):
+        raises_exactly(ValueError, f"pan_id out of range: {pan_id}", lambda: World(pan_id=pan_id))
+    for pan_id in (0, 0xFFFF):
+        assert World(pan_id=pan_id).pan_id == pan_id
+
+
 # --- drop branches that need no random draw ----------------------------------
 
 def _drops(world):
