@@ -8,11 +8,14 @@ record per pair, reachable from both ends.  Nodes, gateways and links are
 added before `World.prepare`; a prepared world refuses more, so `prepare`
 puts each map in neighbour id order once, the order floods walk.
 
-Events are processed in (time, sequence) order from a single queue of
-`(t, seq, (method, *args))` entries, where `method` is a bound method of
-the world: what is in flight is plain data a test can read.  The only
-randomness is per-transmission loss, sampled from one seeded generator,
-so a world's trace is a pure function of its scenario and seed.
+Events are processed in (time, sequence) order.  Between runs, `_queue`
+holds every pending `(t, seq, (method, *args))` entry, where `method` is a
+bound method of the world: what is in flight is plain data a test can
+read.  During a run, the entries queued before it wait in a sorted feed,
+and only the earliest of them is in the heap beside the events the run
+queues itself, so the heap's minimum is still the earliest pending entry.
+The only randomness is per-transmission loss, sampled from one seeded
+generator, so a world's trace is a pure function of its scenario and seed.
 
 The send calls (`send_udp`, `broadcast`, `send_app`, `send_nwk`,
 `send_apl`) are where traffic is checked: each refuses an illegal send
@@ -354,6 +357,10 @@ class World:
         self.metrics: dict[str, float] = {}
         self._queue: list = []
         self._event_seq = 0
+        # during a run (see `_run`): the entries queued before it, latest first,
+        # and the one of them now in the heap
+        self._offered: list = []
+        self._fed: tuple | None = None
         self._prepared = False
         self._relays: set[str] = set()  # the nodes routing may use as transit
         # routing state, grown on lookup: destination id -> (next-hop id by
@@ -612,21 +619,53 @@ class World:
     def step(self) -> bool:
         if not self._queue:
             return False
-        t, _, event = heapq.heappop(self._queue)
+        entry = heapq.heappop(self._queue)
+        if entry is self._fed:
+            self._feed()
+        t, _, event = entry
         self.now = t
         event[0](*event[1:])
         return True
 
-    def run_until(self, t_end: float):
+    def _feed(self):
+        """Move the run's next offered entry into the heap, with its own (t, seq)."""
+        if not self._offered:
+            self._fed = None
+            return
+        self._fed = self._offered.pop()
+        heapq.heappush(self._queue, self._fed)
+
+    def _run(self, t_end: float):
+        """Run every event up to `t_end`.  The entries queued before the run wait
+        in `_offered`, latest first, and only the earliest of them is in the
+        heap: `step` feeds the next one when it pops that one, so the heap holds
+        what is in flight and its minimum is the earliest pending entry.  What
+        is left, after a raise too, is folded back into `_queue`."""
         self.prepare()
-        while self._queue and self._queue[0][0] <= t_end:
-            self.step()
+        queue = self._queue
+        self._offered = sorted(queue, reverse=True)
+        queue.clear()
+        self._feed()
+        try:
+            while queue and queue[0][0] <= t_end:
+                self.step()
+        finally:
+            if self._offered:
+                queue += self._offered
+                self._offered = []
+                heapq.heapify(queue)
+            self._fed = None
+
+    def run_until(self, t_end: float):
+        """Run every event up to `t_end`, then set the clock to it; a `t_end`
+        that is nan or before `now` raises `ValueError` and changes nothing."""
+        if not t_end >= self.now:  # refuses nan too
+            raise ValueError(f"run time {t_end!r} is not a number >= the world's time {self.now!r}")
+        self._run(t_end)
         self.now = t_end
 
     def run(self):
-        self.prepare()
-        while self.step():
-            pass
+        self._run(math.inf)
 
     def record(self, node: str, kind: str, detail: str = "", nbytes: int = 0):
         trace = self.trace
@@ -659,12 +698,15 @@ class World:
 
     def _check_send(self, at: float, src_id: str, kind: str, payload: bytes, hops: int | None = None) -> str:
         """The rules every send call applies before it queues, returning the
-        world's own id of the sender: a time that is a finite number >= 0, a
-        known sender (`_sender`), a payload of at most `MAX_PAYLOAD` octets,
-        and a hops budget only from a node, in 0..15.  A host's datagram
-        enters its PAN at the gateway, which sends it with `default_hops`."""
+        world's own id of the sender: a time that is a finite number >= 0 and
+        not before `now`, a known sender (`_sender`), a payload of at most
+        `MAX_PAYLOAD` octets, and a hops budget only from a node, in 0..15.  A
+        host's datagram enters its PAN at the gateway, which sends it with
+        `default_hops`."""
         if not 0 <= at < math.inf:  # refuses nan too
             raise ValueError(f"send time {at!r} is not a finite number >= 0")
+        if at < self.now:
+            raise ValueError(f"send time {at!r} is before the world's time {self.now!r}")
         src_id = self._sender(src_id, kind)
         if len(payload) > MAX_PAYLOAD:
             raise ValueError(f"payload of {len(payload)} octets is over {MAX_PAYLOAD}")

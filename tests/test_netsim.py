@@ -279,7 +279,7 @@ def test_flood_and_fragment_state_is_made_on_first_use():
     assert [node.id for node in world.nodes.values() if node.next_tag] == ["a"]
     assert world.node("a").next_tag == 2  # tags 0 and 1, one per fragmented datagram
     assert all(node.bc0_seen is None for node in world.nodes.values())
-    world.broadcast(3.0, "b", b"flood")
+    world.broadcast(world.now, "b", b"flood")  # the run above ends at the reassembly deadlines
     world.run()
     assert all(len(node.bc0_seen) == 1 for node in world.nodes.values())
 
